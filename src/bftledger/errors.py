@@ -20,7 +20,6 @@ def err(code: str, detail: str = "") -> ProtocolError:
 
 # Committee / certificates
 QUORUM_NOT_REACHED = "QuorumNotReached"
-BAD_SIGNATURE = "BadSignature"
 BAD_CERTIFICATE = "BadCertificate"
 
 # Accounts
@@ -43,9 +42,6 @@ NOT_A_LOCKED_OWNER = "NotALockedOwner"
 INVALID_CONFIRM = "InvalidConfirm"
 ROUND_UNAVAILABLE = "RoundUnavailable"
 UNSAFE = "Unsafe"
-
-# Clients
-STALLED = "Stalled"
 
 # Assets
 UNDEFINED_EXECUTION = "UndefinedExecution"

@@ -52,7 +52,7 @@ class MacSigner:
         return _MAC_PREFIX + self.secret
 
     def sign(self, digest: bytes) -> bytes:
-        return hmac.new(self.secret, digest, hashlib.sha256).digest()
+        return hmac.digest(self.secret, digest, "sha256")
 
 
 class Ed25519Signer:
@@ -79,7 +79,7 @@ def verify(public_key: bytes, digest: bytes, sig: bytes) -> bool:
         return False
     scheme, material = public_key[:1], public_key[1:]
     if scheme == _MAC_PREFIX:
-        want = hmac.new(material, digest, hashlib.sha256).digest()
+        want = hmac.digest(material, digest, "sha256")
         return hmac.compare_digest(want, sig)
     if scheme == _ED_PREFIX:
         try:

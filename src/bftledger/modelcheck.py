@@ -15,6 +15,15 @@ checker reports the first such state and the action path to it.
 
 Symmetry: honest authorities are interchangeable, so states are canonicalized
 by sorting their records.
+
+Cost: a record's transitions depend only on the record and the move, so each
+check memoizes them in tables local to the call. Every distinct transition
+still goes through the rule functions exactly once, and nothing carries over
+from one check (or ablation) to the next. The exploration order is fixed (the
+proposal order, the formable pre-commits, the first authority per distinct
+record, and the record sort key); it decides which violation the depth-first
+search reports first, and so the example path and the state count of an
+ablation.
 """
 
 from __future__ import annotations
@@ -125,11 +134,39 @@ def check_swap_agreement(
         decisions = {v for (_k, v) in formable(state, 3)}
         return len(decisions) > 1
 
+    # Per-check memo tables; see the module docstring.
+    proposal_moves: dict = {}  # record -> [("prop", pv, successor), ...]
+    precommit_next: dict = {}  # (record, pv) -> successor or None
+    keys: dict = {_FRESH: _record_key(_FRESH)}  # every record in a state -> sort key
+
+    def successors(record, precommits):
+        moves = proposal_moves.get(record)
+        if moves is None:
+            moves = proposal_moves[record] = []
+            for pv in proposals:
+                new_record = _step_proposal(record, pv, disabled_rules)
+                if new_record is not None:
+                    keys.setdefault(new_record, _record_key(new_record))
+                    moves.append(("prop", pv, new_record))
+        moves = list(moves)
+        for pv in precommits:
+            move = (record, pv)
+            if move not in precommit_next:
+                new_record = _step_precommit(record, pv, disabled_rules)
+                if new_record is not None:
+                    keys.setdefault(new_record, _record_key(new_record))
+                precommit_next[move] = new_record
+            new_record = precommit_next[move]
+            if new_record is not None:
+                moves.append(("pre", pv, new_record))
+        return moves
+
     initial = tuple([_FRESH] * honest)
     seen = {initial}
     frontier = [initial]
     parents: dict = {initial: None} if want_example else {}
     target = None
+    sort_key = keys.__getitem__
 
     while frontier:
         state = frontier.pop()
@@ -143,15 +180,9 @@ def check_swap_agreement(
         for i, record in enumerate(state):
             first_of.setdefault(record, i)
         for record, i in first_of.items():
-            moves = [("prop", pv, _step_proposal(record, pv, disabled_rules)) for pv in proposals]
-            moves += [("pre", pv, _step_precommit(record, pv, disabled_rules)) for pv in precommits]
-            for kind, pv, new_record in moves:
-                if new_record is None:
-                    continue
-                new_state = tuple(sorted(
-                    (new_record if j == i else r for j, r in enumerate(state)),
-                    key=_record_key,
-                ))
+            others = state[:i] + state[i + 1:]
+            for kind, pv, new_record in successors(record, precommits):
+                new_state = tuple(sorted(others + (new_record,), key=sort_key))
                 if new_state in seen:
                     continue
                 if len(seen) >= max_states:

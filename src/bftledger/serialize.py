@@ -208,7 +208,10 @@ def _decode(tp: Any, r: _Reader) -> Any:
         return r.take(n)
     if tp is str:
         (n,) = struct.unpack("<I", r.take(4))
-        return r.take(n).decode("utf-8")
+        try:
+            return r.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"bad UTF-8 string: {exc}") from None
     if tp is bool:
         b = r.byte()
         if b > 1:
@@ -238,7 +241,11 @@ def _decode(tp: Any, r: _Reader) -> Any:
         return tuple(items) if origin is tuple else items
 
     if isinstance(tp, type) and issubclass(tp, IntEnum):
-        return tp(r.byte())
+        b = r.byte()
+        try:
+            return tp(b)
+        except ValueError:
+            raise EncodingError(f"unknown {tp.__name__} byte {b}") from None
     if isinstance(tp, type) and dataclasses.is_dataclass(tp):
         return _decode_fields(tp, r)
     raise EncodingError(f"unsupported wire type: {tp!r}")
@@ -246,7 +253,10 @@ def _decode(tp: Any, r: _Reader) -> Any:
 
 def _decode_fields(cls: type, r: _Reader) -> Any:
     kwargs = {name: _decode(hint, r) for name, hint in _field_hints(cls)}
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a __post_init__ invariant rejects the fields
+        raise EncodingError(f"invalid {cls.__name__}: {exc}") from None
 
 
 def decode(data: bytes) -> Any:

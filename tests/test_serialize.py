@@ -83,6 +83,30 @@ def test_unknown_tag_rejected():
         serialize.decode(bytes([250]) + b"\x00" * 8)
 
 
+def _proposal_bytes() -> bytearray:
+    # Layout: tag, AccountId, round (8 bytes), decision (1 byte).
+    return bytearray(serialize.encode(Proposal(AccountId(0), 3, DecisionValue.CONFIRM)))
+
+
+def test_unknown_enum_byte_rejected():
+    data = _proposal_bytes()
+    data[-1] = 7
+    with pytest.raises(serialize.EncodingError):
+        serialize.decode(bytes(data))
+
+
+def test_post_init_rejection_is_encoding_error():
+    data = _proposal_bytes()
+    data[-9:-1] = (-1).to_bytes(8, "little", signed=True)
+    with pytest.raises(serialize.EncodingError):
+        serialize.decode(bytes(data))
+
+
+def test_bad_utf8_rejected():
+    with pytest.raises(serialize.EncodingError):
+        serialize.decode_as(str, (1).to_bytes(4, "little") + b"\xff")
+
+
 # -- random protocol values ------------------------------------------------------
 
 account_ids = st.builds(
@@ -154,6 +178,18 @@ def test_roundtrip(value):
 def test_injectivity_pairs(a, b):
     if a != b:
         assert serialize.encode(a) != serialize.encode(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_values, st.data())
+def test_corrupted_bytes_raise_only_encoding_error(value, data):
+    raw = bytearray(serialize.encode(value))
+    for _ in range(data.draw(st.integers(1, 3))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        serialize.decode(bytes(raw))
+    except serialize.EncodingError:
+        pass
 
 
 def test_shipped_vectors():
