@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Run every shipped scenario and print its report; exit nonzero on any
-failed audit."""
+"""Run every shipped scenario and print its report, its trace sha256 and its
+delivery count; exit nonzero on any failed audit."""
 
+import hashlib
 import os
 import sys
 
@@ -16,9 +17,11 @@ def main() -> int:
     ok = True
     for fname in sorted(os.listdir(SCENARIOS)):
         config = load_scenario(os.path.join(SCENARIOS, fname))
-        _run, report = run_scenario(config)
+        run, report = run_scenario(config)
         print("=" * 60)
         print(report.to_text())
+        digest = hashlib.sha256(run.sim.trace.to_bytes()).hexdigest()
+        print(f"trace sha256: {digest} ({len(run.sim.trace.events)} deliveries)")
         ok &= report.all_passed
     return 0 if ok else 1
 

@@ -1,4 +1,4 @@
-"""Account identifiers, operations, and the per-shard account state machine.
+"""Account identifiers, operations, and the account state machine.
 
 Accounts are addressed by hierarchical never-reused UIDs. A request is
 validated and locks the account (``pending``); a certificate over the
@@ -182,7 +182,7 @@ def operation(op_cls: type, validator: Callable, executor: Callable) -> None:
 
 
 class Ledger:
-    """One shard's accounts plus tombstones for deactivated UIDs.
+    """One authority's accounts plus tombstones for deactivated UIDs.
 
     The hosting authority checks certificates and signs votes; the ledger
     only decides and mutates. Handlers raise ProtocolError on rejection.

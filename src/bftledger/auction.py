@@ -162,7 +162,7 @@ def settle_outcome(values: tuple[int, ...], deposits: tuple[int, ...], rule: Pri
 
 
 class AuctionService:
-    """One shard's auction objects. The hosting authority verifies votes and
+    """One authority's auction objects. The hosting authority verifies votes and
     certificates' quorums; this class owns phases, bid sets, and settlement."""
 
     def __init__(self, committee, tpke_public: Optional[tpke.TpkePublic] = None,

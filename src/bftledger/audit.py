@@ -13,7 +13,7 @@ from typing import Any, Optional
 from . import algebra as algebra_mod
 from .accounts import CreditEffect, Request
 from .auction import EscrowDebitEffect
-from .committee import Certificate, Committee, check_certificate, value_digest
+from .committee import Committee, value_digest
 from .swap import CommitStatement, PreCommitStatement
 
 
@@ -46,9 +46,7 @@ def audit_agreement(sim, committee: Committee) -> AuditResult:
     formed certificates): any 2f+1 distinct signers make a certificate."""
     signers_by_statement: dict[tuple, set[int]] = {}
     for event in sim.trace.rich:
-        authority = sim.authorities.get(event.dest)
-        if authority is None:
-            continue
+        authority = sim.authorities[event.dest]
         for note in event.notes:
             if note[0] == "vote" and isinstance(note[1], CommitStatement):
                 p = note[1].proposal
@@ -129,10 +127,8 @@ def audit_no_double_sign(sim) -> AuditResult:
     violations = []
     request_votes: dict[tuple, bytes] = {}
     proposal_votes: dict[tuple, bytes] = {}
-    for event in sim.trace.rich:
-        authority = sim.authorities.get(event.dest)
-        if authority is None or not authority.honest:
-            continue
+    for event in _honest_events(sim):
+        authority = sim.authorities[event.dest]
         for note in event.notes:
             if note[0] != "vote":
                 continue
@@ -207,10 +203,8 @@ def audit_unforgeability(sim, committee: Committee) -> AuditResult:
 def audit_credit_safety(sim) -> AuditResult:
     """Every internal credit carries a safe update for its target's algebra."""
     violations = []
-    for event in sim.trace.rich:
-        authority = sim.authorities.get(event.dest)
-        if authority is None or not authority.honest:
-            continue
+    for event in _honest_events(sim):
+        authority = sim.authorities[event.dest]
         payload = event.payload
         if isinstance(payload, CreditEffect):
             alg = algebra_mod.by_name(authority.ledger.algebra_of(payload.target))
@@ -257,23 +251,6 @@ def audit_consistency(snapshots: dict[str, str]) -> AuditResult:
         groups = [f"{sorted(names)}" for names in distinct.values()]
         violations.append("divergent account states: " + " vs ".join(groups))
     return _result("eventual_consistency", violations)
-
-
-def collect_commit_certificates(sim, committee: Committee) -> dict:
-    """All valid commit certificates observed anywhere in the run, by swid."""
-    found: dict[Any, list[Certificate]] = {}
-
-    def scan(value):
-        if isinstance(value, Certificate) and isinstance(value.value, CommitStatement):
-            if check_certificate(committee, value):
-                found.setdefault(value.value.proposal.swid, []).append(value)
-
-    for event in sim.trace.rich:
-        payload = event.payload
-        for attr in ("cert", "locked", "payload"):
-            scan(getattr(payload, attr, None))
-        scan(payload)
-    return found
 
 
 def run_standard_audits(sim, committee: Committee, initial_total: int,

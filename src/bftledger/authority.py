@@ -2,16 +2,17 @@
 and auction objects, plus the canonical state snapshot.
 
 The authority validates certificates and signs votes; domain modules decide.
-Cross-shard effects are returned addressed to the authority itself and travel
-through the (never-dropping, possibly delaying and duplicating) internal
-queue, even when source and target live on the same shard.
+Each message type maps to one handler in a table. Effects on another UID
+(cross-shard messages in the paper) are returned addressed to the authority
+itself and travel through the (never-dropping, possibly delaying and
+duplicating) internal queue, although one ledger holds all of its accounts.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from . import assets, errors
+from . import assets, errors, swap
 from .accounts import (
     AccountId,
     CreditEffect,
@@ -24,7 +25,7 @@ from .accounts import (
 from .auction import AuctionService, EscrowDebitEffect, InitAuctionEffect, apply_escrow_debit
 from .committee import Certificate, Committee, check_certificate, make_vote, value_digest
 from .errors import ProtocolError, err
-from .keys import Signer, digest32
+from .keys import Signer
 from .messages import (
     AccountInfoReply,
     AckReply,
@@ -49,11 +50,6 @@ from .messages import (
     VoteReply,
 )
 from .swap import InitInstanceEffect, RoundSchedule, SwapService
-from .serialize import encode
-
-
-def shard_of(uid: AccountId, shard_count: int) -> int:
-    return digest32(encode(uid))[0] % shard_count
 
 
 class Authority:
@@ -65,7 +61,6 @@ class Authority:
         signer: Signer,
         committee: Committee,
         *,
-        shard_count: int = 4,
         algebra_of: Callable[[AccountId], str] = lambda _uid: "balance",
         schedule: RoundSchedule = RoundSchedule(),
         parity_leader: bool = False,
@@ -77,7 +72,6 @@ class Authority:
         self.name = f"auth:{index}"
         self.signer = signer
         self.committee = committee
-        self.shard_count = shard_count
         self.warnings: list[str] = []
         self.ledger = Ledger(algebra_of, warn=self.warnings.append)
         self.ledger.on_mutate = self._check_account
@@ -123,121 +117,129 @@ class Authority:
         return outputs, self._notes
 
     def _dispatch(self, src: str, payload: Any, now: int):
-        if isinstance(payload, HandleRequestMsg):
-            request = self.ledger.handle_request(payload.auth)
-            return [(src, self._vote(request))]
+        return self._handlers.get(type(payload), type(self)._unhandled)(self, src, payload, now)
 
-        if isinstance(payload, ConfirmMsg):
-            cert = payload.cert
-            if not isinstance(cert.value, Request) or not check_certificate(self.committee, cert):
-                raise err(errors.BAD_CERTIFICATE, "confirmation")
-            self._accept_cert(cert, "request")
-            effects = self.ledger.handle_confirmation(cert)
-            return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
-
-        if isinstance(payload, QueryAccountMsg):
-            account = self.ledger.accounts.get(payload.id)
-            if account is None:
-                return [(src, AccountInfoReply(False, False, 0, 0, False))]
-            return [
-                (
-                    src,
-                    AccountInfoReply(
-                        exists=True,
-                        active=account.pk is not None,
-                        next_sequence=account.next_sequence,
-                        balance=account.balance,
-                        busy=account.pending is not None,
-                    ),
-                )
-            ]
-
-        if isinstance(payload, ProposalMsg):
-            statement = self.swaps.handle_proposal(payload.auth, payload.lock1, payload.lock2, now)
-            self._swap_note(statement.proposal.swid)
-            return [(src, self._vote(statement))]
-
-        if isinstance(payload, PreCommitMsg):
-            statement = self.swaps.handle_pre_commit(payload.cert)
-            self._accept_cert(payload.cert, "pre_commit")
-            self._swap_note(statement.proposal.swid)
-            return [(src, self._vote(statement))]
-
-        if isinstance(payload, CommitMsg):
-            effects = self.swaps.handle_commit(payload.cert, payload.lock1, payload.lock2)
-            self._accept_cert(payload.cert, "commit")
-            return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
-
-        if isinstance(payload, QueryInstanceMsg):
-            exists, proposed, locked = self.swaps.query(payload.swid)
-            created = self.swaps.instances[payload.swid].created_at if exists else 0
-            return [(src, InstanceViewReply(exists, created, proposed, locked))]
-
-        if isinstance(payload, CertifyAssetMsg):
-            binding = assets.handle_certify(self.ledger, payload.auth)
-            return [(src, self._vote(binding))]
-
-        if isinstance(payload, TransmuteMsg):
-            bindings = assets.handle_transmute(self.ledger, self.committee, payload.request)
-            items = tuple(
-                (binding, make_vote(self.index, self.signer, binding)) for binding in bindings
-            )
-            for binding, _vote in items:
-                self._notes.append(("vote", binding))
-            return [(src, TransmuteReply(items=items))]
-
-        if isinstance(payload, SubmitBidMsg):
-            statement = self.auctions.handle_submit_bid(payload.auth)
-            self._notes.append(("bid_accepted", statement.auction_id, statement.bidder))
-            return [(src, self._vote(statement))]
-
-        if isinstance(payload, EndOfBiddingMsg):
-            statement = self.auctions.handle_end_of_bidding(payload.auth)
-            self._notes.append(("phase", statement.auction_id, "revealing"))
-            return [(src, self._vote(statement))]
-
-        if isinstance(payload, SharesQueryMsg):
-            shares = self.auctions.release_shares(payload.cert)
-            self._accept_cert(payload.cert, "end_of_bidding")
-            auction_id = payload.cert.value.auction_id
-            self._notes.append(("phase", auction_id, "revealing"))
-            return [(src, SharesReply(auction_id=auction_id, shares=shares))]
-
-        if isinstance(payload, EndOfAuctionMsg):
-            statement = self.auctions.handle_end_of_auction(payload.auth, payload.eob_cert)
-            return [(src, self._vote(statement))]
-
-        if isinstance(payload, SettleAuctionMsg):
-            effects = self.auctions.apply_settlement(payload.cert, payload.eob_cert)
-            if effects:
-                self._accept_cert(payload.cert, "end_of_auction")
-                self._notes.append(("phase", payload.cert.value.auction_id, "settled"))
-            return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
-
-        # Internal cross-shard effects (addressed to ourselves).
-        if isinstance(payload, InitAccountEffect):
-            self.ledger.apply_init_account(payload)
-            return []
-        if isinstance(payload, CreditEffect):
-            more = self.ledger.apply_credit(payload)
-            return [(self.name, eff) for eff in more]
-        if isinstance(payload, UnlockEffect):
-            self.ledger.apply_unlock(payload)
-            return []
-        if isinstance(payload, SetOwnerEffect):
-            self.ledger.apply_set_owner(payload)
-            return []
-        if isinstance(payload, EscrowDebitEffect):
-            apply_escrow_debit(self.ledger, payload)
-            return []
-        if isinstance(payload, InitInstanceEffect):
-            self.swaps.init_instance(payload, now)
-            return []
-        if isinstance(payload, InitAuctionEffect):
-            self.auctions.init_auction(payload)
-            return []
-
+    def _unhandled(self, src: str, payload: Any, now: int):
         raise err(errors.BAD_VALUE, f"unhandled message {type(payload).__name__}")
+
+    def _on_request(self, src, payload: HandleRequestMsg, now):
+        return [(src, self._vote(self.ledger.handle_request(payload.auth)))]
+
+    def _on_confirm(self, src, payload: ConfirmMsg, now):
+        cert = payload.cert
+        if not isinstance(cert.value, Request) or not check_certificate(self.committee, cert):
+            raise err(errors.BAD_CERTIFICATE, "confirmation")
+        self._accept_cert(cert, "request")
+        effects = self.ledger.handle_confirmation(cert)
+        return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
+
+    def _on_query_account(self, src, payload: QueryAccountMsg, now):
+        account = self.ledger.accounts.get(payload.id)
+        if account is None:
+            return [(src, AccountInfoReply(False, False, 0, 0, False))]
+        return [
+            (
+                src,
+                AccountInfoReply(
+                    exists=True,
+                    active=account.pk is not None,
+                    next_sequence=account.next_sequence,
+                    balance=account.balance,
+                    busy=account.pending is not None,
+                ),
+            )
+        ]
+
+    def _on_proposal(self, src, payload: ProposalMsg, now):
+        statement = self.swaps.handle_proposal(payload.auth, payload.lock1, payload.lock2, now)
+        self._swap_note(statement.proposal.swid)
+        return [(src, self._vote(statement))]
+
+    def _on_pre_commit(self, src, payload: PreCommitMsg, now):
+        statement = self.swaps.handle_pre_commit(payload.cert)
+        self._accept_cert(payload.cert, "pre_commit")
+        self._swap_note(statement.proposal.swid)
+        return [(src, self._vote(statement))]
+
+    def _on_commit(self, src, payload: CommitMsg, now):
+        effects = self.swaps.handle_commit(payload.cert, payload.lock1, payload.lock2)
+        self._accept_cert(payload.cert, "commit")
+        return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
+
+    def _on_query_instance(self, src, payload: QueryInstanceMsg, now):
+        exists, proposed, locked = self.swaps.query(payload.swid)
+        created = self.swaps.instances[payload.swid].created_at if exists else 0
+        return [(src, InstanceViewReply(exists, created, proposed, locked))]
+
+    def _on_certify_asset(self, src, payload: CertifyAssetMsg, now):
+        return [(src, self._vote(assets.handle_certify(self.ledger, payload.auth)))]
+
+    def _on_transmute(self, src, payload: TransmuteMsg, now):
+        bindings = assets.handle_transmute(self.ledger, self.committee, payload.request)
+        items = tuple(
+            (binding, make_vote(self.index, self.signer, binding)) for binding in bindings
+        )
+        for binding, _vote in items:
+            self._notes.append(("vote", binding))
+        return [(src, TransmuteReply(items=items))]
+
+    def _on_submit_bid(self, src, payload: SubmitBidMsg, now):
+        statement = self.auctions.handle_submit_bid(payload.auth)
+        self._notes.append(("bid_accepted", statement.auction_id, statement.bidder))
+        return [(src, self._vote(statement))]
+
+    def _on_end_of_bidding(self, src, payload: EndOfBiddingMsg, now):
+        statement = self.auctions.handle_end_of_bidding(payload.auth)
+        self._notes.append(("phase", statement.auction_id, "revealing"))
+        return [(src, self._vote(statement))]
+
+    def _on_shares_query(self, src, payload: SharesQueryMsg, now):
+        shares = self.auctions.release_shares(payload.cert)
+        self._accept_cert(payload.cert, "end_of_bidding")
+        auction_id = payload.cert.value.auction_id
+        self._notes.append(("phase", auction_id, "revealing"))
+        return [(src, SharesReply(auction_id=auction_id, shares=shares))]
+
+    def _on_end_of_auction(self, src, payload: EndOfAuctionMsg, now):
+        statement = self.auctions.handle_end_of_auction(payload.auth, payload.eob_cert)
+        return [(src, self._vote(statement))]
+
+    def _on_settle_auction(self, src, payload: SettleAuctionMsg, now):
+        effects = self.auctions.apply_settlement(payload.cert, payload.eob_cert)
+        if effects:
+            self._accept_cert(payload.cert, "end_of_auction")
+            self._notes.append(("phase", payload.cert.value.auction_id, "settled"))
+        return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
+
+    def _effect(apply):
+        """Handler for an internal cross-shard effect, addressed to ourselves.
+        Only a credit can produce further effects."""
+        return lambda self, src, eff, now: [(self.name, e) for e in apply(self, eff, now) or ()]
+
+    _handlers = {
+        HandleRequestMsg: _on_request,
+        ConfirmMsg: _on_confirm,
+        QueryAccountMsg: _on_query_account,
+        ProposalMsg: _on_proposal,
+        PreCommitMsg: _on_pre_commit,
+        CommitMsg: _on_commit,
+        QueryInstanceMsg: _on_query_instance,
+        CertifyAssetMsg: _on_certify_asset,
+        TransmuteMsg: _on_transmute,
+        SubmitBidMsg: _on_submit_bid,
+        EndOfBiddingMsg: _on_end_of_bidding,
+        SharesQueryMsg: _on_shares_query,
+        EndOfAuctionMsg: _on_end_of_auction,
+        SettleAuctionMsg: _on_settle_auction,
+        InitAccountEffect: _effect(lambda self, eff, now: self.ledger.apply_init_account(eff)),
+        CreditEffect: _effect(lambda self, eff, now: self.ledger.apply_credit(eff)),
+        UnlockEffect: _effect(lambda self, eff, now: self.ledger.apply_unlock(eff)),
+        SetOwnerEffect: _effect(lambda self, eff, now: self.ledger.apply_set_owner(eff)),
+        EscrowDebitEffect: _effect(lambda self, eff, now: apply_escrow_debit(self.ledger, eff)),
+        InitInstanceEffect: _effect(lambda self, eff, now: self.swaps.init_instance(eff, now)),
+        InitAuctionEffect: _effect(lambda self, eff, now: self.auctions.init_auction(eff)),
+    }
+    del _effect
 
     # -- snapshots --
 
@@ -252,7 +254,6 @@ class Authority:
         for uid in sorted(self.ledger.accounts):
             account = self.ledger.accounts[uid]
             lines.append(f"[account {uid}]")
-            lines.append(f"shard: {shard_of(uid, self.shard_count)}")
             lines.append(f"pk: {account.pk.hex() if account.pk else '-'}")
             lines.append(f"algebra: {account.algebra}")
             lines.append(f"state: {account.alg.encode_state(account.state).hex()}")
@@ -319,23 +320,28 @@ class ArbitrarySigner(Authority):
 
     honest = False
 
-    def _dispatch(self, src: str, payload: Any, now: int):
-        from .swap import CommitStatement, PreCommitStatement, Proposal
+    def _on_request(self, src, payload: HandleRequestMsg, now):
+        return [(src, self._vote(payload.auth.payload))]
 
-        if isinstance(payload, HandleRequestMsg):
-            return [(src, self._vote(payload.auth.payload))]
-        if isinstance(payload, ProposalMsg):
-            proposal = payload.auth.payload
-            if isinstance(proposal, Proposal):
-                return [(src, self._vote(PreCommitStatement(proposal)))]
-            return []
-        if isinstance(payload, PreCommitMsg):
-            value = payload.cert.value
-            if isinstance(value, PreCommitStatement):
-                return [(src, self._vote(CommitStatement(value.proposal)))]
-            return []
-        if isinstance(payload, QueryInstanceMsg):
-            return [(src, InstanceViewReply(False, 0, None, None))]
-        if isinstance(payload, QueryAccountMsg):
-            return [(src, AccountInfoReply(False, False, 0, 0, False))]
+    def _on_proposal(self, src, payload: ProposalMsg, now):
+        proposal = payload.auth.payload
+        if isinstance(proposal, swap.Proposal):
+            return [(src, self._vote(swap.PreCommitStatement(proposal)))]
+        return []
+
+    def _on_pre_commit(self, src, payload: PreCommitMsg, now):
+        value = payload.cert.value
+        if isinstance(value, swap.PreCommitStatement):
+            return [(src, self._vote(swap.CommitStatement(value.proposal)))]
+        return []
+
+    def _unhandled(self, src: str, payload: Any, now: int):
         return [(src, AckReply("ok"))]
+
+    _handlers = {
+        HandleRequestMsg: _on_request,
+        ProposalMsg: _on_proposal,
+        PreCommitMsg: _on_pre_commit,
+        QueryInstanceMsg: lambda self, src, _p, _now: [(src, InstanceViewReply(False, 0, None, None))],
+        QueryAccountMsg: lambda self, src, _p, _now: [(src, AccountInfoReply(False, False, 0, 0, False))],
+    }

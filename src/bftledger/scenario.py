@@ -4,8 +4,9 @@ A scenario is a JSON document with a versioned header describing the
 committee, the network model, fault assignments, genesis accounts, and a
 list of timed client action blocks (transfers, swaps, auctions, asset
 exchanges, algebra updates). ``run_scenario`` builds the deterministic
-simulation, runs it to quiescence or budget, performs the end-of-run full
-sync, and wires every invariant audit into the report.
+simulation, adding each action's clients through the ``ACTIONS`` registry,
+runs it to quiescence or budget, performs the end-of-run full sync, and
+wires every invariant audit into the report.
 """
 
 from __future__ import annotations
@@ -67,10 +68,7 @@ def validate_scenario(config: dict) -> None:
     if len(names) != len(set(names)):
         raise err(errors.CONFIG_ERROR, "duplicate account names")
     for action in config.get("actions", []):
-        if action.get("kind") not in (
-            "transfer", "open_account", "change_key", "apply",
-            "swap", "auction", "transmute",
-        ):
+        if action.get("kind") not in ACTIONS:
             raise err(errors.CONFIG_ERROR, f"unknown action kind {action.get('kind')!r}")
 
 
@@ -156,6 +154,224 @@ class ScenarioReport:
         )
 
 
+class _AccountNames(dict):
+    """Scenario account name -> UID: the genesis names, then each child that an
+    open_account registers once it is certified. An unknown name is a
+    config error."""
+
+    def __missing__(self, name: str):
+        raise err(errors.CONFIG_ERROR, f"unknown account name {name!r}")
+
+
+@dataclass
+class _Build:
+    """The run that each action adds its clients to."""
+
+    rng: random.Random
+    sim: Simulator
+    committee: Committee
+    wallet: Wallet
+    account_ids: dict[str, AccountId]
+    timeout: int
+    delta: int
+    schedule: RoundSchedule
+    tpke_system: Optional[tpke.TpkeSystem]
+    contexts: dict[str, Any] = field(default_factory=dict)
+    logs: dict[str, DriverLog] = field(default_factory=dict)
+    results: dict[str, Any] = field(default_factory=dict)
+
+    def client(self, name: str, script_factory, start: float) -> None:
+        self.logs[name] = DriverLog()
+        self.sim.add_client(name, script_factory)
+        self.sim.start_client_at(name, _ticks(start))
+
+
+def _operation(prepare):
+    """Adds the client of an action that certifies one operation on one account.
+
+    ``prepare(b, action)`` runs at build time and returns the account, a
+    function that makes the operation when the client starts, and a function
+    that acts on the certified operation and returns the action's result."""
+
+    def build(b: _Build, action: dict, key: str, start: float) -> None:
+        uid, make_operation, done = prepare(b, action)
+
+        def script(env):
+            operation = make_operation()
+            cert = yield from certified_operation(
+                env, b.committee, b.wallet, uid, operation, b.timeout, log=b.logs[env.name]
+            )
+            b.results[key] = done(operation) if cert else "failed"
+
+        b.client(f"client:{key}", script, start)
+
+    return build
+
+
+def _transfer(b: _Build, action: dict):
+    src, dest = b.account_ids[action["from"]], b.account_ids[action["to"]]
+    operation = Transfer(dest, int(action["value"]))
+    return src, lambda: operation, lambda _op: "ok"
+
+
+def _open_account(b: _Build, action: dict):
+    owner = b.account_ids[action["owner"]]
+    signer = mac_keypair(b.rng)
+
+    def make_operation():
+        return OpenAccount(owner.child(b.wallet[owner].next_sequence), signer.public_key)
+
+    def done(operation: OpenAccount) -> str:
+        b.wallet.add(operation.child, signer)
+        if action.get("name"):
+            b.account_ids[action["name"]] = operation.child
+        return str(operation.child)
+
+    return owner, make_operation, done
+
+
+def _change_key(b: _Build, action: dict):
+    target = b.account_ids[action["account"]]
+    signer = mac_keypair(b.rng)
+
+    def done(_op) -> str:
+        b.wallet[target].signer = signer
+        return "ok"
+
+    return target, lambda: ChangeKey(signer.public_key), done
+
+
+def _apply(b: _Build, action: dict):
+    src, dest = b.account_ids[action["from"]], b.account_ids[action["to"]]
+    operation = ApplyUpdate(dest, parse_update(action["u_minus"]), parse_update(action["u_plus"]))
+    return src, lambda: operation, lambda _op: "ok"
+
+
+def _swap(b: _Build, action: dict, key: str, start: float) -> None:
+    committee, wallet, timeout = b.committee, b.wallet, b.timeout
+    id1 = b.account_ids[action["owner1"]]
+    id2 = b.account_ids[action["owner2"]]
+    ctx = SwapContext(id1=id1, n1=0, id2=id2, n2=0)
+    b.contexts[key] = ctx
+    handover = {1: mac_keypair(b.rng), 2: mac_keypair(b.rng)}
+    broker_id = id1 if action.get("broker", "owner1") == "owner1" else id2
+    drivers_cfg = action.get("drivers", [1])
+    deadline = _ticks(action["deadline_seconds"]) if "deadline_seconds" in action else b.sim.budget
+
+    def broker(env):
+        # The owners lock after the instance is created, so when the broker
+        # is one of them its own creation op bumps its sequence.
+        ctx.n1 = wallet[id1].next_sequence + (1 if id1 == broker_id else 0)
+        ctx.n2 = wallet[id2].next_sequence + (1 if id2 == broker_id else 0)
+        yield from broker_script(env, committee, wallet, broker_id, ctx, timeout, b.logs[env.name])
+
+    b.client(f"client:{key}.broker", broker, start)
+
+    for role, owner_id in ((1, id1), (2, id2)):
+        behavior = action.get(f"owner{role}_behavior", "honest")
+        if behavior == "absent":
+            continue
+        desired = {
+            "auto": None,
+            "confirm": DecisionValue.CONFIRM,
+            "abort": DecisionValue.ABORT,
+        }[action.get(f"owner{role}_desired", "auto")]
+
+        def owner(env, _role=role, _uid=owner_id, _behavior=behavior, _desired=desired):
+            yield from swap_owner_script(
+                env, committee, wallet, _uid, _role, ctx, handover[_role],
+                timeout, b.delta, b.schedule, b.logs[env.name],
+                drives=_role in drivers_cfg and _behavior != "no_lock",
+                desired=_desired,
+                flip_flop=_behavior == "flip_flop",
+                skip_lock=_behavior == "no_lock",
+                lock_wait=_ticks(action.get("lock_wait_seconds", 4.0)),
+                deadline=deadline,
+            )
+
+        b.client(
+            f"client:{key}.owner{role}",
+            owner,
+            start + action.get(f"owner{role}_delay", 0.1 * role),
+        )
+
+
+def _auction(b: _Build, action: dict, key: str, start: float) -> None:
+    committee, wallet, timeout = b.committee, b.wallet, b.timeout
+    seller_id = b.account_ids[action["seller"]]
+    item_id = b.account_ids[action["item"]]
+    rule = PriceRule.SECOND_PRICE if action.get("rule", "second_price") == "second_price" else PriceRule.FIRST_PRICE
+    ctx = AuctionContext(expected_bidders=len(action.get("bidders", [])))
+    b.contexts[key] = ctx
+
+    def seller(env):
+        yield from seller_script(
+            env, committee, wallet, seller_id, item_id, rule, ctx,
+            b.tpke_system.public, timeout, b.logs[env.name],
+            behavior=action.get("seller_behavior", "honest"),
+            bid_wait=_ticks(action.get("bid_wait_seconds", 20.0)),
+        )
+
+    b.client(f"client:{key}.seller", seller, start)
+    for b_idx, bidder in enumerate(action.get("bidders", [])):
+        bidder_id = b.account_ids[bidder["name"]]
+
+        def bid(env, _uid=bidder_id, _bid=int(bidder["bid"]), _deposit=int(bidder["deposit"])):
+            yield from bidder_script(
+                env, committee, wallet, _uid, _bid, _deposit, ctx,
+                b.tpke_system.public, b.sim.rng, timeout, b.logs[env.name],
+            )
+
+        b.client(f"client:{key}.bidder{b_idx}", bid,
+                 start + bidder.get("delay", 0.05 * (b_idx + 1)))
+
+
+def _transmute(b: _Build, action: dict, key: str, start: float) -> None:
+    committee, wallet, timeout = b.committee, b.wallet, b.timeout
+    names, fexec = action["inputs"], action["fexec"]
+    data = [bytes.fromhex(h) for h in action["data"]]
+    params = bytes.fromhex(action.get("params", ""))
+    out_count = int(action.get("outputs", 1))
+    repeat = int(action.get("repeat", 1))
+
+    def script(env):
+        log = b.logs[env.name]
+        # Resolved when the client runs: an input may name a child account
+        # that an earlier open_account registered.
+        input_ids = [b.account_ids[name] for name in names]
+        asset_certs = []
+        for uid, payload in zip(input_ids, data):
+            cert = yield from certify_asset(env, committee, wallet, uid, payload, timeout, log=log)
+            if cert is None:
+                b.results[key] = "certify_failed"
+                return
+            asset_certs.append(cert)
+        outputs = None
+        for _ in range(repeat):
+            outputs = yield from transmute(
+                env, committee, wallet, fexec, params, input_ids,
+                asset_certs, out_count, timeout, log=log,
+            )
+            if outputs is None:
+                b.results[key] = "failed"
+                return
+        b.results[key] = [value_digest(c.value).hex() for c in outputs]
+
+    b.client(f"client:{key}", script, start)
+
+
+# Scenario action kind -> function adding that action's clients to the run.
+ACTIONS = {
+    "transfer": _operation(_transfer),
+    "open_account": _operation(_open_account),
+    "change_key": _operation(_change_key),
+    "apply": _operation(_apply),
+    "swap": _swap,
+    "auction": _auction,
+    "transmute": _transmute,
+}
+
+
 def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, ScenarioReport]:
     validate_scenario(config)
     seed = config.get("seed", 0) if seed is None else seed
@@ -163,7 +379,6 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
 
     committee_cfg = config.get("committee", {})
     n = committee_cfg.get("n", 4)
-    shards = committee_cfg.get("shards", 4)
     signers = [mac_keypair(rng) for _ in range(n)]
     committee = Committee(tuple(s.public_key for s in signers))
 
@@ -190,7 +405,7 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
     parity = consensus_cfg.get("parity_leader", False)
 
     # Genesis accounts: root index is list position; children inherit the class.
-    account_ids: dict[str, AccountId] = {}
+    account_ids = _AccountNames()
     root_algebra: dict[int, str] = {}
     wallet = Wallet()
     accounts_cfg = config.get("accounts", [])
@@ -198,12 +413,10 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
         uid = AccountId(i)
         account_ids[acct["name"]] = uid
         root_algebra[i] = acct.get("algebra", "balance")
-    owner_signers = {}
-    for i, acct in enumerate(accounts_cfg):
-        owner_signers[acct["name"]] = mac_keypair(rng)
-    for i, acct in enumerate(accounts_cfg):
-        signer = owner_signers[acct.get("owner", acct["name"])]
-        wallet.add(account_ids[acct["name"]], signer)
+    owner_signers = [mac_keypair(rng) for _ in accounts_cfg]
+    for acct in accounts_cfg:
+        owner = account_ids[acct.get("owner", acct["name"])]
+        wallet.add(account_ids[acct["name"]], owner_signers[owner.root])
 
     def algebra_of(uid: AccountId) -> str:
         return root_algebra.get(uid.root, "balance")
@@ -222,7 +435,6 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
                 i,
                 signers[i],
                 committee,
-                shard_count=shards,
                 algebra_of=algebra_of,
                 schedule=schedule,
                 parity_leader=parity,
@@ -252,204 +464,10 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
     for idx, windows in faults.get("outages", {}).items():
         sim.outages[f"auth:{int(idx)}"] = [(_ticks(a), _ticks(b)) for a, b in windows]
 
-    contexts: dict[str, Any] = {}
-    logs: dict[str, DriverLog] = {}
-    results: dict[str, Any] = {}
-
-    def add_client(name: str, script_factory, start: float) -> None:
-        logs[name] = DriverLog()
-        sim.add_client(name, script_factory)
-        sim.start_client_at(name, _ticks(start))
-
+    build = _Build(rng, sim, committee, wallet, account_ids, timeout, delta, schedule, tpke_system)
     for idx, action in enumerate(config.get("actions", [])):
         kind = action["kind"]
-        key = action.get("id", f"{kind}{idx}")
-        start = action.get("start", 0.0)
-
-        if kind == "transfer":
-            src = account_ids[action["from"]]
-            dest = account_ids[action["to"]]
-            value = int(action["value"])
-
-            def script(env, _src=src, _dest=dest, _value=value, _key=key):
-                log = logs[env.name]
-                cert = yield from certified_operation(
-                    env, committee, wallet, _src, Transfer(_dest, _value), timeout, log=log
-                )
-                results[_key] = "ok" if cert else "failed"
-
-            add_client(f"client:{key}", script, start)
-
-        elif kind == "open_account":
-            owner = account_ids[action["owner"]]
-            child_signer = mac_keypair(rng)
-
-            def script(env, _owner=owner, _signer=child_signer, _key=key,
-                       _name=action.get("name")):
-                log = logs[env.name]
-                entry = wallet[_owner]
-                child = _owner.child(entry.next_sequence)
-                cert = yield from certified_operation(
-                    env, committee, wallet, _owner,
-                    OpenAccount(child, _signer.public_key), timeout, log=log,
-                )
-                if cert:
-                    wallet.add(child, _signer)
-                    if _name:
-                        account_ids[_name] = child
-                results[_key] = str(child) if cert else "failed"
-
-            add_client(f"client:{key}", script, start)
-
-        elif kind == "change_key":
-            target = account_ids[action["account"]]
-            new_signer = mac_keypair(rng)
-
-            def script(env, _target=target, _signer=new_signer, _key=key):
-                log = logs[env.name]
-                cert = yield from certified_operation(
-                    env, committee, wallet, _target, ChangeKey(_signer.public_key),
-                    timeout, log=log,
-                )
-                if cert:
-                    wallet[_target].signer = _signer
-                results[_key] = "ok" if cert else "failed"
-
-            add_client(f"client:{key}", script, start)
-
-        elif kind == "apply":
-            src = account_ids[action["from"]]
-            dest = account_ids[action["to"]]
-            u_minus = parse_update(action["u_minus"])
-            u_plus = parse_update(action["u_plus"])
-
-            def script(env, _src=src, _dest=dest, _um=u_minus, _up=u_plus, _key=key):
-                log = logs[env.name]
-                cert = yield from certified_operation(
-                    env, committee, wallet, _src, ApplyUpdate(_dest, _um, _up),
-                    timeout, log=log,
-                )
-                results[_key] = "ok" if cert else "failed"
-
-            add_client(f"client:{key}", script, start)
-
-        elif kind == "swap":
-            id1 = account_ids[action["owner1"]]
-            id2 = account_ids[action["owner2"]]
-            ctx = SwapContext(id1=id1, n1=0, id2=id2, n2=0)
-            contexts[key] = ctx
-            handover = {1: mac_keypair(rng), 2: mac_keypair(rng)}
-            broker_name = action.get("broker", "owner1")
-            broker_id = id1 if broker_name == "owner1" else id2
-            drivers_cfg = action.get("drivers", [1])
-            deadline = _ticks(action.get("deadline_seconds", config.get("budget_seconds", 120.0)))
-
-            def broker(env, _ctx=ctx, _broker_id=broker_id, _id1=id1, _id2=id2):
-                log = logs[env.name]
-                # The owners lock after the instance is created, so when the
-                # broker is one of them its own creation op bumps its sequence.
-                _ctx.n1 = wallet[_id1].next_sequence + (1 if _id1 == _broker_id else 0)
-                _ctx.n2 = wallet[_id2].next_sequence + (1 if _id2 == _broker_id else 0)
-                yield from broker_script(env, committee, wallet, _broker_id, _ctx, timeout, log)
-
-            add_client(f"client:{key}.broker", broker, start)
-
-            for role, owner_id in ((1, id1), (2, id2)):
-                behavior = action.get(f"owner{role}_behavior", "honest")
-                if behavior == "absent":
-                    continue
-                desired_cfg = action.get(f"owner{role}_desired", "auto")
-                desired = {
-                    "auto": None,
-                    "confirm": DecisionValue.CONFIRM,
-                    "abort": DecisionValue.ABORT,
-                }[desired_cfg]
-
-                def owner(env, _role=role, _uid=owner_id, _ctx=ctx,
-                          _handover=handover[role], _behavior=behavior,
-                          _desired=desired, _drives=(role in drivers_cfg),
-                          _deadline=deadline):
-                    log = logs[env.name]
-                    yield from swap_owner_script(
-                        env, committee, wallet, _uid, _role, _ctx, _handover,
-                        timeout, delta, schedule, log,
-                        drives=_drives and _behavior != "no_lock",
-                        desired=_desired,
-                        flip_flop=_behavior == "flip_flop",
-                        skip_lock=_behavior == "no_lock",
-                        lock_wait=_ticks(action.get("lock_wait_seconds", 4.0)),
-                        deadline=_deadline,
-                    )
-
-                add_client(
-                    f"client:{key}.owner{role}",
-                    owner,
-                    start + action.get(f"owner{role}_delay", 0.1 * role),
-                )
-
-        elif kind == "auction":
-            seller_id = account_ids[action["seller"]]
-            item_id = account_ids[action["item"]]
-            rule = PriceRule.SECOND_PRICE if action.get("rule", "second_price") == "second_price" else PriceRule.FIRST_PRICE
-            ctx = AuctionContext(expected_bidders=len(action.get("bidders", [])))
-            contexts[key] = ctx
-
-            def seller(env, _seller=seller_id, _item=item_id, _rule=rule, _ctx=ctx,
-                       _behavior=action.get("seller_behavior", "honest"),
-                       _wait=action.get("bid_wait_seconds", 20.0)):
-                log = logs[env.name]
-                yield from seller_script(
-                    env, committee, wallet, _seller, _item, _rule, _ctx,
-                    tpke_system.public, timeout, log,
-                    behavior=_behavior, bid_wait=_ticks(_wait),
-                )
-
-            add_client(f"client:{key}.seller", seller, start)
-            for b_idx, bidder in enumerate(action.get("bidders", [])):
-                bidder_id = account_ids[bidder["name"]]
-
-                def bid(env, _uid=bidder_id, _bid=int(bidder["bid"]),
-                        _deposit=int(bidder["deposit"]), _ctx=ctx):
-                    log = logs[env.name]
-                    yield from bidder_script(
-                        env, committee, wallet, _uid, _bid, _deposit, _ctx,
-                        tpke_system.public, sim.rng, timeout, log,
-                    )
-
-                add_client(f"client:{key}.bidder{b_idx}", bid,
-                           start + bidder.get("delay", 0.05 * (b_idx + 1)))
-
-        elif kind == "transmute":
-            input_names = action["inputs"]
-            data = [bytes.fromhex(h) for h in action["data"]]
-            params = bytes.fromhex(action.get("params", ""))
-            fexec = action["fexec"]
-            out_count = int(action.get("outputs", 1))
-            repeat = int(action.get("repeat", 1))
-
-            def script(env, _names=input_names, _data=data, _params=params,
-                       _fexec=fexec, _out=out_count, _key=key, _repeat=repeat):
-                log = logs[env.name]
-                input_ids = [account_ids[nm] for nm in _names]
-                asset_certs = []
-                for uid, payload in zip(input_ids, _data):
-                    cert = yield from certify_asset(env, committee, wallet, uid, payload, timeout, log=log)
-                    if cert is None:
-                        results[_key] = "certify_failed"
-                        return
-                    asset_certs.append(cert)
-                outputs = None
-                for _ in range(_repeat):
-                    outputs = yield from transmute(
-                        env, committee, wallet, _fexec, _params, input_ids,
-                        asset_certs, _out, timeout, log=log,
-                    )
-                    if outputs is None:
-                        results[_key] = "failed"
-                        return
-                results[_key] = [value_digest(c.value).hex() for c in outputs]
-
-            add_client(f"client:{key}", script, start)
+        ACTIONS[kind](build, action, action.get("id", f"{kind}{idx}"), action.get("start", 0.0))
 
     sim.run()
 
@@ -460,7 +478,7 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
         payload = event.payload
         if isinstance(payload, (ConfirmMsg, CommitMsg, SettleAuctionMsg)):
             sync_messages.setdefault(value_digest(payload), payload)
-    for ctx in contexts.values():
+    for ctx in build.contexts.values():
         if isinstance(ctx, SwapContext):
             if ctx.creation_cert is not None:
                 message = ConfirmMsg(ctx.creation_cert)
@@ -472,8 +490,8 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
     synced = {a.name: a.consistency_snapshot() for a in sim.honest_authorities()}
 
     audits = audit.run_standard_audits(sim, committee, initial_total, synced_snapshots=synced)
-    outcomes = dict(results)
-    for key, ctx in contexts.items():
+    outcomes = dict(build.results)
+    for key, ctx in build.contexts.items():
         outcomes[key] = getattr(ctx, "outcome", None)
 
     report = ScenarioReport(
@@ -491,11 +509,11 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
         committee=committee,
         wallet=wallet,
         account_ids=account_ids,
-        contexts=contexts,
-        logs=logs,
+        contexts=build.contexts,
+        logs=build.logs,
         initial_total=initial_total,
         tpke_system=tpke_system,
         synced_snapshots=synced,
-        results=results,
+        results=build.results,
     )
     return run, report

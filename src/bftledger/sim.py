@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from .committee import value_digest
-from .trace import RichEvent, TraceWriter
+from .trace import TraceWriter
 
 SECOND = 1000  # ticks
 
@@ -236,14 +236,8 @@ class Simulator:
             if not internal and self._out_of_service(envelope.dest, self.now):
                 return
             authority = self.authorities[envelope.dest]
-            rich = RichEvent(
-                time=self.now, seq=envelope.seq, src=envelope.src,
-                dest=envelope.dest, payload=envelope.payload,
-            )
             outputs, notes = authority.handle(envelope.src, envelope.payload, self.now)
-            rich.outputs = list(outputs)
-            rich.notes = list(notes)
-            self.trace.record(rich, value_digest(envelope.payload))
+            self.trace.record(self.now, envelope, value_digest(envelope.payload), notes)
             self.stats["delivered"] += 1
             for dest, payload in outputs:
                 if dest != authority.name and self.rng.random() < self.withhold.get(authority.name, 0.0):
@@ -251,11 +245,7 @@ class Simulator:
                     continue
                 self.post(authority.name, dest, payload, reply_to=envelope.seq)
         elif envelope.dest in self.clients:
-            rich = RichEvent(
-                time=self.now, seq=envelope.seq, src=envelope.src,
-                dest=envelope.dest, payload=envelope.payload,
-            )
-            self.trace.record(rich, value_digest(envelope.payload))
+            self.trace.record(self.now, envelope, value_digest(envelope.payload))
             self.stats["delivered"] += 1
             self._deliver_to_client(envelope)
 

@@ -145,7 +145,7 @@ def is_safe_pre_commit(instance: SwapInstance, cert: Certificate, disabled: froz
     return True
 
 
-# -- Consensus service (one shard's instances) -----------------------------------
+# -- Consensus service (one authority's instances) -------------------------------
 
 
 class SwapService:

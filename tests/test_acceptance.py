@@ -5,6 +5,7 @@ tolerance is exact unless stated otherwise; runtime budgets are asserted
 where the criterion names one.
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -203,15 +204,55 @@ def test_acceptance_4_eventual_consistency_20_orders():
 # -- 5. conservation across shipped scenarios -------------------------------------------
 
 
+# sha256 of trace.bin per shipped scenario at its own seed, as printed by
+# scripts/run_all_scenarios.py. A change that alters a trace must say so.
+PINNED_TRACES = {
+    "algebra_updates": "10f1238e57b2a6d4e975221534e3c5af5044a117bbe0a35ade04e02bda5f7aac",
+    "auction_first_price": "6feb4bc4bb589ccce103b28f47c8d8f993c62070f1b75e9726f00a88eee0b2f5",
+    "auction_second_price": "fa3d8d04b6d072fbc19eae059d358c7ce19de0d0155536fa2a32be55081fcf32",
+    "auction_stalling_seller": "57992af8cc584e1ecff6b92c575adaada67154e7b4fcf598af737c28abf50cf2",
+    "partition_heal": "abea1a34d8db9a9eab6e9e0f2d57af0a10b04f07ff53c4190fd92305b8e6d932",
+    "swap_abort": "42a65ecd44b4183a10ebc12ed1f02ec11b309bc6a8c20edd603fe1f72af4ba53",
+    "swap_abort_both_locked": "f5fbcbddfad3bce2e249691204d4c0fe79a5bfc601780ab725ba8712690190c6",
+    "swap_byzantine": "846237c162eae7dbd7b9194c98b2bfd093660c7eec4de9c726db6bb37f6af37d",
+    "swap_confirm": "531d662066281a34cdded4f14c87098cdb7489de76c6bedae9e702b01d0e06c0",
+    "swap_contested": "62ab6ef0d1713a9a316de902ff09b726f53d4ef44723d738b8c5eec8d66a0813",
+    "swap_crash_fault": "af5e98d57ea9dea1f670e76f1cb31feb88156f280eecd9af879b4365c0f04067",
+    "swap_flip_flop": "2b825764fa39b46dececb46c07968512fa14ee6ca8d6111a3cf00002b4af9db8",
+    "swap_liveness_parity": "58e0629a94bb525b5b2dcd94ed42e757b65e8729d3fefc756b4b1a10192052ab",
+    "transfers": "eb6899979ab59cf1a6744fde5813164a4167b383f24a34b6dab108e77364a8c2",
+    "transmute_assets": "400fabd69f03a455f5b4c5309b1345e1089081cce48cfb036a72d61a9eb75e78",
+}
+
+# Every standard audit passes on every shipped scenario.
+PINNED_AUDITS = [
+    (name, True)
+    for name in (
+        "agreement", "conservation", "per_account_sequence", "no_double_sign",
+        "swap_monotonicity", "unforgeability", "remote_update_safety",
+        "state_validity", "auction_phase_monotonicity", "eventual_consistency",
+    )
+]
+
+
 def test_acceptance_5_conservation_every_scenario():
+    """Conservation holds everywhere; traces and audit results match the pins."""
     failures = []
-    for fname in sorted(os.listdir(SCENARIOS)):
-        config = load_scenario(os.path.join(SCENARIOS, fname))
-        run, report = run_scenario(config)
+    names = sorted(fname[: -len(".json")] for fname in os.listdir(SCENARIOS))
+    assert names == sorted(PINNED_TRACES)
+    for name in names:
+        run, report = run_scenario(shipped(name))
         conservation = next(a for a in report.audits if a.name == "conservation")
         if not conservation.passed:
-            failures.append((fname, conservation.violations))
-    report_line(5, "conservation across shipped scenarios", not failures, str(failures))
+            failures.append((name, conservation.violations))
+        digest = hashlib.sha256(run.sim.trace.to_bytes()).hexdigest()
+        if digest != PINNED_TRACES[name]:
+            failures.append((name, f"trace sha256 {digest}"))
+        audits = [(a.name, a.passed) for a in report.audits]
+        if audits != PINNED_AUDITS:
+            failures.append((name, audits))
+    report_line(5, "conservation, pinned traces and audits across shipped scenarios",
+                not failures, str(failures))
 
 
 # -- 6. asset replay determinism ----------------------------------------------------------

@@ -132,20 +132,3 @@ def test_clean_world_audits_pass():
     for result in audit.run_standard_audits(sim, committee, total):
         assert result.passed, (result.name, result.violations)
 
-
-def test_commit_certificate_collector():
-    sim, committee, signers, authorities, rng = build_corrupt_world()
-    swid = AccountId(2, (0,))
-    commit = certify_all(
-        committee, signers, CommitStatement(Proposal(swid, 0, DecisionValue.ABORT))
-    )
-
-    def client(env):
-        env.broadcast(CommitMsg(commit, None, None))
-        yield env.sleep(1000)
-
-    sim.add_client("client:x", client)
-    sim.start_client_at("client:x", 0)
-    sim.run()
-    by_swid = audit.collect_commit_certificates(sim, committee)
-    assert swid in by_swid

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from bftledger.cli import main
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -64,9 +66,22 @@ def test_modelcheck_ablation_exit_code(capsys):
     assert "VIOLATION" in capsys.readouterr().out
 
 
-def test_bad_scenario_rejected(tmp_path, capsys):
+def bad_config(case):
+    if case == "bad_version":
+        return {"version": 99}
+    with open(scenario_path("transfers")) as fh:
+        config = json.load(fh)
+    if case == "unknown_to":
+        config["actions"][0]["to"] = "nobody"
+    else:
+        config["accounts"][2]["owner"] = "ghost"
+    return config
+
+
+@pytest.mark.parametrize("case", ["bad_version", "unknown_to", "unknown_owner"])
+def test_bad_scenario_rejected(tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"version": 99}))
+    bad.write_text(json.dumps(bad_config(case)))
     code = main(["run", "--scenario", str(bad)])
     assert code == 2
     assert "ConfigError" in capsys.readouterr().err
