@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run every shipped scenario and print its report, its trace sha256 and its
-delivery count; exit nonzero on any failed audit."""
+delivery count, and the sha256 of its synced snapshots; exit nonzero on any
+failed audit."""
 
 import hashlib
 import os
@@ -22,6 +23,10 @@ def main() -> int:
         print(report.to_text())
         digest = hashlib.sha256(run.sim.trace.to_bytes()).hexdigest()
         print(f"trace sha256: {digest} ({len(run.sim.trace.events)} deliveries)")
+        synced = hashlib.sha256()
+        for name in sorted(run.synced_snapshots):
+            synced.update(name.encode() + run.synced_snapshots[name].encode())
+        print(f"synced sha256: {synced.hexdigest()}")
         ok &= report.all_passed
     return 0 if ok else 1
 

@@ -188,11 +188,10 @@ class Ledger:
     only decides and mutates. Handlers raise ProtocolError on rejection.
     """
 
-    def __init__(self, algebra_of: Callable[[AccountId], str], warn: Callable[[str], None] = lambda _: None):
+    def __init__(self, algebra_of: Callable[[AccountId], str]):
         self.accounts: dict[AccountId, AccountState] = {}
         self.tombstones: dict[AccountId, bytes] = {}
         self.algebra_of = algebra_of
-        self.warn = warn
         self.on_mutate: Callable[[AccountId, AccountState], None] = lambda _uid, _acct: None
         self.deferred_effects: dict[AccountId, list] = {}
 
@@ -325,8 +324,7 @@ class Ledger:
 
     def apply_init_account(self, eff: InitAccountEffect) -> None:
         if eff.target in self.tombstones:
-            self.warn(f"init for deactivated id {eff.target} dropped")
-            return
+            return  # never re-create a deactivated id
         account = self.accounts.get(eff.target)
         if account is None:
             account = self.init_account(eff.target, eff.pk)
@@ -336,8 +334,7 @@ class Ledger:
     def apply_credit(self, eff: CreditEffect) -> list:
         """Apply a certified remote update exactly once (dedup by cert digest)."""
         if eff.target in self.tombstones:
-            self.warn(f"credit to deactivated id {eff.target} dropped")
-            return []
+            return []  # a credit to a deactivated id is dropped
         account = self.accounts.get(eff.target)
         if account is None:
             account = self.init_account(eff.target, None)
@@ -345,8 +342,7 @@ class Ledger:
         if digest in account.received:
             return []
         if not account.alg.applicable(eff.update):
-            self.warn(f"credit update incompatible with {account.algebra} at {eff.target}")
-            return []
+            return []  # the update does not fit this account's algebra
         account.received[digest] = eff.cert
         account.state = account.alg.apply(account.state, eff.update)
         self.on_mutate(eff.target, account)
@@ -369,8 +365,7 @@ class Ledger:
     def apply_set_owner(self, eff: SetOwnerEffect) -> None:
         account = self.accounts.get(eff.target)
         if account is None:
-            self.warn(f"owner change for unknown id {eff.target} dropped")
-            return
+            return  # owner change for an unknown id
         digest = value_digest(eff.cert.value)
         if digest in account.received:
             return

@@ -47,6 +47,11 @@ class Spend:
     commitment: bytes
 
 
+def spend_commitment(params: bytes) -> bytes:
+    """The commitment a Spend makes to a transmutation's parameters."""
+    return digest32(serialize.encode_as(bytes, params))
+
+
 @dataclass(frozen=True)
 class AssetCertifyRequest:
     id: AccountId
@@ -181,7 +186,7 @@ def handle_transmute(ledger: Ledger, committee, req: TransmuteRequest) -> list[A
     if len(req.outputs) != fexec.arity_out:
         raise err(errors.BAD_VALUE, f"{req.fexec} yields {fexec.arity_out} outputs")
 
-    commitment = digest32(serialize.encode_as(bytes, req.params))
+    commitment = spend_commitment(req.params)
     bindings: list[AssetBinding] = []
     spend_requests: list[Request] = []
     for role, (spend_auth, asset_cert) in enumerate(zip(req.spends, req.inputs)):

@@ -1,8 +1,9 @@
 """Trace and snapshot audits: every protocol invariant wired as a check.
 
-Audits consume the rich in-memory trace (full payloads plus authority notes)
-and the authorities' final states. They are report-only: each check returns
-its violations, and a scenario report lists one line per check.
+Audits consume the authorities' notes (the (authority, note) pairs that the
+trace keeps in delivery order) and the authorities' final states. They are
+report-only: each check returns its violations, and a scenario report lists
+one line per check.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ def _result(name: str, violations: list[str]) -> AuditResult:
     return AuditResult(name=name, passed=not violations, violations=violations)
 
 
-def _honest_events(sim):
+def _honest_notes(sim):
     honest = {a.name for a in sim.authorities.values() if a.honest}
-    for event in sim.trace.rich:
-        if event.dest in honest:
-            yield event
+    return ((dest, note) for dest, note in sim.trace.notes if dest in honest)
 
 
 def audit_agreement(sim, committee: Committee) -> AuditResult:
@@ -45,13 +44,11 @@ def audit_agreement(sim, committee: Committee) -> AuditResult:
     different decisions. Works from issued votes (stronger than scanning
     formed certificates): any 2f+1 distinct signers make a certificate."""
     signers_by_statement: dict[tuple, set[int]] = {}
-    for event in sim.trace.rich:
-        authority = sim.authorities[event.dest]
-        for note in event.notes:
-            if note[0] == "vote" and isinstance(note[1], CommitStatement):
-                p = note[1].proposal
-                key = (p.swid, p.round, p.decision)
-                signers_by_statement.setdefault(key, set()).add(authority.index)
+    for dest, note in sim.trace.notes:
+        if note[0] == "vote" and isinstance(note[1], CommitStatement):
+            p = note[1].proposal
+            key = (p.swid, p.round, p.decision)
+            signers_by_statement.setdefault(key, set()).add(sim.authorities[dest].index)
     formable: dict[Any, set] = {}
     for (swid, rnd, decision), signers in signers_by_statement.items():
         if len(signers) >= committee.quorum:
@@ -127,25 +124,23 @@ def audit_no_double_sign(sim) -> AuditResult:
     violations = []
     request_votes: dict[tuple, bytes] = {}
     proposal_votes: dict[tuple, bytes] = {}
-    for event in _honest_events(sim):
-        authority = sim.authorities[event.dest]
-        for note in event.notes:
-            if note[0] != "vote":
-                continue
-            value = note[1]
-            if isinstance(value, Request):
-                key = (authority.index, value.id, value.n)
-                digest = value_digest(value)
-                if request_votes.setdefault(key, digest) != digest:
-                    violations.append(f"{authority.name} double-signed {value.id}@{value.n}")
-            elif isinstance(value, PreCommitStatement):
-                p = value.proposal
-                key = (authority.index, p.swid, p.round)
-                digest = value_digest(value)
-                if proposal_votes.setdefault(key, digest) != digest:
-                    violations.append(
-                        f"{authority.name} double-signed proposal {p.swid} round {p.round}"
-                    )
+    for dest, note in _honest_notes(sim):
+        if note[0] != "vote":
+            continue
+        authority, value = sim.authorities[dest], note[1]
+        if isinstance(value, Request):
+            key = (authority.index, value.id, value.n)
+            digest = value_digest(value)
+            if request_votes.setdefault(key, digest) != digest:
+                violations.append(f"{authority.name} double-signed {value.id}@{value.n}")
+        elif isinstance(value, PreCommitStatement):
+            p = value.proposal
+            key = (authority.index, p.swid, p.round)
+            digest = value_digest(value)
+            if proposal_votes.setdefault(key, digest) != digest:
+                violations.append(
+                    f"{authority.name} double-signed proposal {p.swid} round {p.round}"
+                )
     return _result("no_double_sign", violations)
 
 
@@ -154,31 +149,30 @@ def audit_swap_monotonicity(sim) -> AuditResult:
     decrease, and a locked decision changes only with a strictly higher round."""
     violations = []
     last: dict[tuple, tuple] = {}
-    for event in _honest_events(sim):
-        for note in event.notes:
-            if note[0] != "swap_state":
-                continue
-            _, swid, proposed, locked = note
-            key = (event.dest, swid)
-            prev_proposed, prev_locked = last.get(key, (None, None))
-            if prev_proposed is not None and proposed is not None:
-                if proposed.round < prev_proposed.round:
-                    violations.append(f"{event.dest} {swid}: proposed round decreased")
-            if prev_locked is not None:
-                if locked is None:
-                    violations.append(f"{event.dest} {swid}: locked reverted")
-                else:
-                    if locked.round < prev_locked.round:
-                        violations.append(f"{event.dest} {swid}: locked round decreased")
-                    if (
-                        locked.decision != prev_locked.decision
-                        and locked.round <= prev_locked.round
-                    ):
-                        violations.append(
-                            f"{event.dest} {swid}: locked decision flipped without a higher round"
-                        )
-            last[key] = (proposed if proposed is not None else prev_proposed,
-                         locked if locked is not None else prev_locked)
+    for dest, note in _honest_notes(sim):
+        if note[0] != "swap_state":
+            continue
+        _, swid, proposed, locked = note
+        key = (dest, swid)
+        prev_proposed, prev_locked = last.get(key, (None, None))
+        if prev_proposed is not None and proposed is not None:
+            if proposed.round < prev_proposed.round:
+                violations.append(f"{dest} {swid}: proposed round decreased")
+        if prev_locked is not None:
+            if locked is None:
+                violations.append(f"{dest} {swid}: locked reverted")
+            else:
+                if locked.round < prev_locked.round:
+                    violations.append(f"{dest} {swid}: locked round decreased")
+                if (
+                    locked.decision != prev_locked.decision
+                    and locked.round <= prev_locked.round
+                ):
+                    violations.append(
+                        f"{dest} {swid}: locked decision flipped without a higher round"
+                    )
+        last[key] = (proposed if proposed is not None else prev_proposed,
+                     locked if locked is not None else prev_locked)
     return _result("swap_monotonicity", violations)
 
 
@@ -187,29 +181,26 @@ def audit_unforgeability(sim, committee: Committee) -> AuditResult:
     set in at least f+1 signers."""
     honest_indices = {a.index for a in sim.authorities.values() if a.honest}
     violations = []
-    for event in _honest_events(sim):
-        for note in event.notes:
-            if note[0] != "cert_accepted":
-                continue
-            _, kind, signers, digest = note
-            overlap = len(set(signers) & honest_indices)
-            if overlap < committee.f + 1:
-                violations.append(
-                    f"{event.dest} accepted {kind} cert with {overlap} honest votes"
-                )
+    for dest, note in _honest_notes(sim):
+        if note[0] != "cert_accepted":
+            continue
+        _, kind, signers = note
+        overlap = len(set(signers) & honest_indices)
+        if overlap < committee.f + 1:
+            violations.append(f"{dest} accepted {kind} cert with {overlap} honest votes")
     return _result("unforgeability", violations)
 
 
 def audit_credit_safety(sim) -> AuditResult:
     """Every internal credit carries a safe update for its target's algebra."""
     violations = []
-    for event in _honest_events(sim):
-        authority = sim.authorities[event.dest]
-        payload = event.payload
-        if isinstance(payload, CreditEffect):
-            alg = algebra_mod.by_name(authority.ledger.algebra_of(payload.target))
-            if alg.applicable(payload.update) and not alg.is_safe(payload.update):
-                violations.append(f"unsafe credit to {payload.target}")
+    for dest, note in _honest_notes(sim):
+        if note[0] != "credit":
+            continue
+        _, target, update = note
+        alg = algebra_mod.by_name(sim.authorities[dest].ledger.algebra_of(target))
+        if alg.applicable(update) and not alg.is_safe(update):
+            violations.append(f"unsafe credit to {target}")
     return _result("remote_update_safety", violations)
 
 
@@ -217,10 +208,9 @@ def audit_state_validity(sim) -> AuditResult:
     """No honest authority ever held an invalid account state after an event,
     and all final states are valid."""
     violations = []
-    for event in _honest_events(sim):
-        for note in event.notes:
-            if note[0] == "invalid_state":
-                violations.append(f"{event.dest}: invalid state at {note[1]}")
+    for dest, note in _honest_notes(sim):
+        if note[0] == "invalid_state":
+            violations.append(f"{dest}: invalid state at {note[1]}")
     for authority in sim.honest_authorities():
         for uid, account in authority.ledger.accounts.items():
             if not account.alg.is_valid(account.state):
@@ -232,12 +222,11 @@ def audit_auction_phases(sim) -> AuditResult:
     """No honest authority accepts a bid after recording end-of-bidding."""
     violations = []
     closed: set[tuple] = set()
-    for event in _honest_events(sim):
-        for note in event.notes:
-            if note[0] == "phase" and note[2] in ("revealing", "settled"):
-                closed.add((event.dest, note[1]))
-            elif note[0] == "bid_accepted" and (event.dest, note[1]) in closed:
-                violations.append(f"{event.dest}: bid accepted after close of {note[1]}")
+    for dest, note in _honest_notes(sim):
+        if note[0] == "phase" and note[2] in ("revealing", "settled"):
+            closed.add((dest, note[1]))
+        elif note[0] == "bid_accepted" and (dest, note[1]) in closed:
+            violations.append(f"{dest}: bid accepted after close of {note[1]}")
     return _result("auction_phase_monotonicity", violations)
 
 

@@ -64,7 +64,6 @@ class Authority:
         algebra_of: Callable[[AccountId], str] = lambda _uid: "balance",
         schedule: RoundSchedule = RoundSchedule(),
         parity_leader: bool = False,
-        disabled_rules: frozenset = frozenset(),
         tpke_public=None,
         tpke_share=None,
     ):
@@ -72,15 +71,9 @@ class Authority:
         self.name = f"auth:{index}"
         self.signer = signer
         self.committee = committee
-        self.warnings: list[str] = []
-        self.ledger = Ledger(algebra_of, warn=self.warnings.append)
+        self.ledger = Ledger(algebra_of)
         self.ledger.on_mutate = self._check_account
-        self.swaps = SwapService(
-            committee,
-            schedule=schedule,
-            parity_leader=parity_leader,
-            disabled_rules=disabled_rules,
-        )
+        self.swaps = SwapService(committee, schedule=schedule, parity_leader=parity_leader)
         self.auctions = AuctionService(committee, tpke_public=tpke_public, tpke_share=tpke_share)
         self._notes: list[tuple] = []
 
@@ -97,7 +90,7 @@ class Authority:
 
     def _accept_cert(self, cert: Certificate, kind: str) -> None:
         signers = tuple(sorted(v.signer for v in cert.votes))
-        self._notes.append(("cert_accepted", kind, signers, value_digest(cert.value)))
+        self._notes.append(("cert_accepted", kind, signers))
 
     def _swap_note(self, swid: AccountId) -> None:
         exists, proposed, locked = self.swaps.query(swid)
@@ -211,10 +204,20 @@ class Authority:
             self._notes.append(("phase", payload.cert.value.auction_id, "settled"))
         return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
 
+    def _apply_credit(self, eff: CreditEffect, now):
+        self._notes.append(("credit", eff.target, eff.update))
+        return self.ledger.apply_credit(eff)
+
     def _effect(apply):
-        """Handler for an internal cross-shard effect, addressed to ourselves.
-        Only a credit can produce further effects."""
-        return lambda self, src, eff, now: [(self.name, e) for e in apply(self, eff, now) or ()]
+        """Handler for an internal cross-shard effect, which only this
+        authority may send to itself. Only a credit can produce further
+        effects."""
+
+        def handle(self, src, eff, now):
+            if src != self.name:
+                raise err(errors.BAD_VALUE, f"internal effect from {src}")
+            return [(self.name, e) for e in apply(self, eff, now) or ()]
+        return handle
 
     _handlers = {
         HandleRequestMsg: _on_request,
@@ -232,7 +235,7 @@ class Authority:
         EndOfAuctionMsg: _on_end_of_auction,
         SettleAuctionMsg: _on_settle_auction,
         InitAccountEffect: _effect(lambda self, eff, now: self.ledger.apply_init_account(eff)),
-        CreditEffect: _effect(lambda self, eff, now: self.ledger.apply_credit(eff)),
+        CreditEffect: _effect(_apply_credit),
         UnlockEffect: _effect(lambda self, eff, now: self.ledger.apply_unlock(eff)),
         SetOwnerEffect: _effect(lambda self, eff, now: self.ledger.apply_set_owner(eff)),
         EscrowDebitEffect: _effect(lambda self, eff, now: apply_escrow_debit(self.ledger, eff)),

@@ -12,6 +12,7 @@ and bid certificates travel through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from . import tpke
@@ -23,7 +24,7 @@ from .auction import (
     SubmitBidRequest,
     auction_aad,
 )
-from .assets import AssetCertifyRequest, Spend, TransmuteRequest, derive_outputs
+from .assets import AssetCertifyRequest, Spend, TransmuteRequest, derive_outputs, spend_commitment
 from .committee import (
     Certificate,
     Committee,
@@ -33,7 +34,7 @@ from .committee import (
     value_digest,
 )
 from .errors import ProtocolError
-from .keys import Signer, digest32
+from .keys import Signer
 from .messages import (
     AckReply,
     CertifyAssetMsg,
@@ -55,7 +56,6 @@ from .messages import (
     TransmuteReply,
     VoteReply,
 )
-from .serialize import encode, encode_as
 from .swap import CommitStatement, DecisionValue, PreCommitStatement, Proposal, RoundSchedule
 
 
@@ -88,9 +88,6 @@ class DriverLog:
 
     def note(self, *event: Any) -> None:
         self.events.append(event)
-
-    def codes(self) -> list[str]:
-        return [e[2] for e in self.events if e[0] == "error"]
 
 
 def gather_votes(env, committee: Committee, message, accept: Callable[[Any], bool],
@@ -146,8 +143,7 @@ def broadcast_until_acked(env, committee: Committee, message, timeout: int,
 
 
 def certified_operation(env, committee: Committee, wallet: Wallet, uid: AccountId,
-                        op, timeout: int, log: Optional[DriverLog] = None,
-                        confirm: bool = True):
+                        op, timeout: int, log: Optional[DriverLog] = None):
     """Run one account operation end to end: vote quorum, then confirmation."""
     entry = wallet[uid]
     request = execute_request(uid, entry.next_sequence, op)
@@ -158,10 +154,9 @@ def certified_operation(env, committee: Committee, wallet: Wallet, uid: AccountI
     )
     if cert is None:
         return None
-    if confirm:
-        ok = yield from broadcast_until_acked(env, committee, ConfirmMsg(cert), timeout)
-        if not ok:
-            return None
+    ok = yield from broadcast_until_acked(env, committee, ConfirmMsg(cert), timeout)
+    if not ok:
+        return None
     entry.next_sequence += 1
     return cert
 
@@ -403,7 +398,7 @@ def transmute(env, committee: Committee, wallet: Wallet, fexec: str, params: byt
               retries: int = 8):
     """Spend the input assets through an execution function; returns the
     output asset certificates (or None on failure)."""
-    commitment = digest32(encode_as(bytes, params))
+    commitment = spend_commitment(params)
     spends = []
     for uid in input_ids:
         entry = wallet[uid]
@@ -558,14 +553,17 @@ def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
         for reply in shares_by_auth.values():
             if i < len(reply.shares):
                 collected.append(reply.shares[i])
-        good = [s for s in collected if tpke.share_verify(tpke_public, bid.ciphertext, s)]
+        good = list(islice(
+            (s for s in collected if tpke.share_verify(tpke_public, bid.ciphertext, s)),
+            tpke_public.threshold,
+        ))
         value = tpke.combine(tpke_public, bid.ciphertext, good)
         if value is None:
             ctx.outcome["seller"] = "decrypt_failed"
             return
         if behavior == "misreport" and i == 0:
             value += 1
-        openings.append(BidOpening(value=value, shares=tuple(good[: tpke_public.threshold])))
+        openings.append(BidOpening(value=value, shares=tuple(good)))
 
     eoa_req = EndOfAuctionRequest(auction_id=auction_id, openings=tuple(openings))
     auth = authenticate(eoa_req, entry.pk, entry.signer)

@@ -37,7 +37,7 @@ from .drivers import (
 )
 from .errors import err
 from .keys import mac_keypair
-from .messages import CommitMsg, ConfirmMsg, SettleAuctionMsg
+from .messages import CommitMsg, ConfirmMsg
 from .sim import SECOND, NetConfig, Simulator
 from .swap import DecisionValue, RoundSchedule
 
@@ -64,7 +64,10 @@ def validate_scenario(config: dict) -> None:
     byzantine = len(faults.get("arbitrary_signer", []))
     if byzantine > f:
         raise err(errors.CONFIG_ERROR, f"{byzantine} byzantine authorities exceeds f={f}")
-    names = [a["name"] for a in config.get("accounts", [])]
+    accounts = [_Fields(f"account {i}", a) for i, a in enumerate(config.get("accounts", []))]
+    for acct in accounts:
+        acct.choice("algebra", "balance", algebra_mod.ALGEBRAS)
+    names = [a["name"] for a in accounts]
     if len(names) != len(set(names)):
         raise err(errors.CONFIG_ERROR, "duplicate account names")
     for action in config.get("actions", []):
@@ -72,11 +75,31 @@ def validate_scenario(config: dict) -> None:
             raise err(errors.CONFIG_ERROR, f"unknown action kind {action.get('kind')!r}")
 
 
+class _Fields(dict):
+    """One object of a scenario file. A missing required field, or an
+    enumerated field outside its allowed values, is a config error."""
+
+    def __init__(self, where: str, fields: dict):
+        super().__init__(fields)
+        self.where = where
+
+    def __missing__(self, key: str):
+        raise err(errors.CONFIG_ERROR, f"{self.where}: missing field {key!r}")
+
+    def choice(self, key: str, default: str, allowed):
+        value = self.get(key, default)
+        if value not in allowed:
+            raise err(errors.CONFIG_ERROR,
+                      f"{self.where}: {key} must be one of {sorted(allowed)}, got {value!r}")
+        return value
+
+
 def _ticks(seconds: float) -> int:
     return int(round(seconds * SECOND))
 
 
 def parse_update(obj: dict):
+    obj = _Fields("update", obj)
     if "scalar" in obj:
         return algebra_mod.ScalarUpdate(int(obj["scalar"]))
     if "item" in obj:
@@ -247,6 +270,11 @@ def _apply(b: _Build, action: dict):
     return src, lambda: operation, lambda _op: "ok"
 
 
+_OWNER_BEHAVIORS = ("honest", "flip_flop", "no_lock", "absent")
+_DESIRED = {"auto": None, "confirm": DecisionValue.CONFIRM, "abort": DecisionValue.ABORT}
+_RULES = {"first_price": PriceRule.FIRST_PRICE, "second_price": PriceRule.SECOND_PRICE}
+
+
 def _swap(b: _Build, action: dict, key: str, start: float) -> None:
     committee, wallet, timeout = b.committee, b.wallet, b.timeout
     id1 = b.account_ids[action["owner1"]]
@@ -254,7 +282,8 @@ def _swap(b: _Build, action: dict, key: str, start: float) -> None:
     ctx = SwapContext(id1=id1, n1=0, id2=id2, n2=0)
     b.contexts[key] = ctx
     handover = {1: mac_keypair(b.rng), 2: mac_keypair(b.rng)}
-    broker_id = id1 if action.get("broker", "owner1") == "owner1" else id2
+    owners = {"owner1": id1, "owner2": id2}
+    broker_id = owners[action.choice("broker", "owner1", owners)]
     drivers_cfg = action.get("drivers", [1])
     deadline = _ticks(action["deadline_seconds"]) if "deadline_seconds" in action else b.sim.budget
 
@@ -268,14 +297,10 @@ def _swap(b: _Build, action: dict, key: str, start: float) -> None:
     b.client(f"client:{key}.broker", broker, start)
 
     for role, owner_id in ((1, id1), (2, id2)):
-        behavior = action.get(f"owner{role}_behavior", "honest")
+        behavior = action.choice(f"owner{role}_behavior", "honest", _OWNER_BEHAVIORS)
         if behavior == "absent":
             continue
-        desired = {
-            "auto": None,
-            "confirm": DecisionValue.CONFIRM,
-            "abort": DecisionValue.ABORT,
-        }[action.get(f"owner{role}_desired", "auto")]
+        desired = _DESIRED[action.choice(f"owner{role}_desired", "auto", _DESIRED)]
 
         def owner(env, _role=role, _uid=owner_id, _behavior=behavior, _desired=desired):
             yield from swap_owner_script(
@@ -300,7 +325,8 @@ def _auction(b: _Build, action: dict, key: str, start: float) -> None:
     committee, wallet, timeout = b.committee, b.wallet, b.timeout
     seller_id = b.account_ids[action["seller"]]
     item_id = b.account_ids[action["item"]]
-    rule = PriceRule.SECOND_PRICE if action.get("rule", "second_price") == "second_price" else PriceRule.FIRST_PRICE
+    rule = _RULES[action.choice("rule", "second_price", _RULES)]
+    behavior = action.choice("seller_behavior", "honest", ("honest", "withhold", "misreport"))
     ctx = AuctionContext(expected_bidders=len(action.get("bidders", [])))
     b.contexts[key] = ctx
 
@@ -308,12 +334,13 @@ def _auction(b: _Build, action: dict, key: str, start: float) -> None:
         yield from seller_script(
             env, committee, wallet, seller_id, item_id, rule, ctx,
             b.tpke_system.public, timeout, b.logs[env.name],
-            behavior=action.get("seller_behavior", "honest"),
+            behavior=behavior,
             bid_wait=_ticks(action.get("bid_wait_seconds", 20.0)),
         )
 
     b.client(f"client:{key}.seller", seller, start)
     for b_idx, bidder in enumerate(action.get("bidders", [])):
+        bidder = _Fields(f"{action.where} bidder {b_idx}", bidder)
         bidder_id = b.account_ids[bidder["name"]]
 
         def bid(env, _uid=bidder_id, _bid=int(bidder["bid"]), _deposit=int(bidder["deposit"])):
@@ -467,17 +494,14 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
     build = _Build(rng, sim, committee, wallet, account_ids, timeout, delta, schedule, tpke_system)
     for idx, action in enumerate(config.get("actions", [])):
         kind = action["kind"]
-        ACTIONS[kind](build, action, action.get("id", f"{kind}{idx}"), action.get("start", 0.0))
+        key = action.get("id", f"{kind}{idx}")
+        ACTIONS[kind](build, _Fields(f"action {key!r}", action), key, action.get("start", 0.0))
 
     sim.run()
 
-    # Full sync: redeliver every certified message observed in the run (plus
+    # Full sync: redeliver every certified message delivered in the run (plus
     # certificates still held by clients) to all live honest authorities.
-    sync_messages: dict[bytes, Any] = {}
-    for event in sim.trace.rich:
-        payload = event.payload
-        if isinstance(payload, (ConfirmMsg, CommitMsg, SettleAuctionMsg)):
-            sync_messages.setdefault(value_digest(payload), payload)
+    sync_messages = dict(sim.certified)
     for ctx in build.contexts.values():
         if isinstance(ctx, SwapContext):
             if ctx.creation_cert is not None:

@@ -24,9 +24,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from .committee import value_digest
+from .messages import CommitMsg, ConfirmMsg, SettleAuctionMsg
 from .trace import TraceWriter
 
 SECOND = 1000  # ticks
+
+# Certificate-bearing deliveries to an authority; the end-of-run sync redelivers them.
+CERTIFIED_MESSAGES = (ConfirmMsg, CommitMsg, SettleAuctionMsg)
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,6 @@ class Envelope:
     src: str
     dest: str
     seq: int
-    reply_to: Optional[int]
     payload: Any
 
 
@@ -72,8 +75,8 @@ class ClientEnv:
     def now(self) -> int:
         return self._sim.now
 
-    def send(self, dest: str, payload: Any, reply_to: Optional[int] = None) -> int:
-        return self._sim.post(self.name, dest, payload, reply_to)
+    def send(self, dest: str, payload: Any) -> int:
+        return self._sim.post(self.name, dest, payload)
 
     def broadcast(self, payload: Any) -> list[int]:
         return [self.send(dest, payload) for dest in self._sim.authority_names]
@@ -113,6 +116,8 @@ class Simulator:
         self.withhold: dict[str, float] = {}
         self.outages: dict[str, list[tuple[int, int]]] = {}
         self.trace = TraceWriter()
+        # value digest -> the first delivered payload of a CERTIFIED_MESSAGES type
+        self.certified: dict[bytes, Any] = {}
         self.budget_exceeded = False
         self.stats = {"delivered": 0, "dropped": 0}
 
@@ -141,16 +146,16 @@ class Simulator:
     def _schedule(self, time: int, item: Any) -> None:
         heapq.heappush(self._heap, (time, self._next_seq(), item))
 
-    def _out_of_service(self, name: str, t: int) -> bool:
+    def _crashed(self, name: str, t: int) -> bool:
         crash = self.crash_at.get(name)
-        if crash is not None and t >= crash:
-            return True
-        for start, end in self.outages.get(name, ()):
-            if start <= t < end:
-                return True
-        return False
+        return crash is not None and t >= crash
 
-    def post(self, src: str, dest: str, payload: Any, reply_to: Optional[int] = None) -> int:
+    def _out_of_service(self, name: str, t: int) -> bool:
+        return self._crashed(name, t) or any(
+            start <= t < end for start, end in self.outages.get(name, ())
+        )
+
+    def post(self, src: str, dest: str, payload: Any) -> int:
         """Submit a message to the network; returns its id (even if dropped)."""
         seq = self._next_seq()
         internal = src == dest and dest in self.authorities
@@ -169,7 +174,7 @@ class Simulator:
             if self._out_of_service(src, self.now) or self.rng.random() < drops:
                 self.stats["dropped"] += 1
                 return seq
-        envelope = Envelope(src=src, dest=dest, seq=seq, reply_to=reply_to, payload=payload)
+        envelope = Envelope(src=src, dest=dest, seq=seq, payload=payload)
         self._schedule(self.now + delay, ("deliver", envelope))
         if dup:
             extra = self.rng.randint(self.net.min_delay, self.net.max_delay)
@@ -222,10 +227,6 @@ class Simulator:
 
     # -- main loop --
 
-    def _crashed(self, name: str, t: int) -> bool:
-        crash = self.crash_at.get(name)
-        return crash is not None and t >= crash
-
     def _deliver(self, envelope: Envelope) -> None:
         if envelope.dest in self.authorities:
             internal = envelope.src == envelope.dest
@@ -237,13 +238,16 @@ class Simulator:
                 return
             authority = self.authorities[envelope.dest]
             outputs, notes = authority.handle(envelope.src, envelope.payload, self.now)
-            self.trace.record(self.now, envelope, value_digest(envelope.payload), notes)
+            digest = value_digest(envelope.payload)
+            self.trace.record(self.now, envelope, digest, notes)
+            if isinstance(envelope.payload, CERTIFIED_MESSAGES):
+                self.certified.setdefault(digest, envelope.payload)
             self.stats["delivered"] += 1
             for dest, payload in outputs:
                 if dest != authority.name and self.rng.random() < self.withhold.get(authority.name, 0.0):
                     self.stats["dropped"] += 1
                     continue
-                self.post(authority.name, dest, payload, reply_to=envelope.seq)
+                self.post(authority.name, dest, payload)
         elif envelope.dest in self.clients:
             self.trace.record(self.now, envelope, value_digest(envelope.payload))
             self.stats["delivered"] += 1
@@ -289,13 +293,15 @@ class Simulator:
         applying effects synchronously, until states stop changing. Used for
         the end-of-run full sync before consistency comparison."""
         targets = self.honest_authorities()
+        before = [a.snapshot() for a in targets]
         for _ in range(rounds):
-            before = [a.snapshot() for a in targets]
             for message in messages:
                 for authority in targets:
                     self._apply_sync(authority, message)
-            if [a.snapshot() for a in targets] == before:
+            after = [a.snapshot() for a in targets]
+            if after == before:
                 break
+            before = after
 
     def _apply_sync(self, authority, message) -> None:
         queue = [("sync", message)]

@@ -154,12 +154,10 @@ class SwapService:
         committee,
         schedule: RoundSchedule = RoundSchedule(),
         parity_leader: bool = False,
-        disabled_rules: frozenset = frozenset(),
     ):
         self.committee = committee
         self.schedule = schedule
         self.parity_leader = parity_leader
-        self.disabled_rules = disabled_rules
         self.instances: dict[AccountId, SwapInstance] = {}
         self.tombstones: set[AccountId] = set()
 
@@ -225,7 +223,7 @@ class SwapService:
                 raise err(errors.ROUND_UNAVAILABLE, f"round {proposal.round} reserved for the other owner")
         if proposal == instance.proposed:
             return PreCommitStatement(proposal)  # idempotent re-vote
-        if not is_safe_proposal(instance, proposal, self.disabled_rules):
+        if not is_safe_proposal(instance, proposal):
             raise err(errors.UNSAFE, f"proposal round {proposal.round}")
         instance.proposed = proposal
         return PreCommitStatement(proposal)
@@ -239,7 +237,7 @@ class SwapService:
             raise err(errors.UNKNOWN_INSTANCE, str(proposal.swid))
         if not check_certificate(self.committee, cert):
             raise err(errors.BAD_CERTIFICATE, "pre-commit vote check failed")
-        if not is_safe_pre_commit(instance, cert, self.disabled_rules):
+        if not is_safe_pre_commit(instance, cert):
             raise err(errors.UNSAFE, f"pre-commit round {proposal.round}")
         instance.locked = cert
         return CommitStatement(proposal)

@@ -40,7 +40,6 @@ G = 4  # 2**2: a quadratic residue, hence a generator of the order-q subgroup
 
 GROUP_BYTES = 256
 DEFAULT_MESSAGE_BOUND = 1 << 20
-_SUPPORTED_SECURITY = {2048}
 
 
 def _to_bytes(x: int) -> bytes:
@@ -106,13 +105,10 @@ class TpkeSystem:
     shares: tuple[TpkeShare, ...]
 
 
-def setup(n: int, k: int, security_param: int = 2048, *, rng,
-          message_bound: int = DEFAULT_MESSAGE_BOUND) -> TpkeSystem:
+def setup(n: int, k: int, *, rng, message_bound: int = DEFAULT_MESSAGE_BOUND) -> TpkeSystem:
     """Dealer key generation: Shamir-share a master exponent among n parties."""
     if not 1 <= k <= n:
         raise err(errors.BAD_THRESHOLD, f"k={k}, n={n}")
-    if security_param not in _SUPPORTED_SECURITY:
-        raise err(errors.CONFIG_ERROR, f"unsupported security parameter {security_param}")
     coeffs = [rng.randrange(1, Q) for _ in range(k)]  # coeffs[0] is the master secret
     def f(x: int) -> int:
         acc = 0

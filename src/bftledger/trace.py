@@ -2,15 +2,14 @@
 
 The trace file is an append-only sequence of canonically encoded TraceEvent
 records (each prefixed by the standard tag byte), so two runs of the same
-scenario and seed must produce byte-identical files. Audits work over the
-richer in-memory mirror of authority deliveries, which keeps the full payload
-objects and the authority's notes.
+scenario and seed must produce byte-identical files. Audits read the flat
+log of (authority, note) pairs that authorities emit while handling their
+deliveries; no delivered payload is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
 
 from . import serialize
 
@@ -25,27 +24,14 @@ class TraceEvent:
     digest: bytes
 
 
-@dataclass(frozen=True)
-class RichEvent:
-    """In-memory mirror of one delivery to an authority: full payload plus the
-    audit notes ((tag, *details) tuples) its handling produced."""
-
-    time: int
-    seq: int
-    src: str
-    dest: str
-    payload: Any
-    notes: list
-
-
 class TraceWriter:
     def __init__(self):
         self.events: list[TraceEvent] = []
-        self.rich: list[RichEvent] = []
+        # (authority name, (tag, *details)) in delivery order
+        self.notes: list[tuple[str, tuple]] = []
 
-    def record(self, time: int, envelope, digest: bytes, notes: Optional[list] = None) -> None:
-        """Append one delivery. A delivery to an authority passes its notes and
-        is mirrored in ``rich``; a delivery to a client is not."""
+    def record(self, time: int, envelope, digest: bytes, notes=()) -> None:
+        """Append one delivery and the audit notes its handling produced."""
         self.events.append(
             TraceEvent(
                 time=time,
@@ -56,10 +42,7 @@ class TraceWriter:
                 digest=digest,
             )
         )
-        if notes is not None:
-            self.rich.append(RichEvent(
-                time, envelope.seq, envelope.src, envelope.dest, envelope.payload, notes
-            ))
+        self.notes.extend((envelope.dest, note) for note in notes)
 
     def to_bytes(self) -> bytes:
         out = bytearray()

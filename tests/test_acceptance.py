@@ -224,6 +224,27 @@ PINNED_TRACES = {
     "transmute_assets": "400fabd69f03a455f5b4c5309b1345e1089081cce48cfb036a72d61a9eb75e78",
 }
 
+# sha256 over each synced authority's name and consistency snapshot, per
+# shipped scenario, as printed by scripts/run_all_scenarios.py. The end-of-run sync runs after the
+# trace is written, so only these pins catch a change in what it produces.
+PINNED_SYNCED = {
+    "algebra_updates": "9d1cfa46811630939781c0e577768323702ab0f052d14bd9430e728bd1d19341",
+    "auction_first_price": "793769c42366801781e4ff65ba63e7286a164855cf729e5bbaaf974fa41ec90c",
+    "auction_second_price": "722cdb8f9d83bf604ed9baa4760b73930582841e7facc0314f35b8a2651ee719",
+    "auction_stalling_seller": "992b9c769d2a18ff489889787f295c1214e00cbda87f88c1795a754da5d7dba2",
+    "partition_heal": "77230276e808c4b4da87226ff9586b988734589ac58d7eb74f1ce229f26bdc1d",
+    "swap_abort": "fd150de9473054d4c27f13f57765b33f96969333be1a71aaa9a9f94d1c73a688",
+    "swap_abort_both_locked": "6bb471a18b12e8c6ce031173af7fc20a6e9b3e1ae833b2ecd031f8710de13ef7",
+    "swap_byzantine": "e8cb2b4582240edad4c59e7c60836b13b22290d71ceb855d360b0caaabb616e5",
+    "swap_confirm": "994f5cc1049ba3a7a882bec98e1f1b230e8f62177161f076eb8553991aea4a77",
+    "swap_contested": "f9371d93709da38ed3574428fe51da2a1f6cc51828be9e9a2dabf946ab738b58",
+    "swap_crash_fault": "6d784e0ad91119d128c7baacfdf2fb4a74c1673ab9dce7248e3d4b871ab70ce1",
+    "swap_flip_flop": "8d0548d24ae346d098db8dec3b7b343e86fab713b9e30317a30fb6e80a9fca4c",
+    "swap_liveness_parity": "c468a07f73b68f2263f59611003dd1123c0e3fbf1eda8d433bd1cb06bbcd51ff",
+    "transfers": "7be0547572f1c31c2305a45d72a5d9d096164f235a5a413143c252aa9012cd56",
+    "transmute_assets": "52d12b8328315743d199a74a9f679c81ea1bbe0c471d0bd5639cdfec6a063acf",
+}
+
 # Every standard audit passes on every shipped scenario.
 PINNED_AUDITS = [
     (name, True)
@@ -236,10 +257,11 @@ PINNED_AUDITS = [
 
 
 def test_acceptance_5_conservation_every_scenario():
-    """Conservation holds everywhere; traces and audit results match the pins."""
+    """Conservation holds everywhere; traces, synced snapshots and audit
+    results match the pins."""
     failures = []
     names = sorted(fname[: -len(".json")] for fname in os.listdir(SCENARIOS))
-    assert names == sorted(PINNED_TRACES)
+    assert names == sorted(PINNED_TRACES) == sorted(PINNED_SYNCED)
     for name in names:
         run, report = run_scenario(shipped(name))
         conservation = next(a for a in report.audits if a.name == "conservation")
@@ -248,10 +270,15 @@ def test_acceptance_5_conservation_every_scenario():
         digest = hashlib.sha256(run.sim.trace.to_bytes()).hexdigest()
         if digest != PINNED_TRACES[name]:
             failures.append((name, f"trace sha256 {digest}"))
+        synced = hashlib.sha256()
+        for auth in sorted(run.synced_snapshots):
+            synced.update(auth.encode() + run.synced_snapshots[auth].encode())
+        if synced.hexdigest() != PINNED_SYNCED[name]:
+            failures.append((name, f"synced sha256 {synced.hexdigest()}"))
         audits = [(a.name, a.passed) for a in report.audits]
         if audits != PINNED_AUDITS:
             failures.append((name, audits))
-    report_line(5, "conservation, pinned traces and audits across shipped scenarios",
+    report_line(5, "conservation, pinned traces, syncs and audits across shipped scenarios",
                 not failures, str(failures))
 
 

@@ -1,12 +1,24 @@
-"""Audit machinery: clean runs pass; a corrupted committee is flagged."""
+"""Audit machinery: clean runs pass; a corrupted committee and an unsafe
+credit are flagged. Authorities accept internal effects only from
+themselves."""
 
 import random
 
-from bftledger import audit, keys
-from bftledger.accounts import AccountId, StartConsensusInstance, execute_request, lock_request, LockInto
+from bftledger import audit, errors, keys
+from bftledger.accounts import (
+    AccountId,
+    CreditEffect,
+    LockInto,
+    SetOwnerEffect,
+    StartConsensusInstance,
+    Transfer,
+    execute_request,
+    lock_request,
+)
+from bftledger.algebra import ScalarUpdate
 from bftledger.authority import ArbitrarySigner, Authority
-from bftledger.committee import Committee, aggregate_certificate, authenticate, make_vote
-from bftledger.messages import CommitMsg, ConfirmMsg, PreCommitMsg, ProposalMsg, VoteReply
+from bftledger.committee import Certificate, Committee, aggregate_certificate, authenticate, make_vote
+from bftledger.messages import CommitMsg, ConfirmMsg, ErrorReply, PreCommitMsg, ProposalMsg, VoteReply
 from bftledger.sim import NetConfig, Simulator
 from bftledger.swap import CommitStatement, DecisionValue, PreCommitStatement, Proposal
 
@@ -132,3 +144,58 @@ def test_clean_world_audits_pass():
     for result in audit.run_standard_audits(sim, committee, total):
         assert result.passed, (result.name, result.violations)
 
+
+
+def build_honest_world(seed):
+    """Four honest authorities that each hold account 0 with balance 10."""
+    rng = random.Random(seed)
+    signers = [keys.mac_keypair(rng) for _ in range(4)]
+    committee = Committee(tuple(s.public_key for s in signers))
+    sim = Simulator(seed=seed, net=NetConfig(), budget=60_000)
+    owner = keys.mac_keypair(rng)
+    for i in range(4):
+        authority = Authority(i, signers[i], committee)
+        authority.ledger.init_account(AccountId(0), owner.public_key, balance=10)
+        sim.add_authority(authority)
+    return sim, owner, rng
+
+
+# A certificate without votes: nothing that checks certificates accepts it.
+JUNK_CERT = Certificate(value=Transfer(AccountId(0), 1), votes=())
+
+
+def test_unsafe_internal_credit_flagged_by_credit_safety_audit():
+    """Negative control: a self-addressed credit with an unsafe update (a
+    negative amount to a balance account) fails remote_update_safety."""
+    sim, _owner, _rng = build_honest_world(33)
+    sim.post("auth:0", "auth:0", CreditEffect(AccountId(0), ScalarUpdate(-5), JUNK_CERT))
+    sim.run()
+    result = audit.audit_credit_safety(sim)
+    assert not result.passed
+    assert result.violations == [f"unsafe credit to {AccountId(0)}"]
+
+
+def test_effects_from_a_client_rejected():
+    """A client that sends internal effects can neither mint money nor take
+    over an account: every authority answers BadValue and changes nothing."""
+    sim, owner, rng = build_honest_world(34)
+    thief = keys.mac_keypair(rng)
+    replies = []
+
+    def attack(env):
+        env.broadcast(CreditEffect(AccountId(0), ScalarUpdate(1_000_000), JUNK_CERT))
+        env.broadcast(SetOwnerEffect(AccountId(0), thief.public_key, JUNK_CERT))
+        while True:
+            envelope = yield env.recv(timeout=2000)
+            if envelope is None:
+                return
+            replies.append(envelope.payload)
+
+    sim.add_client("client:thief", attack)
+    sim.start_client_at("client:thief", 0)
+    sim.run()
+    assert len(replies) == 8
+    assert all(isinstance(r, ErrorReply) and r.code == errors.BAD_VALUE for r in replies)
+    for authority in sim.authorities.values():
+        account = authority.ledger.accounts[AccountId(0)]
+        assert (account.balance, account.pk) == (10, owner.public_key)

@@ -66,19 +66,33 @@ def test_modelcheck_ablation_exit_code(capsys):
     assert "VIOLATION" in capsys.readouterr().out
 
 
+# case -> (shipped scenario, section, index, field, new value or DELETE)
+DELETE = object()
+BAD_EDITS = {
+    "unknown_to": ("transfers", "actions", 0, "to", "nobody"),
+    "unknown_owner": ("transfers", "accounts", 2, "owner", "ghost"),
+    "missing_value": ("transfers", "actions", 0, "value", DELETE),
+    "unknown_rule": ("auction_second_price", "actions", 0, "rule", "secnd_price"),
+    "unknown_broker": ("swap_confirm", "actions", 0, "broker", "owner3"),
+    "unknown_behavior": ("swap_confirm", "actions", 0, "owner1_behavior", "flipflop"),
+    "unknown_desired": ("swap_confirm", "actions", 0, "owner1_desired", "confrim"),
+}
+
+
 def bad_config(case):
     if case == "bad_version":
         return {"version": 99}
-    with open(scenario_path("transfers")) as fh:
+    name, section, index, field, value = BAD_EDITS[case]
+    with open(scenario_path(name)) as fh:
         config = json.load(fh)
-    if case == "unknown_to":
-        config["actions"][0]["to"] = "nobody"
+    if value is DELETE:
+        del config[section][index][field]
     else:
-        config["accounts"][2]["owner"] = "ghost"
+        config[section][index][field] = value
     return config
 
 
-@pytest.mark.parametrize("case", ["bad_version", "unknown_to", "unknown_owner"])
+@pytest.mark.parametrize("case", ["bad_version", *BAD_EDITS])
 def test_bad_scenario_rejected(tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(bad_config(case)))
