@@ -145,10 +145,6 @@ def derive_outputs(first_spend: Request, count: int) -> tuple[AccountId, ...]:
     return tuple(base.child(j) for j in range(count))
 
 
-def core_digest(core: TransmuteCore) -> bytes:
-    return digest32(serialize.encode(core))
-
-
 def handle_certify(ledger: Ledger, auth: Authenticated) -> AssetBinding:
     """Validate an asset-binding request; returns the statement to vote on.
 
@@ -207,7 +203,7 @@ def handle_transmute(ledger: Ledger, committee, req: TransmuteRequest) -> list[A
     core = TransmuteCore(
         fexec=req.fexec, params=req.params, inputs=tuple(bindings), outputs=req.outputs
     )
-    replay_id = core_digest(core)
+    replay_id = value_digest(core)
 
     to_deactivate: list[AccountId] = []
     for role, (spend_auth, spend) in enumerate(zip(req.spends, spend_requests)):

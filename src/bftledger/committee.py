@@ -7,8 +7,8 @@ canonical encoding.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Iterable
 
 from . import errors, serialize
@@ -16,13 +16,36 @@ from .errors import err
 from .keys import Signer, digest32, verify
 
 
-@lru_cache(maxsize=1 << 16)
+DigestInfo = namedtuple("DigestInfo", "hits misses maxsize currsize")
+_epoch = _hits = _misses = 0
+
+
 def value_digest(value: Any) -> bytes:
     """Digest of a wire value's canonical (tagged) encoding.
 
-    Wire values are frozen dataclasses, so caching on the value is sound.
+    Kept on the (frozen) value once computed, never looked up by equality:
+    ``Transfer(d, True) == Transfer(d, 1)``, but only the second encodes.
+    As for ``lru_cache``, ``cache_info()`` counts hits (read back) and misses
+    (computed); ``cache_clear()`` makes every stored digest stale.
     """
-    return digest32(serialize.encode(value))
+    global _hits, _misses
+    stored = getattr(value, "_digest", None)
+    if stored is not None and stored[0] == _epoch:
+        _hits += 1
+        return stored[1]
+    _misses += 1
+    d = digest32(serialize.encode(value))
+    object.__setattr__(value, "_digest", (_epoch, d))
+    return d
+
+
+def _clear_digests() -> None:
+    global _epoch, _hits, _misses
+    _epoch, _hits, _misses = _epoch + 1, 0, 0
+
+
+value_digest.cache_info = lambda: DigestInfo(_hits, _misses, None, _misses)
+value_digest.cache_clear = _clear_digests
 
 
 @dataclass(frozen=True)
@@ -49,9 +72,6 @@ class Committee:
     @property
     def quorum(self) -> int:
         return 2 * self.f + 1
-
-    def key_of(self, index: int) -> bytes:
-        return self.authorities[index]
 
 
 @dataclass(frozen=True)
@@ -91,7 +111,7 @@ def vote_is_valid(committee: Committee, value_dig: bytes, vote: Vote) -> bool:
         return False
     if vote.payload_digest != value_dig:
         return False
-    return verify(committee.key_of(vote.signer), value_dig, vote.sig)
+    return verify(committee.authorities[vote.signer], value_dig, vote.sig)
 
 
 def aggregate_certificate(

@@ -57,8 +57,8 @@ def validate_scenario(config: dict) -> None:
     if config.get("version") != SCHEMA_VERSION:
         raise err(errors.CONFIG_ERROR, f"unsupported scenario version {config.get('version')!r}")
     n = config.get("committee", {}).get("n", 4)
-    if n < 4 or (n - 1) % 3 != 0:
-        raise err(errors.CONFIG_ERROR, f"committee size must be 3f+1, got {n}")
+    if type(n) is not int or n < 4 or (n - 1) % 3 != 0:
+        raise err(errors.CONFIG_ERROR, f"committee size must be an integer 3f+1, got {n!r}")
     f = (n - 1) // 3
     faults = config.get("faults", {})
     byzantine = len(faults.get("arbitrary_signer", []))
@@ -285,6 +285,9 @@ def _swap(b: _Build, action: dict, key: str, start: float) -> None:
     owners = {"owner1": id1, "owner2": id2}
     broker_id = owners[action.choice("broker", "owner1", owners)]
     drivers_cfg = action.get("drivers", [1])
+    if type(drivers_cfg) is not list or not drivers_cfg or any(
+            type(r) is not int or r not in (1, 2) for r in drivers_cfg):
+        raise err(errors.CONFIG_ERROR, f"{action.where}: drivers must be a non-empty list of 1 and 2")
     deadline = _ticks(action["deadline_seconds"]) if "deadline_seconds" in action else b.sim.budget
 
     def broker(env):

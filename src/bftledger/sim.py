@@ -79,7 +79,7 @@ class ClientEnv:
         return self._sim.post(self.name, dest, payload)
 
     def broadcast(self, payload: Any) -> list[int]:
-        return [self.send(dest, payload) for dest in self._sim.authority_names]
+        return [self.send(dest, payload) for dest in self._sim.authorities]
 
     def sleep(self, dt: int) -> Sleep:
         return Sleep(until=self._sim.now + max(0, dt))
@@ -122,10 +122,6 @@ class Simulator:
         self.stats = {"delivered": 0, "dropped": 0}
 
     # -- setup --
-
-    @property
-    def authority_names(self) -> list[str]:
-        return list(self.authorities)
 
     def add_authority(self, authority) -> None:
         self.authorities[authority.name] = authority

@@ -66,29 +66,36 @@ def test_modelcheck_ablation_exit_code(capsys):
     assert "VIOLATION" in capsys.readouterr().out
 
 
-# case -> (shipped scenario, section, index, field, new value or DELETE)
+# case -> (shipped scenario, path to the field, new value or DELETE)
 DELETE = object()
 BAD_EDITS = {
-    "unknown_to": ("transfers", "actions", 0, "to", "nobody"),
-    "unknown_owner": ("transfers", "accounts", 2, "owner", "ghost"),
-    "missing_value": ("transfers", "actions", 0, "value", DELETE),
-    "unknown_rule": ("auction_second_price", "actions", 0, "rule", "secnd_price"),
-    "unknown_broker": ("swap_confirm", "actions", 0, "broker", "owner3"),
-    "unknown_behavior": ("swap_confirm", "actions", 0, "owner1_behavior", "flipflop"),
-    "unknown_desired": ("swap_confirm", "actions", 0, "owner1_desired", "confrim"),
+    "unknown_to": ("transfers", ("actions", 0, "to"), "nobody"),
+    "unknown_owner": ("transfers", ("accounts", 2, "owner"), "ghost"),
+    "missing_value": ("transfers", ("actions", 0, "value"), DELETE),
+    "unknown_rule": ("auction_second_price", ("actions", 0, "rule"), "secnd_price"),
+    "unknown_broker": ("swap_confirm", ("actions", 0, "broker"), "owner3"),
+    "unknown_behavior": ("swap_confirm", ("actions", 0, "owner1_behavior"), "flipflop"),
+    "unknown_desired": ("swap_confirm", ("actions", 0, "owner1_desired"), "confrim"),
+    "unknown_driver": ("swap_confirm", ("actions", 0, "drivers"), [3]),
+    "no_driver": ("swap_confirm", ("actions", 0, "drivers"), []),
+    "drivers_not_list": ("swap_confirm", ("actions", 0, "drivers"), "12"),
+    "n_not_int": ("transfers", ("committee",), {"n": "4"}),
 }
 
 
 def bad_config(case):
     if case == "bad_version":
         return {"version": 99}
-    name, section, index, field, value = BAD_EDITS[case]
+    name, (*parents, field), value = BAD_EDITS[case]
     with open(scenario_path(name)) as fh:
         config = json.load(fh)
+    target = config
+    for key in parents:
+        target = target[key]
     if value is DELETE:
-        del config[section][index][field]
+        del target[field]
     else:
-        config[section][index][field] = value
+        target[field] = value
     return config
 
 

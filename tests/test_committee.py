@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bftledger.wire  # noqa: F401
-from bftledger import keys
+from bftledger import keys, serialize
 from bftledger.accounts import AccountId, Transfer, execute_request
 from bftledger.committee import (
     Authenticated,
@@ -89,6 +89,47 @@ def test_check_certificate_mutated_value(committee4):
     value = _value()
     votes = tuple(make_vote(i, signers[i], value) for i in range(3))
     assert not check_certificate(committee, Certificate(value=_value(1), votes=votes))
+
+
+# True == 1 and hash(True) == hash(1), so a digest looked up by equality would
+# hand Transfer(d, True) the digest of Transfer(d, 1). The codec rejects a bool
+# where an int is declared, so the bool version must stay undigestible and
+# uncertifiable whatever was digested before it.
+
+
+@pytest.mark.parametrize("int_first", [False, True], ids=["cold", "after_int"])
+def test_bool_for_int_never_digests(int_first):
+    as_int = Transfer(AccountId(1), 1)
+    expected = keys.digest32(serialize.encode(as_int))
+    if int_first:
+        assert value_digest(as_int) == expected
+    with pytest.raises(serialize.EncodingError):
+        value_digest(Transfer(AccountId(1), True))
+    assert value_digest(as_int) == expected
+
+
+@pytest.mark.parametrize("genuine_first", [False, True], ids=["forged_first", "genuine_first"])
+def test_certificate_with_bool_for_int_rejected(committee4, genuine_first):
+    committee, signers = committee4
+    genuine = execute_request(AccountId(0), 77, Transfer(AccountId(1), 1))
+    forged = execute_request(AccountId(0), 77, Transfer(AccountId(1), True))
+    assert forged == genuine
+    d = keys.digest32(serialize.encode(genuine))  # bypasses value_digest
+    votes = tuple(Vote(signer=i, payload_digest=d, sig=signers[i].sign(d)) for i in range(3))
+    checks = [(forged, False), (genuine, True)]
+    for value, accepted in checks[::-1] if genuine_first else checks:
+        assert check_certificate(committee, Certificate(value=value, votes=votes)) is accepted
+
+
+def test_digest_cache_clear_makes_stored_digests_stale():
+    value = _value(3)
+    value_digest.cache_clear()
+    first = value_digest(value)
+    assert value_digest(value) is first
+    assert value_digest.cache_info() == (1, 1, None, 1)
+    value_digest.cache_clear()
+    assert value_digest(value) == first
+    assert value_digest.cache_info() == (0, 1, None, 1)
 
 
 def test_revote_is_identical(committee4):

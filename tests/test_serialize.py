@@ -1,5 +1,6 @@
 """Canonical encoding: determinism, injectivity, documented layout, round-trips."""
 
+import dataclasses
 import json
 import os
 
@@ -100,6 +101,19 @@ def test_post_init_rejection_is_encoding_error():
     data[-9:-1] = (-1).to_bytes(8, "little", signed=True)
     with pytest.raises(serialize.EncodingError):
         serialize.decode(bytes(data))
+
+
+@pytest.mark.parametrize("tp", [float, int | str], ids=["float", "bare_union"])
+def test_unsupported_annotation_rejected(tp):
+    with pytest.raises(serialize.EncodingError):
+        serialize.encode_as(tp, 1)
+    with pytest.raises(serialize.EncodingError):
+        serialize.decode_as(tp, bytes(8))
+
+
+def test_mutable_wire_class_rejected():
+    with pytest.raises(serialize.EncodingError):
+        serialize.register_wire(dataclasses.make_dataclass("Mutable", [("x", int)]))
 
 
 def test_bad_utf8_rejected():
