@@ -51,6 +51,9 @@ from .messages import (
 )
 from .swap import InitInstanceEffect, RoundSchedule, SwapService
 
+# One shared reply, so its digest is computed once per run, not once per handler call.
+_ACK_OK = AckReply("ok")
+
 
 class Authority:
     honest = True
@@ -124,7 +127,7 @@ class Authority:
             raise err(errors.BAD_CERTIFICATE, "confirmation")
         self._accept_cert(cert, "request")
         effects = self.ledger.handle_confirmation(cert)
-        return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
+        return [(self.name, eff) for eff in effects] + [(src, _ACK_OK)]
 
     def _on_query_account(self, src, payload: QueryAccountMsg, now):
         account = self.ledger.accounts.get(payload.id)
@@ -157,7 +160,7 @@ class Authority:
     def _on_commit(self, src, payload: CommitMsg, now):
         effects = self.swaps.handle_commit(payload.cert, payload.lock1, payload.lock2)
         self._accept_cert(payload.cert, "commit")
-        return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
+        return [(self.name, eff) for eff in effects] + [(src, _ACK_OK)]
 
     def _on_query_instance(self, src, payload: QueryInstanceMsg, now):
         exists, proposed, locked = self.swaps.query(payload.swid)
@@ -202,7 +205,7 @@ class Authority:
         if effects:
             self._accept_cert(payload.cert, "end_of_auction")
             self._notes.append(("phase", payload.cert.value.auction_id, "settled"))
-        return [(self.name, eff) for eff in effects] + [(src, AckReply("ok"))]
+        return [(self.name, eff) for eff in effects] + [(src, _ACK_OK)]
 
     def _apply_credit(self, eff: CreditEffect, now):
         self._notes.append(("credit", eff.target, eff.update))
@@ -339,7 +342,7 @@ class ArbitrarySigner(Authority):
         return []
 
     def _unhandled(self, src: str, payload: Any, now: int):
-        return [(src, AckReply("ok"))]
+        return [(src, _ACK_OK)]
 
     _handlers = {
         HandleRequestMsg: _on_request,

@@ -1,8 +1,10 @@
 """Threshold public-key encryption with verifiable decryption shares.
 
-Exponent-style ElGamal over the prime-order subgroup of a 2048-bit safe
-prime (the well-known MODP group), with the master secret Shamir-shared by a
-trusted dealer. Any k shares decrypt; share correctness is proved with a
+Exponent-style ElGamal over a Schnorr group: the subgroup of 256-bit prime
+order Q in the multiplicative group of a 2048-bit prime P. Secrets, nonces,
+challenges and responses are all 256-bit scalars mod Q, so every
+exponentiation has a 256-bit exponent. The master secret is Shamir-shared by
+a trusted dealer. Any k shares decrypt; share correctness is proved with a
 discrete-log-equality proof bound to the whole ciphertext, so a share for
 one ciphertext never verifies against another.
 
@@ -23,22 +25,38 @@ from typing import Iterable, Optional
 from . import errors
 from .errors import err
 
-# 2048-bit MODP safe prime (RFC 3526 group 14); q = (p - 1) // 2 is prime.
+# Schnorr group: a 2048-bit prime P whose multiplicative group has a subgroup
+# of 256-bit prime order Q, generated by G. The literals are the output of
+# scripts/gen_tpke_group.py; RFC 5114 section 2.3 has parameters of the same shape.
 _P_HEX = (
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF"
+    "CBEFCA5EBFDAFF2EE5DC84C2D4410695142A7E2AB779F8EBBD011ABEE0354B42"
+    "E402F8BBE642963D1213F008C323E586FCA1F27A6E2643E2FD57072B691A41AE"
+    "C108D883FC5E56C81C334034E7CA4E004FC44EB5EEDE1F59148C6C424BE16817"
+    "FE9830A7EF168C11970ED2EC96147C87F8F8F91560D034D00C39DA320B7DBE1E"
+    "C196B2EE187BAF7416CEDDCBEB2BA1B331031609D04C4C7C6791C349F54F377E"
+    "720D25E0AB23FED75B50A57014A88D37AD9684DAD74E3DE99C9BDBD9E7CD778A"
+    "07030874249283D7B637A531DDAB6C10F8114D001169D5045A5EABAEECFFE00C"
+    "30E079F5A5B1B83C6887C0C881F2407B85C733E0B23AD8D7C2E522CD5F8D8E17"
+)
+_Q_HEX = (
+    "CD0FFB271E8C215FE7FF250D3E0D551187630DBCCC1118C0E4DC14506D2B095F"
+)
+_G_HEX = (
+    "1E6C5710B91AF873FDABAE1A4F888A76938B55E415DC85A8AFB4DAE4548E58AE"
+    "0FD987F90CD9E840F81D6EF9BA9B7108A516DA9131DEBB08D9FE12243112BF56"
+    "6FB24014354ECB55E62E11D5E30FB7EF9FD37BE1969A924E9EF43431E9198731"
+    "F7A6A7F9A9174B05DEC493B5B7D420CA547B4CAA2E7715D42D5C7E6D919D936C"
+    "820DE3F793FB96BA07A0F5EF78FB347E4B9D51C1185C8CB48EEA7F17AF86B773"
+    "0B34FF373739625B52F051E1BBD3DF1189D94BCA0A583242D4F2926341D1A8E0"
+    "E7F5BA551AD2E0C43CB3AFDD78446A1214935D5D84E81A225FB76116F6BBC990"
+    "40BFA1193AB7BBF69B3A53B5B18FE4192C43C1E29C69213ED02FBBC8E74BE3CE"
 )
 P = int(_P_HEX, 16)
-Q = (P - 1) // 2
-G = 4  # 2**2: a quadratic residue, hence a generator of the order-q subgroup
+Q = int(_Q_HEX, 16)
+G = int(_G_HEX, 16)
 
 GROUP_BYTES = 256
+SCALAR_BYTES = 32
 DEFAULT_MESSAGE_BOUND = 1 << 20
 
 
@@ -52,18 +70,19 @@ def _from_bytes(b: bytes) -> int:
 
 @lru_cache(maxsize=4096)
 def _in_group(x: int) -> bool:
-    # Full subgroup-membership exponentiation; cached since the same group
-    # elements are revalidated many times per run.
+    # Subgroup membership: x**Q == 1 for the prime Q. Cached since the same
+    # group elements are revalidated many times per run.
     return 1 <= x < P and pow(x, Q, P) == 1
 
 
 def _hash_to_scalar(*parts: bytes) -> int:
-    # 256-bit output: well below Q, and it packs into the 32-byte challenge field.
-    h = hashlib.sha256()
+    # 512 bits reduced mod the 256-bit Q: within 2**-256 of uniform. A nonce
+    # drawn from a narrower range than Q would leak the share through z.
+    h = hashlib.sha512()
     for part in parts:
         h.update(len(part).to_bytes(4, "little"))
         h.update(part)
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(h.digest(), "big") % Q
 
 
 @dataclass(frozen=True)
@@ -149,7 +168,7 @@ def share_decrypt(public: TpkePublic, share: TpkeShare, c: Ciphertext) -> Decryp
     c1 = _from_bytes(c.c1)
     mu = pow(c1, share.secret, P)
     # Deterministic nonce: same share for the same ciphertext every time.
-    w = _hash_to_scalar(share.secret.to_bytes(GROUP_BYTES, "big"), c.c1, c.c2, c.aad)
+    w = _hash_to_scalar(share.secret.to_bytes(SCALAR_BYTES, "big"), c.c1, c.c2, c.aad)
     t1 = pow(G, w, P)
     t2 = pow(c1, w, P)
     vk = public.vks[share.index - 1]
@@ -160,15 +179,15 @@ def share_decrypt(public: TpkePublic, share: TpkeShare, c: Ciphertext) -> Decryp
     return DecryptionShare(
         index=share.index,
         mu=_to_bytes(mu),
-        chal=e.to_bytes(32, "big"),
-        resp=z.to_bytes(GROUP_BYTES, "big"),
+        chal=e.to_bytes(SCALAR_BYTES, "big"),
+        resp=z.to_bytes(SCALAR_BYTES, "big"),
     )
 
 
 def share_verify(public: TpkePublic, c: Ciphertext, share: DecryptionShare) -> bool:
     if not 1 <= share.index <= public.n:
         return False
-    if not share.mu or len(share.chal) != 32:
+    if not share.mu or len(share.chal) != SCALAR_BYTES:
         return False
     if not _cipher_ok(c):
         return False
@@ -237,5 +256,5 @@ def combine(public: TpkePublic, c: Ciphertext,
                 lam_den = (lam_den * (j - i)) % Q
         lam = (lam_num * pow(lam_den, -1, Q)) % Q
         c1s = (c1s * pow(valid[i], lam, P)) % P
-    m_elt = (_from_bytes(c.c2) * pow(c1s, P - 2, P)) % P
+    m_elt = (_from_bytes(c.c2) * pow(c1s, -1, P)) % P
     return _bsgs(m_elt, public.message_bound)

@@ -208,9 +208,9 @@ def test_acceptance_4_eventual_consistency_20_orders():
 # scripts/run_all_scenarios.py. A change that alters a trace must say so.
 PINNED_TRACES = {
     "algebra_updates": "10f1238e57b2a6d4e975221534e3c5af5044a117bbe0a35ade04e02bda5f7aac",
-    "auction_first_price": "6feb4bc4bb589ccce103b28f47c8d8f993c62070f1b75e9726f00a88eee0b2f5",
-    "auction_second_price": "fa3d8d04b6d072fbc19eae059d358c7ce19de0d0155536fa2a32be55081fcf32",
-    "auction_stalling_seller": "57992af8cc584e1ecff6b92c575adaada67154e7b4fcf598af737c28abf50cf2",
+    "auction_first_price": "0b2a3d67c627a07b357239e410dc3ceec23ed7e7701df35e5a2b8d1fb5468ce4",
+    "auction_second_price": "e0ba064b24c51c20819af72bdb0430e413da78aa120716220839dc727f6f5a3c",
+    "auction_stalling_seller": "12b1fc0bc08990a90a56fe85582a14fbc8309bb1de415b4e04390c64f0a4b883",
     "partition_heal": "abea1a34d8db9a9eab6e9e0f2d57af0a10b04f07ff53c4190fd92305b8e6d932",
     "swap_abort": "42a65ecd44b4183a10ebc12ed1f02ec11b309bc6a8c20edd603fe1f72af4ba53",
     "swap_abort_both_locked": "f5fbcbddfad3bce2e249691204d4c0fe79a5bfc601780ab725ba8712690190c6",
@@ -229,8 +229,8 @@ PINNED_TRACES = {
 # trace is written, so only these pins catch a change in what it produces.
 PINNED_SYNCED = {
     "algebra_updates": "9d1cfa46811630939781c0e577768323702ab0f052d14bd9430e728bd1d19341",
-    "auction_first_price": "793769c42366801781e4ff65ba63e7286a164855cf729e5bbaaf974fa41ec90c",
-    "auction_second_price": "722cdb8f9d83bf604ed9baa4760b73930582841e7facc0314f35b8a2651ee719",
+    "auction_first_price": "1882eeb2158fa6e82956c36299b1b21f917b43c7335a3d323d8c6ef61baac8de",
+    "auction_second_price": "cc84c50a400892e25206ebf8394178d5b67bb294454f9d0e61463acd23ae3a20",
     "auction_stalling_seller": "992b9c769d2a18ff489889787f295c1214e00cbda87f88c1795a754da5d7dba2",
     "partition_heal": "77230276e808c4b4da87226ff9586b988734589ac58d7eb74f1ce229f26bdc1d",
     "swap_abort": "fd150de9473054d4c27f13f57765b33f96969333be1a71aaa9a9f94d1c73a688",

@@ -1,9 +1,15 @@
 """Threshold encryption: setup, round trips, share verification, combining."""
 
+import dataclasses
+import importlib.util
 import itertools
+import math
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bftledger import tpke
 from bftledger.errors import ProtocolError
@@ -141,3 +147,196 @@ def test_shares_deterministic(system):
     a = tpke.share_decrypt(system.public, system.shares[0], c)
     b = tpke.share_decrypt(system.public, system.shares[0], c)
     assert a == b
+
+
+# -- group parameters ---------------------------------------------------------------
+
+
+def _miller_rabin(n, bases):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_group_parameters():
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    assert tpke.P.bit_length() == 2048
+    assert tpke.Q.bit_length() == 256
+    assert _miller_rabin(tpke.P, bases)
+    assert _miller_rabin(tpke.Q, bases)
+    assert (tpke.P - 1) % tpke.Q == 0
+    assert tpke.G != 1
+    assert pow(tpke.G, tpke.Q, tpke.P) == 1
+
+
+def test_group_literals_match_generator():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "gen_tpke_group.py")
+    spec = importlib.util.spec_from_file_location("gen_tpke_group", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.generate() == (tpke.P, tpke.Q, tpke.G)
+
+
+# -- the DLEQ nonce must not leak the share --------------------------------------------
+
+
+def _scalar(b):
+    return int.from_bytes(b, "big")
+
+
+def _nonce_leak_candidates(a, b):
+    """Candidate secrets from two shares of one holder, assuming both nonces are
+    below 2**256 (Howgrave-Graham and Smart's short-nonce attack, exact case).
+
+    z = w + e*s mod Q, so e2*z1 - e1*z2 = e2*w1 - e1*w2 (mod Q). With short
+    nonces and a Q far above 2**512, the centred residue is that integer, and
+    it fixes w1 modulo e1 / gcd(e1, e2).
+    """
+    q = tpke.Q
+    e1, z1, e2, z2 = _scalar(a.chal), _scalar(a.resp), _scalar(b.chal), _scalar(b.resp)
+    diff = (e2 * z1 - e1 * z2) % q
+    if diff > q // 2:
+        diff -= q
+    g = math.gcd(e1, e2)
+    if diff % g:
+        return
+    m = e1 // g
+    start = diff // g * pow(e2 // g, -1, m) % m
+    for w1 in range(start, 1 << 256, m):
+        w2, rest = divmod(e2 * w1 - diff, e1)
+        if rest == 0 and 0 <= w2 < 1 << 256:
+            yield (z1 - w1) * pow(e1, -1, q) % q
+
+
+def test_dleq_nonce_does_not_leak_share(system):
+    rng = random.Random(13)
+    ca = tpke.encrypt(system.public, 4, rng=rng, aad=b"auction-a")
+    cb = tpke.encrypt(system.public, 6, rng=rng, aad=b"auction-b")
+    for share, vk in zip(system.shares, system.public.vks):
+        a = tpke.share_decrypt(system.public, share, ca)
+        b = tpke.share_decrypt(system.public, share, cb)
+        vk = _scalar(vk)
+        leaked = [s for s in _nonce_leak_candidates(a, b) if pow(tpke.G, s, tpke.P) == vk]
+        assert not leaked, f"share {share.index} recovered from two decryption shares"
+
+
+# -- subgroup membership and ranges ------------------------------------------------------
+
+
+def _with(share, **fields):
+    return dataclasses.replace(share, **fields)
+
+
+@pytest.fixture(scope="module")
+def valid_share(system):
+    c = tpke.encrypt(system.public, 21, rng=random.Random(14))
+    share = tpke.share_decrypt(system.public, system.shares[0], c)
+    assert tpke.share_verify(system.public, c, share)
+    return c, share
+
+
+def test_mu_outside_subgroup_rejected(system, valid_share):
+    c, share = valid_share
+    negated = tpke.P - _scalar(share.mu)  # -1 has order 2, so -mu is not in the subgroup
+    assert not tpke._in_group(negated)
+    assert not tpke.share_verify(system.public, c, _with(share, mu=tpke._to_bytes(negated)))
+
+
+@pytest.mark.parametrize("mu", ["zero", "p", "mu_plus_p"])
+def test_mu_out_of_range_rejected(system, valid_share, mu):
+    c, share = valid_share
+    value = {"zero": 0, "p": tpke.P, "mu_plus_p": _scalar(share.mu) + tpke.P}[mu]
+    encoded = value.to_bytes(tpke.GROUP_BYTES + 1, "big")
+    assert not tpke.share_verify(system.public, c, _with(share, mu=encoded))
+
+
+@pytest.mark.parametrize("resp", ["q", "z_plus_q"])
+def test_resp_at_least_q_rejected(system, valid_share, resp):
+    # z + Q passes the group equations (G**Q == 1) and must fail on its range alone
+    c, share = valid_share
+    z = {"q": tpke.Q, "z_plus_q": _scalar(share.resp) + tpke.Q}[resp]
+    resp = z.to_bytes(tpke.SCALAR_BYTES + 1, "big")
+    assert not tpke.share_verify(system.public, c, _with(share, resp=resp))
+
+
+def test_c1_outside_subgroup_yields_failure_symbol(system, valid_share):
+    c, _ = valid_share
+    bad = tpke.Ciphertext(
+        c1=tpke._to_bytes(tpke.P - _scalar(c.c1)), c2=c.c2, aad=c.aad
+    )
+    share = tpke.share_decrypt(system.public, system.shares[0], bad)
+    assert (share.mu, share.chal, share.resp) == (b"", b"", b"")
+    assert not tpke.share_verify(system.public, bad, share)
+
+
+# -- combine over valid and corrupted shares ------------------------------------------------
+
+_PLAINTEXTS = (0, 40_000, (1 << 20) - 1)
+
+
+@pytest.fixture(scope="module")
+def three_of_five():
+    system = tpke.setup(5, 3, rng=random.Random(15))
+    rng = random.Random(16)
+    ciphers = [tpke.encrypt(system.public, m, rng=rng) for m in _PLAINTEXTS]
+    shares = [[tpke.share_decrypt(system.public, s, c) for s in system.shares] for c in ciphers]
+    return system, ciphers, shares
+
+
+def _corrupt(share, kind, n):
+    q = tpke.Q
+    if kind == "resp":
+        return _with(share, resp=((_scalar(share.resp) + 1) % q).to_bytes(tpke.SCALAR_BYTES, "big"))
+    if kind == "chal":
+        return _with(share, chal=((_scalar(share.chal) + 1) % q).to_bytes(tpke.SCALAR_BYTES, "big"))
+    if kind == "mu":
+        return _with(share, mu=tpke._to_bytes(_scalar(share.mu) * tpke.G % tpke.P))
+    if kind == "index":
+        return _with(share, index=share.index % n + 1)
+    return _with(share, mu=b"", chal=b"", resp=b"")  # the failure symbol
+
+
+_KINDS = ("resp", "chal", "mu", "index", "failure")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_combine_k_valid_plus_one_corrupt(three_of_five, data):
+    system, ciphers, shares = three_of_five
+    n, k = system.public.n, system.public.threshold
+    which = data.draw(st.integers(0, len(ciphers) - 1))
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    bad = _corrupt(shares[which][data.draw(st.integers(0, n - 1))],
+                   data.draw(st.sampled_from(_KINDS)), n)
+    assert not tpke.share_verify(system.public, ciphers[which], bad)
+    mixed = [shares[which][i] for i in subset]
+    mixed.insert(data.draw(st.integers(0, k)), bad)
+    assert tpke.combine(system.public, ciphers[which], mixed) == _PLAINTEXTS[which]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_combine_below_threshold_of_accepted_shares(three_of_five, data):
+    system, ciphers, shares = three_of_five
+    n, k = system.public.n, system.public.threshold
+    which = data.draw(st.integers(0, len(ciphers) - 1))
+    good = data.draw(st.lists(st.integers(0, n - 1), max_size=k - 1, unique=True))
+    bad = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(_KINDS)),
+                             max_size=3))
+    mixed = [shares[which][i] for i in good]
+    mixed += [_corrupt(shares[which][i], kind, n) for i, kind in bad]
+    mixed = data.draw(st.permutations(mixed))
+    accepted = {s.index for s in mixed if tpke.share_verify(system.public, ciphers[which], s)}
+    assert len(accepted) < k
+    assert tpke.combine(system.public, ciphers[which], mixed) is None
