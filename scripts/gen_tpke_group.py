@@ -43,10 +43,7 @@ BASES = SMALL_PRIMES[:40]
 
 
 def is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n in SMALL_PRIMES:
-        return True
+    """Miller-Rabin for an odd n above every trial divisor."""
     if math.gcd(n, SMALL_PRODUCT) != 1:
         return False
     d, s = n - 1, 0

@@ -234,10 +234,6 @@ def test_dleq_nonce_does_not_leak_share(system):
 # -- subgroup membership and ranges ------------------------------------------------------
 
 
-def _with(share, **fields):
-    return dataclasses.replace(share, **fields)
-
-
 @pytest.fixture(scope="module")
 def valid_share(system):
     c = tpke.encrypt(system.public, 21, rng=random.Random(14))
@@ -250,7 +246,8 @@ def test_mu_outside_subgroup_rejected(system, valid_share):
     c, share = valid_share
     negated = tpke.P - _scalar(share.mu)  # -1 has order 2, so -mu is not in the subgroup
     assert not tpke._in_group(negated)
-    assert not tpke.share_verify(system.public, c, _with(share, mu=tpke._to_bytes(negated)))
+    forged = dataclasses.replace(share, mu=tpke._to_bytes(negated))
+    assert not tpke.share_verify(system.public, c, forged)
 
 
 @pytest.mark.parametrize("mu", ["zero", "p", "mu_plus_p"])
@@ -258,7 +255,7 @@ def test_mu_out_of_range_rejected(system, valid_share, mu):
     c, share = valid_share
     value = {"zero": 0, "p": tpke.P, "mu_plus_p": _scalar(share.mu) + tpke.P}[mu]
     encoded = value.to_bytes(tpke.GROUP_BYTES + 1, "big")
-    assert not tpke.share_verify(system.public, c, _with(share, mu=encoded))
+    assert not tpke.share_verify(system.public, c, dataclasses.replace(share, mu=encoded))
 
 
 @pytest.mark.parametrize("resp", ["q", "z_plus_q"])
@@ -267,14 +264,12 @@ def test_resp_at_least_q_rejected(system, valid_share, resp):
     c, share = valid_share
     z = {"q": tpke.Q, "z_plus_q": _scalar(share.resp) + tpke.Q}[resp]
     resp = z.to_bytes(tpke.SCALAR_BYTES + 1, "big")
-    assert not tpke.share_verify(system.public, c, _with(share, resp=resp))
+    assert not tpke.share_verify(system.public, c, dataclasses.replace(share, resp=resp))
 
 
 def test_c1_outside_subgroup_yields_failure_symbol(system, valid_share):
     c, _ = valid_share
-    bad = tpke.Ciphertext(
-        c1=tpke._to_bytes(tpke.P - _scalar(c.c1)), c2=c.c2, aad=c.aad
-    )
+    bad = tpke.Ciphertext(c1=tpke._to_bytes(tpke.P - _scalar(c.c1)), c2=c.c2, aad=c.aad)
     share = tpke.share_decrypt(system.public, system.shares[0], bad)
     assert (share.mu, share.chal, share.resp) == (b"", b"", b"")
     assert not tpke.share_verify(system.public, bad, share)
@@ -294,20 +289,19 @@ def three_of_five():
     return system, ciphers, shares
 
 
-def _corrupt(share, kind, n):
-    q = tpke.Q
-    if kind == "resp":
-        return _with(share, resp=((_scalar(share.resp) + 1) % q).to_bytes(tpke.SCALAR_BYTES, "big"))
-    if kind == "chal":
-        return _with(share, chal=((_scalar(share.chal) + 1) % q).to_bytes(tpke.SCALAR_BYTES, "big"))
-    if kind == "mu":
-        return _with(share, mu=tpke._to_bytes(_scalar(share.mu) * tpke.G % tpke.P))
-    if kind == "index":
-        return _with(share, index=share.index % n + 1)
-    return _with(share, mu=b"", chal=b"", resp=b"")  # the failure symbol
+def _bump(scalar):
+    return ((_scalar(scalar) + 1) % tpke.Q).to_bytes(tpke.SCALAR_BYTES, "big")
 
 
-_KINDS = ("resp", "chal", "mu", "index", "failure")
+# Each corruption makes a share that share_verify rejects; n is the holder count.
+_CORRUPTIONS = {
+    "resp": lambda s, n: dataclasses.replace(s, resp=_bump(s.resp)),
+    "chal": lambda s, n: dataclasses.replace(s, chal=_bump(s.chal)),
+    "mu": lambda s, n: dataclasses.replace(s, mu=tpke._to_bytes(_scalar(s.mu) * tpke.G % tpke.P)),
+    "index": lambda s, n: dataclasses.replace(s, index=s.index % n + 1),
+    "failure": lambda s, n: dataclasses.replace(s, mu=b"", chal=b"", resp=b""),
+}
+_KIND = st.sampled_from(sorted(_CORRUPTIONS))
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,8 +311,7 @@ def test_combine_k_valid_plus_one_corrupt(three_of_five, data):
     n, k = system.public.n, system.public.threshold
     which = data.draw(st.integers(0, len(ciphers) - 1))
     subset = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
-    bad = _corrupt(shares[which][data.draw(st.integers(0, n - 1))],
-                   data.draw(st.sampled_from(_KINDS)), n)
+    bad = _CORRUPTIONS[data.draw(_KIND)](shares[which][data.draw(st.integers(0, n - 1))], n)
     assert not tpke.share_verify(system.public, ciphers[which], bad)
     mixed = [shares[which][i] for i in subset]
     mixed.insert(data.draw(st.integers(0, k)), bad)
@@ -332,10 +325,9 @@ def test_combine_below_threshold_of_accepted_shares(three_of_five, data):
     n, k = system.public.n, system.public.threshold
     which = data.draw(st.integers(0, len(ciphers) - 1))
     good = data.draw(st.lists(st.integers(0, n - 1), max_size=k - 1, unique=True))
-    bad = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(_KINDS)),
-                             max_size=3))
+    bad = data.draw(st.lists(st.tuples(st.integers(0, n - 1), _KIND), max_size=3))
     mixed = [shares[which][i] for i in good]
-    mixed += [_corrupt(shares[which][i], kind, n) for i, kind in bad]
+    mixed += [_CORRUPTIONS[kind](shares[which][i], n) for i, kind in bad]
     mixed = data.draw(st.permutations(mixed))
     accepted = {s.index for s in mixed if tpke.share_verify(system.public, ciphers[which], s)}
     assert len(accepted) < k
