@@ -12,7 +12,6 @@ and bid certificates travel through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any, Callable, Optional
 
 from . import tpke
@@ -553,11 +552,8 @@ def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
         for reply in shares_by_auth.values():
             if i < len(reply.shares):
                 collected.append(reply.shares[i])
-        good = list(islice(
-            (s for s in collected if tpke.share_verify(tpke_public, bid.ciphertext, s)),
-            tpke_public.threshold,
-        ))
-        value = tpke.combine(tpke_public, bid.ciphertext, good)
+        good = tpke.verified_shares(tpke_public, bid.ciphertext, collected)
+        value = tpke.interpolate(tpke_public, bid.ciphertext, good)
         if value is None:
             ctx.outcome["seller"] = "decrypt_failed"
             return

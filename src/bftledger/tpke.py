@@ -12,7 +12,17 @@ Plaintexts are bounded non-negative integers (default below 2**20): they are
 placed in the exponent and recovered by baby-step giant-step, which keeps the
 scheme additively structured and the search cheap at these sizes.
 
+Every power of the fixed generator G goes through ``_g_pow``, a fixed-base
+exponentiation (Brickell, Gordon, McCurley and Wilson, 1992) over a 4-bit
+window table: row i holds G**(j * 16**i) for j in 0..15, 64 rows for a 256-bit
+exponent, so G**e costs one modular multiplication per nonzero hex digit of e,
+at most 64, against about 300 squarings and multiplications for ``pow``. The
+table is built on first use (960 multiplications, about 0.3 MB) and gives the
+same integers as ``pow``.
+
 The five operations: setup, encrypt, share_decrypt, share_verify, combine.
+``combine`` is ``verified_shares`` followed by ``interpolate``; a caller that
+has already picked its shares with ``verified_shares`` calls ``interpolate``.
 """
 
 from __future__ import annotations
@@ -73,6 +83,36 @@ def _in_group(x: int) -> bool:
     # Subgroup membership: x**Q == 1 for the prime Q. Cached since the same
     # group elements are revalidated many times per run.
     return 1 <= x < P and pow(x, Q, P) == 1
+
+
+# Fixed-base table for G: _G_ROWS[i][j] == G**(j * 16**i) % P, filled on first use.
+_G_WINDOW_BITS = 4
+_G_ROWS: list[list[int]] = []
+
+
+def _g_pow(e: int) -> int:
+    """G**e % P for 0 <= e < Q, one table multiplication per nonzero digit of e."""
+    if not 0 <= e < Q:
+        raise ValueError("exponent of G outside [0, Q)")
+    if not _G_ROWS:
+        rows = []
+        base = G
+        for _ in range(-(-Q.bit_length() // _G_WINDOW_BITS)):
+            row = [1, base]
+            while len(row) < 1 << _G_WINDOW_BITS:
+                row.append(row[-1] * base % P)
+            rows.append(row)
+            base = row[-1] * base % P
+        _G_ROWS.extend(rows)  # all rows at once: an interrupted fill leaves none
+    mask = (1 << _G_WINDOW_BITS) - 1
+    acc = 1
+    for row in _G_ROWS:
+        if not e:
+            break
+        if e & mask:
+            acc = acc * row[e & mask] % P
+        e >>= _G_WINDOW_BITS
+    return acc
 
 
 def _hash_to_scalar(*parts: bytes) -> int:
@@ -137,8 +177,8 @@ def setup(n: int, k: int, *, rng, message_bound: int = DEFAULT_MESSAGE_BOUND) ->
 
     shares = tuple(TpkeShare(i, f(i)) for i in range(1, n + 1))
     public = TpkePublic(
-        pk=_to_bytes(pow(G, coeffs[0], P)),
-        vks=tuple(_to_bytes(pow(G, s.secret, P)) for s in shares),
+        pk=_to_bytes(_g_pow(coeffs[0])),
+        vks=tuple(_to_bytes(_g_pow(s.secret)) for s in shares),
         threshold=k,
         message_bound=message_bound,
     )
@@ -149,13 +189,16 @@ def encrypt(public: TpkePublic, m: int, *, rng, aad: bytes = b"") -> Ciphertext:
     if not 0 <= m < public.message_bound:
         raise err(errors.MESSAGE_OUT_OF_RANGE, f"m={m}")
     r = rng.randrange(1, Q)
-    c1 = pow(G, r, P)
-    c2 = (pow(G, m, P) * pow(_from_bytes(public.pk), r, P)) % P
+    c1 = _g_pow(r)
+    c2 = (_g_pow(m) * pow(_from_bytes(public.pk), r, P)) % P
     return Ciphertext(c1=_to_bytes(c1), c2=_to_bytes(c2), aad=aad)
 
 
 def _cipher_ok(c: Ciphertext) -> bool:
-    return _in_group(_from_bytes(c.c1)) and _in_group(_from_bytes(c.c2))
+    # Canonical lengths only: a zero-padded c1 or c2 is a different byte string
+    # for the same element, and would get a share of its own.
+    return (len(c.c1) == len(c.c2) == GROUP_BYTES
+            and _in_group(_from_bytes(c.c1)) and _in_group(_from_bytes(c.c2)))
 
 
 def share_decrypt(public: TpkePublic, share: TpkeShare, c: Ciphertext) -> DecryptionShare:
@@ -169,7 +212,7 @@ def share_decrypt(public: TpkePublic, share: TpkeShare, c: Ciphertext) -> Decryp
     mu = pow(c1, share.secret, P)
     # Deterministic nonce: same share for the same ciphertext every time.
     w = _hash_to_scalar(share.secret.to_bytes(SCALAR_BYTES, "big"), c.c1, c.c2, c.aad)
-    t1 = pow(G, w, P)
+    t1 = _g_pow(w)
     t2 = pow(c1, w, P)
     vk = public.vks[share.index - 1]
     e = _hash_to_scalar(
@@ -187,7 +230,10 @@ def share_decrypt(public: TpkePublic, share: TpkeShare, c: Ciphertext) -> Decryp
 def share_verify(public: TpkePublic, c: Ciphertext, share: DecryptionShare) -> bool:
     if not 1 <= share.index <= public.n:
         return False
-    if not share.mu or len(share.chal) != SCALAR_BYTES:
+    # Canonical lengths only: resp is not hashed into the challenge, so a
+    # zero-padded resp would otherwise verify as a second encoding of the share.
+    if (len(share.mu) != GROUP_BYTES or len(share.chal) != SCALAR_BYTES
+            or len(share.resp) != SCALAR_BYTES):
         return False
     if not _cipher_ok(c):
         return False
@@ -200,7 +246,7 @@ def share_verify(public: TpkePublic, c: Ciphertext, share: DecryptionShare) -> b
         return False
     c1 = _from_bytes(c.c1)
     vk = _from_bytes(public.vks[share.index - 1])
-    t1 = (pow(G, z, P) * pow(vk, Q - e, P)) % P
+    t1 = (_g_pow(z) * pow(vk, Q - e, P)) % P
     t2 = (pow(c1, z, P) * pow(mu, Q - e, P)) % P
     expected = _hash_to_scalar(
         c.c1, c.c2, c.aad, public.vks[share.index - 1],
@@ -209,21 +255,22 @@ def share_verify(public: TpkePublic, c: Ciphertext, share: DecryptionShare) -> b
     return expected == e
 
 
-_BABY_TABLE: dict[int, dict[int, int]] = {}
+# step -> (baby steps {G**j: j for j < step}, giant step G**-step)
+_BABY_TABLE: dict[int, tuple[dict[int, int], int]] = {}
 
 
 def _bsgs(target: int, bound: int) -> Optional[int]:
     """Solve G**m == target (mod P) for 0 <= m < bound."""
     step = 1 << max(1, (bound - 1).bit_length() + 1 >> 1)
-    table = _BABY_TABLE.get(step)
-    if table is None:
+    entry = _BABY_TABLE.get(step)
+    if entry is None:
         table = {}
         cur = 1
         for j in range(step):
             table.setdefault(cur, j)
             cur = (cur * G) % P
-        _BABY_TABLE[step] = table
-    giant = pow(G, Q - (step % Q), P)
+        entry = _BABY_TABLE[step] = (table, _g_pow(-step % Q))
+    table, giant = entry
     cur = target
     for i in range((bound + step - 1) // step + 1):
         j = table.get(cur)
@@ -233,20 +280,26 @@ def _bsgs(target: int, bound: int) -> Optional[int]:
     return None
 
 
-def combine(public: TpkePublic, c: Ciphertext,
-            shares: Iterable[DecryptionShare]) -> Optional[int]:
-    """Recover the plaintext from any k valid shares; None if fewer verify."""
-    valid: dict[int, int] = {}
+def verified_shares(public: TpkePublic, c: Ciphertext,
+                    shares: Iterable[DecryptionShare]) -> list[DecryptionShare]:
+    """The first share that verifies for each index, in input order, up to k of them."""
+    valid: dict[int, DecryptionShare] = {}
     for share in shares:
-        if share.index in valid:
-            continue
-        if share_verify(public, c, share):
-            valid[share.index] = _from_bytes(share.mu)
-        if len(valid) == public.threshold:
-            break
-    if len(valid) < public.threshold:
+        if share.index not in valid and share_verify(public, c, share):
+            valid[share.index] = share
+            if len(valid) == public.threshold:
+                break
+    return list(valid.values())
+
+
+def interpolate(public: TpkePublic, c: Ciphertext,
+                shares: list[DecryptionShare]) -> Optional[int]:
+    """Recover the plaintext from the output of ``verified_shares``; None if it
+    holds fewer than k shares. No proof is checked here."""
+    if len(shares) < public.threshold:
         return None
-    indices = sorted(valid)
+    mus = {s.index: _from_bytes(s.mu) for s in shares}
+    indices = sorted(mus)
     c1s = 1
     for i in indices:
         lam_num, lam_den = 1, 1
@@ -255,6 +308,12 @@ def combine(public: TpkePublic, c: Ciphertext,
                 lam_num = (lam_num * j) % Q
                 lam_den = (lam_den * (j - i)) % Q
         lam = (lam_num * pow(lam_den, -1, Q)) % Q
-        c1s = (c1s * pow(valid[i], lam, P)) % P
+        c1s = (c1s * pow(mus[i], lam, P)) % P
     m_elt = (_from_bytes(c.c2) * pow(c1s, -1, P)) % P
     return _bsgs(m_elt, public.message_bound)
+
+
+def combine(public: TpkePublic, c: Ciphertext,
+            shares: Iterable[DecryptionShare]) -> Optional[int]:
+    """Recover the plaintext from any k valid shares; None if fewer verify."""
+    return interpolate(public, c, verified_shares(public, c, shares))

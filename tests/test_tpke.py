@@ -6,6 +6,8 @@ import itertools
 import math
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -254,7 +256,7 @@ def test_mu_outside_subgroup_rejected(system, valid_share):
 def test_mu_out_of_range_rejected(system, valid_share, mu):
     c, share = valid_share
     value = {"zero": 0, "p": tpke.P, "mu_plus_p": _scalar(share.mu) + tpke.P}[mu]
-    encoded = value.to_bytes(tpke.GROUP_BYTES + 1, "big")
+    encoded = value.to_bytes(tpke.GROUP_BYTES, "big")  # canonical length: range alone rejects
     assert not tpke.share_verify(system.public, c, dataclasses.replace(share, mu=encoded))
 
 
@@ -263,8 +265,26 @@ def test_resp_at_least_q_rejected(system, valid_share, resp):
     # z + Q passes the group equations (G**Q == 1) and must fail on its range alone
     c, share = valid_share
     z = {"q": tpke.Q, "z_plus_q": _scalar(share.resp) + tpke.Q}[resp]
-    resp = z.to_bytes(tpke.SCALAR_BYTES + 1, "big")
+    resp = z.to_bytes(tpke.SCALAR_BYTES, "big")
     assert not tpke.share_verify(system.public, c, dataclasses.replace(share, resp=resp))
+
+
+@pytest.mark.parametrize("field", ["mu", "resp"])
+def test_padded_share_field_rejected(system, valid_share, field):
+    # A leading zero byte keeps the value, and resp is not hashed into the
+    # challenge: accepting it would give a second encoding of the same share.
+    c, share = valid_share
+    padded = dataclasses.replace(share, **{field: b"\x00" + getattr(share, field)})
+    assert not tpke.share_verify(system.public, c, padded)
+
+
+@pytest.mark.parametrize("field", ["c1", "c2"])
+def test_padded_ciphertext_yields_failure_symbol(system, valid_share, field):
+    c, share = valid_share
+    padded = dataclasses.replace(c, **{field: b"\x00" + getattr(c, field)})
+    failure = tpke.share_decrypt(system.public, system.shares[0], padded)
+    assert (failure.mu, failure.chal, failure.resp) == (b"", b"", b"")
+    assert not tpke.share_verify(system.public, padded, share)
 
 
 def test_c1_outside_subgroup_yields_failure_symbol(system, valid_share):
@@ -332,3 +352,33 @@ def test_combine_below_threshold_of_accepted_shares(three_of_five, data):
     accepted = {s.index for s in mixed if tpke.share_verify(system.public, ciphers[which], s)}
     assert len(accepted) < k
     assert tpke.combine(system.public, ciphers[which], mixed) is None
+
+
+# -- fixed-base exponentiation of G ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("e", [0, 1, 15, 16, 2**252, tpke.Q - 1],
+                         ids=["0", "1", "15", "16", "2^252", "q_minus_1"])
+def test_g_pow_matches_pow(e):
+    assert tpke._g_pow(e) == pow(tpke.G, e, tpke.P)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, tpke.Q - 1))
+def test_g_pow_matches_pow_everywhere(e):
+    assert tpke._g_pow(e) == pow(tpke.G, e, tpke.P)
+
+
+@pytest.mark.parametrize("e", [-1, tpke.Q, 1 << 256], ids=["minus_1", "q", "2^256"])
+def test_g_pow_rejects_exponent_outside_range(e):
+    with pytest.raises(ValueError):
+        tpke._g_pow(e)
+
+
+def test_import_builds_no_g_table():
+    # The table is built by the first power of G, never at import.
+    src = os.path.dirname(os.path.dirname(tpke.__file__))
+    code = "import bftledger.wire, bftledger.tpke as t; print(len(t._G_ROWS))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
