@@ -4,6 +4,8 @@ leadership, asset exchanges, and auction participants.
 Drivers are generator coroutines for the simulator. They broadcast requests,
 collect votes by statement digest until a quorum certificate forms, and
 retry with refreshed views until they succeed or their deadline passes.
+Every request/reply exchange runs through ``collect``, and every wait for
+another participant through ``wait_until``.
 Participants in one swap or auction share an off-protocol bulletin (the
 off-chain channel of the protocol): lock certificates, commit certificates,
 and bid certificates travel through it.
@@ -15,9 +17,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import tpke
-from .accounts import AccountId, LockInto, Request, Transfer, execute_request, lock_request
+from .accounts import (
+    AccountId,
+    LockInto,
+    Request,
+    StartConsensusInstance,
+    Transfer,
+    execute_request,
+    lock_request,
+)
 from .auction import (
     BidOpening,
+    CreateAuction,
     EndOfAuctionRequest,
     EndOfBiddingRequest,
     SubmitBidRequest,
@@ -89,15 +100,11 @@ class DriverLog:
         self.events.append(event)
 
 
-def gather_votes(env, committee: Committee, message, accept: Callable[[Any], bool],
-                 timeout: int, retries: int = 8, log: Optional[DriverLog] = None):
-    """Broadcast and collect votes until 2f+1 agree on one statement.
+def collect(env, message, timeout: int, take: Callable[[Any], Any], retries: int):
+    """Broadcast `message` and pass each reply envelope to `take`, then None
+    once the attempt's `timeout` runs out; rebroadcast up to `retries` times.
 
-    Returns a Certificate or None. Votes accumulate across retries; authority
-    votes are idempotent so rebroadcasts can only fill in gaps.
-    """
-    votes: dict[bytes, dict[int, Any]] = {}
-    values: dict[bytes, Any] = {}
+    Returns the first value other than None that `take` returns, or None."""
     for _attempt in range(retries):
         env.broadcast(message)
         deadline = env.now + timeout
@@ -105,52 +112,76 @@ def gather_votes(env, committee: Committee, message, accept: Callable[[Any], boo
             envelope = yield env.recv(timeout=deadline - env.now)
             if envelope is None:
                 break
-            payload = envelope.payload
-            if isinstance(payload, VoteReply) and accept(payload.value):
-                digest = value_digest(payload.value)
-                values[digest] = payload.value
-                bucket = votes.setdefault(digest, {})
-                bucket[payload.vote.signer] = payload.vote
-                if len(bucket) >= committee.quorum:
-                    try:
-                        return aggregate_certificate(
-                            committee, values[digest], bucket.values()
-                        )
-                    except ProtocolError:
-                        bucket.clear()  # junk votes; start this bucket over
-            elif isinstance(payload, ErrorReply) and log is not None:
-                log.note("error", envelope.src, payload.code, payload.detail)
+            result = take(envelope)
+            if result is not None:
+                return result
+        result = take(None)
+        if result is not None:
+            return result
     return None
 
 
-def broadcast_until_acked(env, committee: Committee, message, timeout: int,
-                          retries: int = 8):
+def wait_until(env, ready: Callable[[], bool], step: int, limit: int):
+    """Sleep `step` ticks at a time until ready() or `limit` ticks have passed."""
+    waited = 0
+    while not ready() and waited < limit:
+        yield env.sleep(step)
+        waited += step
+
+
+def gather_votes(env, committee: Committee, message, accept: Callable[[Any], bool],
+                 timeout: int, log: DriverLog, retries: int = 8):
+    """Broadcast and collect votes until 2f+1 agree on one statement.
+
+    Returns a Certificate or None. Votes accumulate across retries; authority
+    votes are idempotent so rebroadcasts can only fill in gaps.
+    """
+    votes: dict[bytes, dict[int, Any]] = {}
+
+    def take(envelope):
+        payload = envelope.payload if envelope is not None else None
+        if isinstance(payload, VoteReply) and accept(payload.value):
+            bucket = votes.setdefault(value_digest(payload.value), {})
+            bucket[payload.vote.signer] = payload.vote
+            if len(bucket) >= committee.quorum:
+                try:
+                    return aggregate_certificate(committee, payload.value, bucket.values())
+                except ProtocolError:
+                    bucket.clear()  # junk votes; start this bucket over
+        elif isinstance(payload, ErrorReply):
+            log.note("error", envelope.src, payload.code, payload.detail)
+        return None
+
+    return (yield from collect(env, message, timeout, take, retries))
+
+
+def broadcast_until_acked(env, committee: Committee, message, timeout: int):
     """Deliver a certificate-bearing message until 2f+1 authorities acknowledge."""
     acked: set[str] = set()
-    for _attempt in range(retries):
-        env.broadcast(message)
-        deadline = env.now + timeout
-        while env.now < deadline and len(acked) < committee.quorum:
-            envelope = yield env.recv(timeout=deadline - env.now)
-            if envelope is None:
-                break
-            if isinstance(envelope.payload, AckReply):
-                acked.add(envelope.src)
-        if len(acked) >= committee.quorum:
-            return True
-    return False
+
+    def take(envelope):
+        if envelope is not None and isinstance(envelope.payload, AckReply):
+            acked.add(envelope.src)
+        return True if len(acked) >= committee.quorum else None
+
+    return (yield from collect(env, message, timeout, take, 8)) is not None
+
+
+def request_votes(env, committee: Committee, entry: WalletEntry, request: Request,
+                  timeout: int, log: DriverLog):
+    """Sign an account request with its owner's key and certify it."""
+    auth = authenticate(request, entry.pk, entry.signer)
+    return (yield from gather_votes(
+        env, committee, HandleRequestMsg(auth), lambda v: v == request, timeout, log,
+    ))
 
 
 def certified_operation(env, committee: Committee, wallet: Wallet, uid: AccountId,
-                        op, timeout: int, log: Optional[DriverLog] = None):
+                        op, timeout: int, log: DriverLog):
     """Run one account operation end to end: vote quorum, then confirmation."""
     entry = wallet[uid]
     request = execute_request(uid, entry.next_sequence, op)
-    auth = authenticate(request, entry.pk, entry.signer)
-    cert = yield from gather_votes(
-        env, committee, HandleRequestMsg(auth),
-        lambda v: v == request, timeout, log=log,
-    )
+    cert = yield from request_votes(env, committee, entry, request, timeout, log)
     if cert is None:
         return None
     ok = yield from broadcast_until_acked(env, committee, ConfirmMsg(cert), timeout)
@@ -160,40 +191,23 @@ def certified_operation(env, committee: Committee, wallet: Wallet, uid: AccountI
     return cert
 
 
-def lock_account(env, committee: Committee, wallet: Wallet, uid: AccountId,
-                 swid: AccountId, role: int, handover_pk: bytes, timeout: int,
-                 log: Optional[DriverLog] = None):
-    """Lock an account into a swap instance; the sequence number stays pinned
-    until the commit unlocks it."""
-    entry = wallet[uid]
-    request = lock_request(uid, entry.next_sequence, LockInto(swid, role, handover_pk))
-    auth = authenticate(request, entry.pk, entry.signer)
-    return (yield from gather_votes(
-        env, committee, HandleRequestMsg(auth), lambda v: v == request, timeout, log=log,
-    ))
-
-
 def query_views(env, committee: Committee, swid: AccountId, timeout: int):
     """One round of instance queries; returns the InstanceViewReply list."""
-    env.broadcast(QueryInstanceMsg(swid))
     views: dict[str, InstanceViewReply] = {}
-    deadline = env.now + timeout
-    while env.now < deadline and len(views) < committee.n:
-        envelope = yield env.recv(timeout=deadline - env.now)
-        if envelope is None:
-            break
-        if isinstance(envelope.payload, InstanceViewReply):
+
+    def take(envelope):
+        if envelope is not None and isinstance(envelope.payload, InstanceViewReply):
             views[envelope.src] = envelope.payload
-        if len(views) >= committee.quorum:
-            break
+        return True if len(views) >= committee.quorum else None
+
+    yield from collect(env, QueryInstanceMsg(swid), timeout, take, 1)
     return list(views.values())
 
 
 def drive_round(env, committee: Committee, swid: AccountId, leader_signer: Signer,
                 desired: DecisionValue, lock1: Optional[Certificate],
                 lock2: Optional[Certificate], deadline: int, delta: int,
-                schedule: RoundSchedule, timeout: int,
-                log: Optional[DriverLog] = None,
+                schedule: RoundSchedule, timeout: int, log: DriverLog,
                 flip_flop: bool = False):
     """Lead consensus rounds until a commit certificate exists.
 
@@ -228,12 +242,11 @@ def drive_round(env, committee: Committee, swid: AccountId, leader_signer: Signe
             locked_p = best_locked.value.proposal
             if locked_p.decision != desired:
                 # The locked decision wins from here on (safety rule b).
-                if log is not None:
-                    log.note("conflict_observed", str(swid), locked_p.decision.name)
+                log.note("conflict_observed", str(swid), locked_p.decision.name)
                 desired = locked_p.decision
             commit = yield from gather_votes(
                 env, committee, PreCommitMsg(best_locked),
-                lambda v: v == CommitStatement(locked_p), timeout, retries=2, log=log,
+                lambda v: v == CommitStatement(locked_p), timeout, log, retries=2,
             )
             if commit is not None:
                 return ("committed", commit)
@@ -248,32 +261,20 @@ def drive_round(env, committee: Committee, swid: AccountId, leader_signer: Signe
             decision = DecisionValue.CONFIRM if attempt % 2 else DecisionValue.ABORT
         proposal = Proposal(swid, k, decision)
         auth = authenticate(proposal, leader_signer.public_key, leader_signer)
-        if log is not None:
-            log.note("proposal_signed", str(swid), k, decision.name, leader_signer.public_key)
+        log.note("proposal_signed", str(swid), k, decision.name, leader_signer.public_key)
         pre = yield from gather_votes(
             env, committee, ProposalMsg(auth, lock1, lock2),
-            lambda v: v == PreCommitStatement(proposal), timeout, retries=2, log=log,
+            lambda v: v == PreCommitStatement(proposal), timeout, log, retries=2,
         )
         if pre is None:
             continue
         commit = yield from gather_votes(
             env, committee, PreCommitMsg(pre),
-            lambda v: v == CommitStatement(proposal), timeout, retries=2, log=log,
+            lambda v: v == CommitStatement(proposal), timeout, log, retries=2,
         )
         if commit is not None:
             return ("committed", commit)
     return ("stalled", None)
-
-
-def finalize(env, committee: Committee, commit_cert: Certificate,
-             lock1: Optional[Certificate], lock2: Optional[Certificate],
-             timeout: int):
-    """Broadcast a commit certificate (with unlock evidence) until a quorum acks."""
-    return (
-        yield from broadcast_until_acked(
-            env, committee, CommitMsg(commit_cert, lock1, lock2), timeout
-        )
-    )
 
 
 # -- swap choreography -----------------------------------------------------------
@@ -299,10 +300,8 @@ def broker_script(env, committee: Committee, wallet: Wallet, broker_id: AccountI
     """Create the consensus instance and publish its creation certificate."""
     entry = wallet[broker_id]
     swid = broker_id.child(entry.next_sequence)
-    from .accounts import StartConsensusInstance
-
     op = StartConsensusInstance(swid, ctx.id1, ctx.n1, ctx.id2, ctx.n2)
-    cert = yield from certified_operation(env, committee, wallet, broker_id, op, timeout, log=log)
+    cert = yield from certified_operation(env, committee, wallet, broker_id, op, timeout, log)
     if cert is None:
         log.note("broker_failed", str(swid))
         ctx.outcome["broker"] = "failed"
@@ -316,54 +315,52 @@ def broker_script(env, committee: Committee, wallet: Wallet, broker_id: AccountI
 def swap_owner_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
                       role: int, ctx: SwapContext, handover: Signer,
                       timeout: int, delta: int, schedule: RoundSchedule,
-                      log: DriverLog, *, drives: bool = True,
-                      desired: Optional[DecisionValue] = None,
-                      lock_wait: int = 4000, flip_flop: bool = False,
-                      skip_lock: bool = False, deadline: int = 10 ** 9):
-    """One owner's whole swap: lock, exchange certificates, lead, finalize."""
-    while ctx.swid is None and env.now < deadline:
-        yield env.sleep(50)
+                      log: DriverLog, *, behavior: str, drives: bool,
+                      desired: Optional[DecisionValue], lock_wait: int, deadline: int):
+    """One owner's whole swap: lock, exchange certificates, lead, finalize.
+
+    `behavior` is "honest", "flip_flop" (lead with alternating decisions) or
+    "no_lock" (neither lock nor lead, only finalize)."""
+    yield from wait_until(env, lambda: ctx.swid is not None, 50, deadline - env.now)
     if ctx.swid is None:
         log.note("no_instance", str(uid))
         return
     swid = ctx.swid
 
-    if not skip_lock:
-        lock = yield from lock_account(
-            env, committee, wallet, uid, swid, role, handover.public_key, timeout, log=log
-        )
+    locking = behavior != "no_lock"
+    if locking:
+        # The lock pins this account's sequence number until the commit unlocks it.
+        entry = wallet[uid]
+        request = lock_request(uid, entry.next_sequence, LockInto(swid, role, handover.public_key))
+        lock = yield from request_votes(env, committee, entry, request, timeout, log)
         if lock is None:
             log.note("lock_failed", str(uid))
             return
         ctx.locks[role] = lock
         log.note("locked", str(uid), role)
 
-    waited = 0
-    while len(ctx.locks) < 2 and waited < lock_wait:
-        yield env.sleep(100)
-        waited += 100
+    yield from wait_until(env, lambda: len(ctx.locks) == 2, 100, lock_wait)
     lock1 = ctx.locks.get(1)
     lock2 = ctx.locks.get(2)
 
     if desired is None:
         desired = DecisionValue.CONFIRM if (lock1 and lock2) else DecisionValue.ABORT
 
-    if drives:
+    if drives and locking:
         status, commit = yield from drive_round(
             env, committee, swid, handover, desired, lock1, lock2,
-            deadline, delta, schedule, timeout, log=log, flip_flop=flip_flop,
+            deadline, delta, schedule, timeout, log, flip_flop=behavior == "flip_flop",
         )
         log.note("drive", str(uid), status)
         if commit is not None:
             ctx.commit = commit
-    waited = 0
-    while ctx.commit is None and waited < lock_wait * 2:
-        yield env.sleep(100)
-        waited += 100
+    yield from wait_until(env, lambda: ctx.commit is not None, 100, lock_wait * 2)
     if ctx.commit is None:
         ctx.outcome.setdefault(f"owner{role}", "stalled")
         return
-    ok = yield from finalize(env, committee, ctx.commit, lock1, lock2, timeout)
+    ok = yield from broadcast_until_acked(
+        env, committee, CommitMsg(ctx.commit, lock1, lock2), timeout
+    )
     decision = ctx.commit.value.proposal.decision
     ctx.outcome[f"owner{role}"] = decision.name if ok else "finalize_failed"
     if decision == DecisionValue.CONFIRM:
@@ -371,7 +368,7 @@ def swap_owner_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
         other = ctx.id2 if role == 1 else ctx.id1
         other_n = (ctx.n2 if role == 1 else ctx.n1) + 1
         wallet.add(other, handover, next_sequence=other_n)
-    elif not skip_lock:
+    elif locking:
         wallet[uid].next_sequence += 1  # the abort unlock consumed the lock's slot
     log.note("finalized", str(uid), decision.name)
 
@@ -380,21 +377,20 @@ def swap_owner_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
 
 
 def certify_asset(env, committee: Committee, wallet: Wallet, uid: AccountId,
-                  data: bytes, timeout: int, log: Optional[DriverLog] = None):
+                  data: bytes, timeout: int, log: DriverLog):
     entry = wallet[uid]
     req = AssetCertifyRequest(id=uid, n=entry.next_sequence, data=data)
     auth = authenticate(req, entry.pk, entry.signer)
     return (yield from gather_votes(
         env, committee, CertifyAssetMsg(auth),
         lambda v: getattr(v, "id", None) == uid and getattr(v, "data", None) == data,
-        timeout, log=log,
+        timeout, log,
     ))
 
 
 def transmute(env, committee: Committee, wallet: Wallet, fexec: str, params: bytes,
               input_ids: list[AccountId], input_assets: list[Certificate],
-              out_count: int, timeout: int, log: Optional[DriverLog] = None,
-              retries: int = 8):
+              out_count: int, timeout: int, log: DriverLog):
     """Spend the input assets through an execution function; returns the
     output asset certificates (or None on failure)."""
     commitment = spend_commitment(params)
@@ -410,37 +406,36 @@ def transmute(env, committee: Committee, wallet: Wallet, fexec: str, params: byt
     )
     votes: dict[bytes, dict[int, Any]] = {}
     values: dict[bytes, Any] = {}
-    for _attempt in range(retries):
-        env.broadcast(TransmuteMsg(req))
-        deadline = env.now + timeout
-        while env.now < deadline:
-            envelope = yield env.recv(timeout=deadline - env.now)
-            if envelope is None:
-                break
-            payload = envelope.payload
-            if isinstance(payload, TransmuteReply):
-                for binding, vote in payload.items:
-                    digest = value_digest(binding)
-                    values[digest] = binding
-                    votes.setdefault(digest, {})[vote.signer] = vote
-            elif isinstance(payload, ErrorReply) and log is not None:
-                log.note("error", envelope.src, payload.code, payload.detail)
-        certs = []
-        for out_id in outputs:
-            done = None
-            for digest, bucket in votes.items():
-                if values[digest].id == out_id and len(bucket) >= committee.quorum:
-                    try:
-                        done = aggregate_certificate(committee, values[digest], bucket.values())
-                    except ProtocolError:
-                        continue
-            if done is not None:
-                certs.append(done)
-        if len(certs) == len(outputs):
-            for uid in input_ids:
-                wallet[uid].next_sequence += 1
-            return certs
-    return None
+
+    def certify(out_id: AccountId) -> Optional[Certificate]:
+        done = None
+        for digest, bucket in votes.items():
+            if values[digest].id == out_id and len(bucket) >= committee.quorum:
+                try:
+                    done = aggregate_certificate(committee, values[digest], bucket.values())
+                except ProtocolError:
+                    continue
+        return done
+
+    def take(envelope):
+        if envelope is None:  # the attempt is over: is every output certified?
+            certs = [certify(out_id) for out_id in outputs]
+            return certs if None not in certs else None
+        payload = envelope.payload
+        if isinstance(payload, TransmuteReply):
+            for binding, vote in payload.items:
+                digest = value_digest(binding)
+                values[digest] = binding
+                votes.setdefault(digest, {})[vote.signer] = vote
+        elif isinstance(payload, ErrorReply):
+            log.note("error", envelope.src, payload.code, payload.detail)
+        return None
+
+    certs = yield from collect(env, TransmuteMsg(req), timeout, take, 8)
+    if certs is not None:
+        for uid in input_ids:
+            wallet[uid].next_sequence += 1
+    return certs
 
 
 # -- auction choreography ----------------------------------------------------------
@@ -457,19 +452,15 @@ class AuctionContext:
 
 def bidder_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
                   bid: int, deposit: int, ctx: AuctionContext,
-                  tpke_public: tpke.TpkePublic, rng, timeout: int, log: DriverLog,
-                  creation_wait: int = 60_000):
-    waited = 0
-    while ctx.auction_id is None and waited < creation_wait:
-        yield env.sleep(50)
-        waited += 50
+                  tpke_public: tpke.TpkePublic, rng, timeout: int, log: DriverLog):
+    yield from wait_until(env, lambda: ctx.auction_id is not None, 50, 60_000)
     if ctx.auction_id is None:
         log.note("no_auction", str(uid))
         return
     auction_id = ctx.auction_id
     entry = wallet[uid]
     proof = yield from certified_operation(
-        env, committee, wallet, uid, Transfer(dest=auction_id, value=deposit), timeout, log=log
+        env, committee, wallet, uid, Transfer(dest=auction_id, value=deposit), timeout, log
     )
     if proof is None:
         log.note("deposit_failed", str(uid))
@@ -482,7 +473,7 @@ def bidder_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
     auth = authenticate(req, entry.pk, entry.signer)
     cert = yield from gather_votes(
         env, committee, SubmitBidMsg(auth),
-        lambda v: getattr(v, "bidder", None) == uid, timeout, log=log,
+        lambda v: getattr(v, "bidder", None) == uid, timeout, log,
     )
     if cert is None:
         log.note("bid_failed", str(uid))
@@ -494,13 +485,11 @@ def bidder_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
 def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
                   item: AccountId, rule, ctx: AuctionContext,
                   tpke_public: tpke.TpkePublic, timeout: int, log: DriverLog,
-                  *, behavior: str = "honest", bid_wait: int = 20000):
-    from .auction import CreateAuction
-
+                  *, behavior: str, bid_wait: int):
     entry = wallet[uid]
     auction_id = uid.child(entry.next_sequence)
     created = yield from certified_operation(
-        env, committee, wallet, uid, CreateAuction(auction_id, item, rule), timeout, log=log
+        env, committee, wallet, uid, CreateAuction(auction_id, item, rule), timeout, log
     )
     if created is None:
         log.note("auction_create_failed", str(uid))
@@ -508,17 +497,14 @@ def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
     ctx.auction_id = auction_id
     ctx.item = item
 
-    waited = 0
-    while len(ctx.bid_certs) < ctx.expected_bidders and waited < bid_wait:
-        yield env.sleep(200)
-        waited += 200
+    yield from wait_until(env, lambda: len(ctx.bid_certs) >= ctx.expected_bidders, 200, bid_wait)
 
     eob_req = EndOfBiddingRequest(auction_id=auction_id, bids=tuple(ctx.bid_certs))
     auth = authenticate(eob_req, entry.pk, entry.signer)
     eob_cert = yield from gather_votes(
         env, committee, EndOfBiddingMsg(auth),
         lambda v: getattr(v, "auction_id", None) == auction_id and hasattr(v, "bids"),
-        timeout, log=log,
+        timeout, log,
     )
     if eob_cert is None:
         log.note("end_of_bidding_failed", str(uid))
@@ -531,17 +517,15 @@ def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
 
     # Collect each authority's decryption shares for every included bid.
     shares_by_auth: dict[str, SharesReply] = {}
-    for _attempt in range(6):
-        env.broadcast(SharesQueryMsg(eob_cert))
-        deadline = env.now + timeout
-        while env.now < deadline and len(shares_by_auth) < committee.n:
-            envelope = yield env.recv(timeout=deadline - env.now)
-            if envelope is None:
-                break
-            if isinstance(envelope.payload, SharesReply):
-                shares_by_auth[envelope.src] = envelope.payload
-        if len(shares_by_auth) >= committee.quorum:
-            break
+
+    def take(envelope):
+        if envelope is None:  # the attempt is over: settle for a quorum
+            return True if len(shares_by_auth) >= committee.quorum else None
+        if isinstance(envelope.payload, SharesReply):
+            shares_by_auth[envelope.src] = envelope.payload
+        return True if len(shares_by_auth) == committee.n else None
+
+    yield from collect(env, SharesQueryMsg(eob_cert), timeout, take, 6)
     if len(shares_by_auth) < tpke_public.threshold:
         ctx.outcome["seller"] = "no_shares"
         return
@@ -566,7 +550,7 @@ def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
     eoa_cert = yield from gather_votes(
         env, committee, EndOfAuctionMsg(auth, eob_cert),
         lambda v: getattr(v, "auction_id", None) == auction_id and hasattr(v, "values"),
-        timeout, log=log,
+        timeout, log,
     )
     if eoa_cert is None:
         ctx.outcome["seller"] = "end_of_auction_rejected"

@@ -10,6 +10,7 @@ swap instance ever disagree.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -65,6 +66,7 @@ class FuzzSummary:
     committed: int
     stalled: int
     agreement_violations: list
+    trace_sha256: str  # over every schedule's trace.bin bytes, in seed order
 
     def line(self) -> str:
         status = "PASS" if not self.agreement_violations else "FAIL"
@@ -78,9 +80,11 @@ class FuzzSummary:
 def run_fuzz(runs: int = 200, base_seed: int = 0) -> FuzzSummary:
     committed = stalled = 0
     violations = []
+    traces = hashlib.sha256()
     for i in range(runs):
         seed = base_seed + i
         run, report = run_scenario(fuzz_swap_config(seed))
+        traces.update(run.sim.trace.to_bytes())
         agreement = next(a for a in report.audits if a.name == "agreement")
         if not agreement.passed:
             violations.append((seed, agreement.violations))
@@ -89,5 +93,6 @@ def run_fuzz(runs: int = 200, base_seed: int = 0) -> FuzzSummary:
         else:
             stalled += 1
     return FuzzSummary(
-        runs=runs, committed=committed, stalled=stalled, agreement_violations=violations
+        runs=runs, committed=committed, stalled=stalled, agreement_violations=violations,
+        trace_sha256=traces.hexdigest(),
     )

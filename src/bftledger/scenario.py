@@ -61,7 +61,15 @@ def validate_scenario(config: dict) -> None:
         raise err(errors.CONFIG_ERROR, f"committee size must be an integer 3f+1, got {n!r}")
     f = (n - 1) // 3
     faults = config.get("faults", {})
-    byzantine = len(faults.get("arbitrary_signer", []))
+    if type(faults) is not dict:
+        raise err(errors.CONFIG_ERROR, f"faults must be a JSON object, got {faults!r}")
+    for key, kind in (("arbitrary_signer", list), ("crash", dict),
+                      ("withhold_votes", dict), ("outages", dict)):
+        indices = faults.get(key, kind())
+        if type(indices) is not kind or not all(_is_authority(i, n) for i in indices):
+            raise err(errors.CONFIG_ERROR,
+                      f"faults.{key} must name authorities 0..{n - 1}, got {indices!r}")
+    byzantine = len({int(i) for i in faults.get("arbitrary_signer", [])})
     if byzantine > f:
         raise err(errors.CONFIG_ERROR, f"{byzantine} byzantine authorities exceeds f={f}")
     accounts = [_Fields(f"account {i}", a) for i, a in enumerate(config.get("accounts", []))]
@@ -73,6 +81,13 @@ def validate_scenario(config: dict) -> None:
     for action in config.get("actions", []):
         if action.get("kind") not in ACTIONS:
             raise err(errors.CONFIG_ERROR, f"unknown action kind {action.get('kind')!r}")
+
+
+def _is_authority(index, n: int) -> bool:
+    """An authority index 0..n-1, as an integer or (a JSON object key) its decimal string."""
+    if type(index) is str and index.isdecimal():
+        index = int(index)
+    return type(index) is int and 0 <= index < n
 
 
 class _Fields(dict):
@@ -94,6 +109,13 @@ class _Fields(dict):
         return value
 
 
+def _hex(action: _Fields, key: str, value) -> bytes:
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):
+        raise err(errors.CONFIG_ERROR, f"{action.where}: {key} must be hex, got {value!r}") from None
+
+
 def _ticks(seconds: float) -> int:
     return int(round(seconds * SECOND))
 
@@ -111,16 +133,27 @@ def parse_update(obj: dict):
 
 @dataclass
 class RunResult:
+    """One run: what each action adds its clients to, and what they leave."""
+
+    rng: random.Random
     sim: Simulator
     committee: Committee
     wallet: Wallet
     account_ids: dict[str, AccountId]
-    contexts: dict[str, Any]
-    logs: dict[str, DriverLog]
-    initial_total: int
+    timeout: int
+    delta: int
+    schedule: RoundSchedule
     tpke_system: Optional[tpke.TpkeSystem]
-    synced_snapshots: dict[str, str] = field(default_factory=dict)
+    initial_total: int
+    contexts: dict[str, Any] = field(default_factory=dict)
+    logs: dict[str, DriverLog] = field(default_factory=dict)
     results: dict[str, Any] = field(default_factory=dict)
+    synced_snapshots: dict[str, str] = field(default_factory=dict)
+
+    def client(self, name: str, script_factory, start: float) -> None:
+        self.logs[name] = DriverLog()
+        self.sim.add_client(name, script_factory)
+        self.sim.start_client_at(name, _ticks(start))
 
 
 @dataclass
@@ -186,86 +219,63 @@ class _AccountNames(dict):
         raise err(errors.CONFIG_ERROR, f"unknown account name {name!r}")
 
 
-@dataclass
-class _Build:
-    """The run that each action adds its clients to."""
-
-    rng: random.Random
-    sim: Simulator
-    committee: Committee
-    wallet: Wallet
-    account_ids: dict[str, AccountId]
-    timeout: int
-    delta: int
-    schedule: RoundSchedule
-    tpke_system: Optional[tpke.TpkeSystem]
-    contexts: dict[str, Any] = field(default_factory=dict)
-    logs: dict[str, DriverLog] = field(default_factory=dict)
-    results: dict[str, Any] = field(default_factory=dict)
-
-    def client(self, name: str, script_factory, start: float) -> None:
-        self.logs[name] = DriverLog()
-        self.sim.add_client(name, script_factory)
-        self.sim.start_client_at(name, _ticks(start))
-
-
 def _operation(prepare):
     """Adds the client of an action that certifies one operation on one account.
 
-    ``prepare(b, action)`` runs at build time and returns the account, a
+    ``prepare(run, action)`` runs at build time and returns the account, a
     function that makes the operation when the client starts, and a function
     that acts on the certified operation and returns the action's result."""
 
-    def build(b: _Build, action: dict, key: str, start: float) -> None:
-        uid, make_operation, done = prepare(b, action)
+    def build(run: RunResult, action: dict, key: str, start: float) -> None:
+        uid, make_operation, done = prepare(run, action)
 
         def script(env):
             operation = make_operation()
             cert = yield from certified_operation(
-                env, b.committee, b.wallet, uid, operation, b.timeout, log=b.logs[env.name]
+                env, run.committee, run.wallet, uid, operation, run.timeout, run.logs[env.name]
             )
-            b.results[key] = done(operation) if cert else "failed"
+            run.results[key] = done(operation) if cert else "failed"
 
-        b.client(f"client:{key}", script, start)
+        run.client(f"client:{key}", script, start)
 
     return build
 
 
-def _transfer(b: _Build, action: dict):
-    src, dest = b.account_ids[action["from"]], b.account_ids[action["to"]]
+def _transfer(run: RunResult, action: dict):
+    src, dest = run.account_ids[action["from"]], run.account_ids[action["to"]]
     operation = Transfer(dest, int(action["value"]))
     return src, lambda: operation, lambda _op: "ok"
 
 
-def _open_account(b: _Build, action: dict):
-    owner = b.account_ids[action["owner"]]
-    signer = mac_keypair(b.rng)
+def _open_account(run: RunResult, action: dict):
+    owner = run.account_ids[action["owner"]]
+    signer = mac_keypair(run.rng)
 
     def make_operation():
-        return OpenAccount(owner.child(b.wallet[owner].next_sequence), signer.public_key)
+        return OpenAccount(owner.child(run.wallet[owner].next_sequence), signer.public_key)
 
     def done(operation: OpenAccount) -> str:
-        b.wallet.add(operation.child, signer)
+        run.wallet.add(operation.child, signer)
         if action.get("name"):
-            b.account_ids[action["name"]] = operation.child
+            run.account_ids[action["name"]] = operation.child
         return str(operation.child)
 
     return owner, make_operation, done
 
 
-def _change_key(b: _Build, action: dict):
-    target = b.account_ids[action["account"]]
-    signer = mac_keypair(b.rng)
+def _change_key(run: RunResult, action: dict):
+    target = run.account_ids[action["account"]]
+    signer = mac_keypair(run.rng)
 
     def done(_op) -> str:
-        b.wallet[target].signer = signer
+        run.wallet[target].signer = signer
         return "ok"
 
     return target, lambda: ChangeKey(signer.public_key), done
 
 
-def _apply(b: _Build, action: dict):
-    src, dest = b.account_ids[action["from"]], b.account_ids[action["to"]]
+def _apply(run: RunResult, action: dict):
+    src, dest = run.account_ids[action["from"]], run.account_ids[action["to"]]
     operation = ApplyUpdate(dest, parse_update(action["u_minus"]), parse_update(action["u_plus"]))
     return src, lambda: operation, lambda _op: "ok"
 
@@ -275,29 +285,29 @@ _DESIRED = {"auto": None, "confirm": DecisionValue.CONFIRM, "abort": DecisionVal
 _RULES = {"first_price": PriceRule.FIRST_PRICE, "second_price": PriceRule.SECOND_PRICE}
 
 
-def _swap(b: _Build, action: dict, key: str, start: float) -> None:
-    committee, wallet, timeout = b.committee, b.wallet, b.timeout
-    id1 = b.account_ids[action["owner1"]]
-    id2 = b.account_ids[action["owner2"]]
+def _swap(run: RunResult, action: dict, key: str, start: float) -> None:
+    committee, wallet, timeout = run.committee, run.wallet, run.timeout
+    id1 = run.account_ids[action["owner1"]]
+    id2 = run.account_ids[action["owner2"]]
     ctx = SwapContext(id1=id1, n1=0, id2=id2, n2=0)
-    b.contexts[key] = ctx
-    handover = {1: mac_keypair(b.rng), 2: mac_keypair(b.rng)}
+    run.contexts[key] = ctx
+    handover = {1: mac_keypair(run.rng), 2: mac_keypair(run.rng)}
     owners = {"owner1": id1, "owner2": id2}
     broker_id = owners[action.choice("broker", "owner1", owners)]
     drivers_cfg = action.get("drivers", [1])
     if type(drivers_cfg) is not list or not drivers_cfg or any(
             type(r) is not int or r not in (1, 2) for r in drivers_cfg):
         raise err(errors.CONFIG_ERROR, f"{action.where}: drivers must be a non-empty list of 1 and 2")
-    deadline = _ticks(action["deadline_seconds"]) if "deadline_seconds" in action else b.sim.budget
+    deadline = _ticks(action["deadline_seconds"]) if "deadline_seconds" in action else run.sim.budget
 
     def broker(env):
         # The owners lock after the instance is created, so when the broker
         # is one of them its own creation op bumps its sequence.
         ctx.n1 = wallet[id1].next_sequence + (1 if id1 == broker_id else 0)
         ctx.n2 = wallet[id2].next_sequence + (1 if id2 == broker_id else 0)
-        yield from broker_script(env, committee, wallet, broker_id, ctx, timeout, b.logs[env.name])
+        yield from broker_script(env, committee, wallet, broker_id, ctx, timeout, run.logs[env.name])
 
-    b.client(f"client:{key}.broker", broker, start)
+    run.client(f"client:{key}.broker", broker, start)
 
     for role, owner_id in ((1, id1), (2, id2)):
         behavior = action.choice(f"owner{role}_behavior", "honest", _OWNER_BEHAVIORS)
@@ -308,86 +318,89 @@ def _swap(b: _Build, action: dict, key: str, start: float) -> None:
         def owner(env, _role=role, _uid=owner_id, _behavior=behavior, _desired=desired):
             yield from swap_owner_script(
                 env, committee, wallet, _uid, _role, ctx, handover[_role],
-                timeout, b.delta, b.schedule, b.logs[env.name],
-                drives=_role in drivers_cfg and _behavior != "no_lock",
+                timeout, run.delta, run.schedule, run.logs[env.name],
+                behavior=_behavior,
+                drives=_role in drivers_cfg,
                 desired=_desired,
-                flip_flop=_behavior == "flip_flop",
-                skip_lock=_behavior == "no_lock",
                 lock_wait=_ticks(action.get("lock_wait_seconds", 4.0)),
                 deadline=deadline,
             )
 
-        b.client(
+        run.client(
             f"client:{key}.owner{role}",
             owner,
             start + action.get(f"owner{role}_delay", 0.1 * role),
         )
 
 
-def _auction(b: _Build, action: dict, key: str, start: float) -> None:
-    committee, wallet, timeout = b.committee, b.wallet, b.timeout
-    seller_id = b.account_ids[action["seller"]]
-    item_id = b.account_ids[action["item"]]
+def _auction(run: RunResult, action: dict, key: str, start: float) -> None:
+    committee, wallet, timeout = run.committee, run.wallet, run.timeout
+    seller_id = run.account_ids[action["seller"]]
+    item_id = run.account_ids[action["item"]]
     rule = _RULES[action.choice("rule", "second_price", _RULES)]
     behavior = action.choice("seller_behavior", "honest", ("honest", "withhold", "misreport"))
     ctx = AuctionContext(expected_bidders=len(action.get("bidders", [])))
-    b.contexts[key] = ctx
+    run.contexts[key] = ctx
 
     def seller(env):
         yield from seller_script(
             env, committee, wallet, seller_id, item_id, rule, ctx,
-            b.tpke_system.public, timeout, b.logs[env.name],
+            run.tpke_system.public, timeout, run.logs[env.name],
             behavior=behavior,
             bid_wait=_ticks(action.get("bid_wait_seconds", 20.0)),
         )
 
-    b.client(f"client:{key}.seller", seller, start)
+    run.client(f"client:{key}.seller", seller, start)
     for b_idx, bidder in enumerate(action.get("bidders", [])):
         bidder = _Fields(f"{action.where} bidder {b_idx}", bidder)
-        bidder_id = b.account_ids[bidder["name"]]
+        bidder_id = run.account_ids[bidder["name"]]
 
         def bid(env, _uid=bidder_id, _bid=int(bidder["bid"]), _deposit=int(bidder["deposit"])):
             yield from bidder_script(
                 env, committee, wallet, _uid, _bid, _deposit, ctx,
-                b.tpke_system.public, b.sim.rng, timeout, b.logs[env.name],
+                run.tpke_system.public, run.sim.rng, timeout, run.logs[env.name],
             )
 
-        b.client(f"client:{key}.bidder{b_idx}", bid,
-                 start + bidder.get("delay", 0.05 * (b_idx + 1)))
+        run.client(f"client:{key}.bidder{b_idx}", bid,
+                   start + bidder.get("delay", 0.05 * (b_idx + 1)))
 
 
-def _transmute(b: _Build, action: dict, key: str, start: float) -> None:
-    committee, wallet, timeout = b.committee, b.wallet, b.timeout
+def _transmute(run: RunResult, action: dict, key: str, start: float) -> None:
+    committee, wallet, timeout = run.committee, run.wallet, run.timeout
     names, fexec = action["inputs"], action["fexec"]
-    data = [bytes.fromhex(h) for h in action["data"]]
-    params = bytes.fromhex(action.get("params", ""))
+    if (type(names) is not list or not names or any(type(name) is not str for name in names)
+            or type(action["data"]) is not list or len(action["data"]) != len(names)):
+        raise err(errors.CONFIG_ERROR, f"{action.where}: inputs must be a non-empty list of "
+                                       "account names, and data one hex string per input")
+    data = [_hex(action, "data", h) for h in action["data"]]
+    params = _hex(action, "params", action.get("params", ""))
     out_count = int(action.get("outputs", 1))
     repeat = int(action.get("repeat", 1))
 
     def script(env):
-        log = b.logs[env.name]
+        log = run.logs[env.name]
         # Resolved when the client runs: an input may name a child account
         # that an earlier open_account registered.
-        input_ids = [b.account_ids[name] for name in names]
+        input_ids = [run.account_ids[name] for name in names]
         asset_certs = []
         for uid, payload in zip(input_ids, data):
-            cert = yield from certify_asset(env, committee, wallet, uid, payload, timeout, log=log)
+            cert = yield from certify_asset(env, committee, wallet, uid, payload, timeout, log)
             if cert is None:
-                b.results[key] = "certify_failed"
+                run.results[key] = "certify_failed"
                 return
             asset_certs.append(cert)
         outputs = None
         for _ in range(repeat):
             outputs = yield from transmute(
                 env, committee, wallet, fexec, params, input_ids,
-                asset_certs, out_count, timeout, log=log,
+                asset_certs, out_count, timeout, log,
             )
             if outputs is None:
-                b.results[key] = "failed"
+                run.results[key] = "failed"
                 return
-        b.results[key] = [value_digest(c.value).hex() for c in outputs]
+        run.results[key] = [value_digest(c.value).hex() for c in outputs]
 
-    b.client(f"client:{key}", script, start)
+    run.client(f"client:{key}", script, start)
 
 
 # Scenario action kind -> function adding that action's clients to the run.
@@ -452,7 +465,7 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
         return root_algebra.get(uid.root, "balance")
 
     faults = config.get("faults", {})
-    byzantine = set(faults.get("arbitrary_signer", []))
+    byzantine = {int(i) for i in faults.get("arbitrary_signer", [])}
     tpke_system = None
     if any(a.get("kind") == "auction" for a in config.get("actions", [])):
         tpke_system = tpke.setup(n, committee.f + 1, rng=rng)
@@ -494,18 +507,19 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
     for idx, windows in faults.get("outages", {}).items():
         sim.outages[f"auth:{int(idx)}"] = [(_ticks(a), _ticks(b)) for a, b in windows]
 
-    build = _Build(rng, sim, committee, wallet, account_ids, timeout, delta, schedule, tpke_system)
+    run = RunResult(rng, sim, committee, wallet, account_ids, timeout, delta, schedule,
+                    tpke_system, initial_total)
     for idx, action in enumerate(config.get("actions", [])):
         kind = action["kind"]
         key = action.get("id", f"{kind}{idx}")
-        ACTIONS[kind](build, _Fields(f"action {key!r}", action), key, action.get("start", 0.0))
+        ACTIONS[kind](run, _Fields(f"action {key!r}", action), key, action.get("start", 0.0))
 
     sim.run()
 
     # Full sync: redeliver every certified message delivered in the run (plus
     # certificates still held by clients) to all live honest authorities.
     sync_messages = dict(sim.certified)
-    for ctx in build.contexts.values():
+    for ctx in run.contexts.values():
         if isinstance(ctx, SwapContext):
             if ctx.creation_cert is not None:
                 message = ConfirmMsg(ctx.creation_cert)
@@ -514,11 +528,13 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
                 message = CommitMsg(ctx.commit, ctx.locks.get(1), ctx.locks.get(2))
                 sync_messages.setdefault(value_digest(message), message)
     sim.sync_deliver(list(sync_messages.values()))
-    synced = {a.name: a.consistency_snapshot() for a in sim.honest_authorities()}
+    run.synced_snapshots = {a.name: a.consistency_snapshot() for a in sim.honest_authorities()}
 
-    audits = audit.run_standard_audits(sim, committee, initial_total, synced_snapshots=synced)
-    outcomes = dict(build.results)
-    for key, ctx in build.contexts.items():
+    audits = audit.run_standard_audits(
+        sim, committee, initial_total, synced_snapshots=run.synced_snapshots
+    )
+    outcomes = dict(run.results)
+    for key, ctx in run.contexts.items():
         outcomes[key] = getattr(ctx, "outcome", None)
 
     report = ScenarioReport(
@@ -530,17 +546,5 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
         dropped=sim.stats["dropped"],
         audits=audits,
         outcomes=outcomes,
-    )
-    run = RunResult(
-        sim=sim,
-        committee=committee,
-        wallet=wallet,
-        account_ids=account_ids,
-        contexts=build.contexts,
-        logs=build.logs,
-        initial_total=initial_total,
-        tpke_system=tpke_system,
-        synced_snapshots=synced,
-        results=build.results,
     )
     return run, report

@@ -61,7 +61,7 @@ class Sleep:
 
 @dataclass(frozen=True)
 class Recv:
-    deadline: Optional[int]  # absolute tick, or None to wait indefinitely
+    deadline: int  # absolute tick
 
 
 class ClientEnv:
@@ -75,17 +75,18 @@ class ClientEnv:
     def now(self) -> int:
         return self._sim.now
 
-    def send(self, dest: str, payload: Any) -> int:
-        return self._sim.post(self.name, dest, payload)
+    def send(self, dest: str, payload: Any) -> None:
+        self._sim.post(self.name, dest, payload)
 
-    def broadcast(self, payload: Any) -> list[int]:
-        return [self.send(dest, payload) for dest in self._sim.authorities]
+    def broadcast(self, payload: Any) -> None:
+        for dest in self._sim.authorities:
+            self.send(dest, payload)
 
     def sleep(self, dt: int) -> Sleep:
         return Sleep(until=self._sim.now + max(0, dt))
 
-    def recv(self, timeout: Optional[int] = None) -> Recv:
-        return Recv(deadline=None if timeout is None else self._sim.now + timeout)
+    def recv(self, timeout: int) -> Recv:
+        return Recv(deadline=self._sim.now + timeout)
 
 
 @dataclass
@@ -151,8 +152,8 @@ class Simulator:
             start <= t < end for start, end in self.outages.get(name, ())
         )
 
-    def post(self, src: str, dest: str, payload: Any) -> int:
-        """Submit a message to the network; returns its id (even if dropped)."""
+    def post(self, src: str, dest: str, payload: Any) -> None:
+        """Submit a message to the network."""
         seq = self._next_seq()
         internal = src == dest and dest in self.authorities
         if internal:
@@ -169,13 +170,12 @@ class Simulator:
             dup = self.rng.random() < self.net.dup
             if self._out_of_service(src, self.now) or self.rng.random() < drops:
                 self.stats["dropped"] += 1
-                return seq
+                return
         envelope = Envelope(src=src, dest=dest, seq=seq, payload=payload)
         self._schedule(self.now + delay, ("deliver", envelope))
         if dup:
             extra = self.rng.randint(self.net.min_delay, self.net.max_delay)
             self._schedule(self.now + delay + extra, ("deliver", envelope))
-        return seq
 
     # -- client plumbing --
 
@@ -192,7 +192,7 @@ class Simulator:
             if isinstance(command, Sleep):
                 task.waiting = None
                 token = task.wake_token = task.wake_token + 1
-                self._schedule(max(command.until, self.now), ("wake", name, token, None))
+                self._schedule(max(command.until, self.now), ("wake", name, token))
                 return
             if isinstance(command, Recv):
                 if task.inbox:
@@ -204,9 +204,8 @@ class Simulator:
                         return
                     continue
                 task.waiting = command
-                if command.deadline is not None:
-                    token = task.wake_token = task.wake_token + 1
-                    self._schedule(command.deadline, ("wake", name, token, "timeout"))
+                token = task.wake_token = task.wake_token + 1
+                self._schedule(command.deadline, ("wake", name, token))
                 return
             raise TypeError(f"client {name} yielded {command!r}")
 
@@ -263,17 +262,14 @@ class Simulator:
             elif kind == "start":
                 self._advance_client(item[1], None)
             elif kind == "wake":
-                _, name, token, reason = item
+                # A Sleep, a Recv that waits, and a delivery that ends the
+                # wait each bump the token: a match means the task still
+                # waits on the command that scheduled this wake.
+                _, name, token = item
                 task = self.clients[name]
-                if task.done:
-                    continue
-                if reason == "timeout":
-                    if task.waiting is not None and token == task.wake_token:
-                        task.waiting = None
-                        self._advance_client(name, None)
-                else:
-                    if token == task.wake_token:
-                        self._advance_client(name, None)
+                if not task.done and token == task.wake_token:
+                    task.waiting = None
+                    self._advance_client(name, None)
 
     # -- post-run utilities --
 

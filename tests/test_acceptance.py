@@ -58,15 +58,27 @@ def shipped(name):
 # -- 1. agreement fuzz -------------------------------------------------------------
 
 
+# sha256 over the 200 schedules' trace.bin bytes in seed order. A change that
+# alters what the schedules do must re-pin it and say so in CHANGES.md:
+# ``python scripts/fuzz_swaps.py`` prints the current value.
+FUZZ_TRACE_SHA256 = "f91e67ced0fed6d0515af38786521a24a18c4f18ee09b367bc3b29bc57a1afa7"
+
+
 def test_acceptance_1_agreement_fuzz():
-    """>= 200 randomized adversarial swap schedules, zero conflicting commits, < 60 s."""
+    """>= 200 randomized adversarial swap schedules, zero conflicting commits, < 60 s,
+    and the schedules' traces are the pinned ones."""
     from bftledger.fuzz import run_fuzz
 
     started = time.time()
     summary = run_fuzz(runs=200, base_seed=0)
     elapsed = time.time() - started
-    ok = not summary.agreement_violations and elapsed < 60
-    report_line(1, "agreement fuzz", ok, f"{summary.line()}, {elapsed:.1f}s")
+    ok = (
+        not summary.agreement_violations
+        and elapsed < 60
+        and summary.trace_sha256 == FUZZ_TRACE_SHA256
+    )
+    report_line(1, "agreement fuzz", ok,
+                f"{summary.line()}, trace sha256 {summary.trace_sha256[:16]}, {elapsed:.1f}s")
 
 
 # -- 2. bounded model check ---------------------------------------------------------

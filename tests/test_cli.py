@@ -80,6 +80,13 @@ BAD_EDITS = {
     "no_driver": ("swap_confirm", ("actions", 0, "drivers"), []),
     "drivers_not_list": ("swap_confirm", ("actions", 0, "drivers"), "12"),
     "n_not_int": ("transfers", ("committee",), {"n": "4"}),
+    "transmute_no_inputs": ("transmute_assets", ("actions", 0, "inputs"), []),
+    "transmute_short_data": ("transmute_assets", ("actions", 0, "data"), ["636174"]),
+    "transmute_bad_hex": ("transmute_assets", ("actions", 0, "data"), ["636174", "zz"]),
+    "byzantine_unknown": ("swap_byzantine", ("faults", "arbitrary_signer"), [9]),
+    "crash_unknown": ("swap_crash_fault", ("faults", "crash"), {"4": 0.05}),
+    "crash_not_int": ("swap_crash_fault", ("faults", "crash"), {"x": 1.0}),
+    "faults_not_object": ("swap_crash_fault", ("faults",), []),
 }
 
 

@@ -5,8 +5,8 @@ import pytest
 from bftledger.accounts import AccountId, LockInto, StartConsensusInstance, execute_request, lock_request
 from bftledger.authority import Authority
 from bftledger.committee import aggregate_certificate, authenticate
-from bftledger.drivers import DriverLog, drive_round, gather_votes
-from bftledger.messages import HandleRequestMsg, PreCommitMsg, ProposalMsg, VoteReply
+from bftledger.drivers import DriverLog, broadcast_until_acked, drive_round, gather_votes
+from bftledger.messages import CommitMsg, HandleRequestMsg, PreCommitMsg, ProposalMsg, VoteReply
 from bftledger.sim import NetConfig, Simulator
 from bftledger.swap import (
     CommitStatement,
@@ -118,3 +118,47 @@ def test_drive_round_reports_deleted_instance(world):
     sim.start_client_at("client:leader", 0)
     sim.run()
     assert outcome["status"] == "deleted"
+
+
+def run_counting_broadcasts(sim, step):
+    """Run `step(env)` as a client; returns its result and the payloads it broadcast."""
+    sent, out = [], {}
+
+    def client(env):
+        broadcast = env.broadcast
+        env.broadcast = lambda payload: (sent.append(payload), broadcast(payload))
+        out["result"] = yield from step(env)
+
+    sim.add_client("client:x", client)
+    sim.start_client_at("client:x", 0)
+    sim.run()
+    return out["result"], sent
+
+
+def test_broadcast_until_acked_gives_up_without_quorum(world):
+    """Two of four authorities crashed: two acks never make 2f+1, so the
+    certificate goes out once per attempt, 8 times, and the driver gives up."""
+    sim, harness, owner1, owner2, lock1, lock2 = world
+    sim.crash_at["auth:2"] = sim.crash_at["auth:3"] = 0
+    commit = harness.certify(CommitStatement(Proposal(SWID, 0, DecisionValue.ABORT)))
+    message = CommitMsg(commit, lock1, lock2)
+    ok, sent = run_counting_broadcasts(
+        sim, lambda env: broadcast_until_acked(env, harness.committee, message, 500)
+    )
+    assert ok is False
+    assert sent == [message] * 8
+
+
+def test_gather_votes_gives_up_after_its_retries(world):
+    sim, harness, owner1, owner2, lock1, lock2 = world
+    sim.crash_at["auth:2"] = sim.crash_at["auth:3"] = 0
+    proposal = Proposal(SWID, 0, DecisionValue.CONFIRM)
+    message = ProposalMsg(authenticate(proposal, owner1.public_key, owner1), lock1, lock2)
+    cert, sent = run_counting_broadcasts(
+        sim, lambda env: gather_votes(
+            env, harness.committee, message, lambda v: v == PreCommitStatement(proposal),
+            timeout=500, log=DriverLog(), retries=2,
+        ),
+    )
+    assert cert is None
+    assert sent == [message] * 2
