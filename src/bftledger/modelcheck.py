@@ -16,12 +16,16 @@ checker reports the first such state and the action path to it.
 Symmetry: honest authorities are interchangeable, so states are canonicalized
 by sorting their records.
 
-Cost: a record's transitions depend only on the record and the move, so each
-check memoizes them in tables local to the call. Every distinct transition
-still goes through the rule functions exactly once, and nothing carries over
-from one check (or ablation) to the next. The exploration order is fixed (the
-proposal order, the formable pre-commits, the first authority per distinct
-record, and the record sort key); it decides which violation the depth-first
+Cost: a record's id is its sort key written as base-(P+1) digits for P
+proposals (proposal, lock, then the sorted prevotes and commit votes, each
+padded with zeros to P digits), so a state is the sorted tuple of its ids.
+Tables local to each call memoize every record's transitions (each distinct
+transition still goes through the rule functions once), the formable
+pre-commits of each tuple of per-record prevotes, the verdict of each tuple
+of per-record commit votes, and one successor list per (record, formable
+pre-commits). The exploration order is fixed (the proposal order, the
+formable pre-commits in set iteration order, the first authority per
+distinct record, and id order); it decides which violation the depth-first
 search reports first, and so the example path and the state count of an
 ablation.
 """
@@ -110,8 +114,11 @@ def check_swap_agreement(
 ) -> CheckResult:
     """Exhaustively search all schedules up to the round bound.
 
-    Raises BoundsTooLarge for bounds outside the desk-scale envelope.
+    Raises BoundsTooLarge for bounds outside the desk-scale envelope, and
+    ConfigError for a negative round or byzantine bound.
     """
+    if max_round < 0 or byzantine < 0:
+        raise err(errors.CONFIG_ERROR, f"max_round={max_round}, byzantine={byzantine}")
     if max_round > 3 or n > 7:
         raise err(errors.BOUNDS_TOO_LARGE, f"max_round={max_round}, n={n}")
     f = (n - 1) // 3
@@ -119,9 +126,10 @@ def check_swap_agreement(
         raise err(errors.BOUNDS_TOO_LARGE, f"byzantine={byzantine} exceeds f={f}")
     quorum = 2 * f + 1
     honest = n - byzantine
-    proposals = [
-        (k, v) for k in range(max_round + 1) for v in (0, 1)
-    ]
+    proposals = [(k, v) for k in range(max_round + 1) for v in (0, 1)]
+    base = len(proposals) + 1
+    digit = {pv: i + 1 for i, pv in enumerate(proposals)}  # None -> 0 through .get
+    votes_mod = base ** len(proposals)  # the digits of one vote set
 
     def formable(state, field_index: int):
         counts: dict[tuple[int, int], int] = {}
@@ -130,59 +138,80 @@ def check_swap_agreement(
                 counts[pv] = counts.get(pv, 0) + 1
         return {pv for pv, c in counts.items() if c + byzantine >= quorum}
 
-    def violated(state) -> bool:
-        decisions = {v for (_k, v) in formable(state, 3)}
-        return len(decisions) > 1
-
     # Per-check memo tables; see the module docstring.
-    proposal_moves: dict = {}  # record -> [("prop", pv, successor), ...]
-    precommit_next: dict = {}  # (record, pv) -> successor or None
-    keys: dict = {_FRESH: _record_key(_FRESH)}  # every record in a state -> sort key
+    records: dict = {}  # id -> record
+    prevotes_of: dict = {}  # id -> its prevote digits
+    commits_of: dict = {}  # id -> its commit-vote digits
+    proposal_moves: dict = {}  # id -> [("prop", pv, successor id), ...]
+    precommit_next: dict = {}  # (id, pv) -> successor id or None
+    violations: dict = {}  # commit-vote digits per record -> violated
+    prevote_tallies: dict = {}  # prevote digits per record -> moves_for entry
+    moves_for: dict = {}  # formable pre-commits -> (pre-commits, {id: successor list})
 
-    def successors(record, precommits):
-        moves = proposal_moves.get(record)
+    def intern(record) -> int:
+        rid = digit.get(record[0], 0) * base + digit.get(record[1], 0)
+        for votes in (record[2], record[3]):
+            digits = sorted(digit[pv] for pv in votes)
+            for d in digits + [0] * (len(proposals) - len(digits)):
+                rid = rid * base + d
+        if rid not in records:
+            records[rid] = record
+            prevotes_of[rid], commits_of[rid] = rid // votes_mod % votes_mod, rid % votes_mod
+        return rid
+
+    def successors(rid, precommits):
+        record = records[rid]
+        moves = proposal_moves.get(rid)
         if moves is None:
-            moves = proposal_moves[record] = []
+            moves = proposal_moves[rid] = []
             for pv in proposals:
                 new_record = _step_proposal(record, pv, disabled_rules)
                 if new_record is not None:
-                    keys.setdefault(new_record, _record_key(new_record))
-                    moves.append(("prop", pv, new_record))
+                    moves.append(("prop", pv, intern(new_record)))
         moves = list(moves)
         for pv in precommits:
-            move = (record, pv)
+            move = (rid, pv)
             if move not in precommit_next:
                 new_record = _step_precommit(record, pv, disabled_rules)
-                if new_record is not None:
-                    keys.setdefault(new_record, _record_key(new_record))
-                precommit_next[move] = new_record
-            new_record = precommit_next[move]
-            if new_record is not None:
-                moves.append(("pre", pv, new_record))
+                precommit_next[move] = None if new_record is None else intern(new_record)
+            if precommit_next[move] is not None:
+                moves.append(("pre", pv, precommit_next[move]))
         return moves
 
-    initial = tuple([_FRESH] * honest)
+    initial = tuple([intern(_FRESH)] * honest)
     seen = {initial}
     frontier = [initial]
     parents: dict = {initial: None} if want_example else {}
     target = None
-    sort_key = keys.__getitem__
 
     while frontier:
         state = frontier.pop()
-        if violated(state):
+        key = tuple(map(commits_of.__getitem__, state))
+        violated = violations.get(key)
+        if violated is None:
+            decisions = {v for (_k, v) in formable([records[rid] for rid in state], 3)}
+            violated = violations[key] = len(decisions) > 1
+        if violated:
             target = state
             break
-        precommits = formable(state, 2)
-        # Authorities with identical records are interchangeable: act on the
-        # first index of each distinct record only.
-        first_of: dict = {}
-        for i, record in enumerate(state):
-            first_of.setdefault(record, i)
-        for record, i in first_of.items():
+        key = tuple(map(prevotes_of.__getitem__, state))
+        tally = prevote_tallies.get(key)
+        if tally is None:
+            # The set's iteration order is the pre-commit move order.
+            precommits = tuple(formable([records[rid] for rid in state], 2))
+            tally = prevote_tallies[key] = moves_for.setdefault(precommits, (precommits, {}))
+        precommits, memo = tally
+        # Ids sort in record-key order, so equal records sit together. Authorities
+        # with identical records are interchangeable: act on the first one only.
+        for i, rid in enumerate(state):
+            if i and state[i - 1] == rid:
+                continue
+            moves = memo.get(rid)
+            if moves is None:
+                moves = memo[rid] = successors(rid, precommits)
             others = state[:i] + state[i + 1:]
-            for kind, pv, new_record in successors(record, precommits):
-                new_state = tuple(sorted(others + (new_record,), key=sort_key))
+            for kind, pv, new_rid in moves:
+                new_state = tuple(sorted(others + (new_rid,)))
                 if new_state in seen:
                     continue
                 if len(seen) >= max_states:
@@ -201,16 +230,6 @@ def check_swap_agreement(
             example.append(action)
         example.reverse()
     return CheckResult(violation=target is not None, states=len(seen), example=example)
-
-
-def _record_key(record):
-    proposed, locked, pre, com = record
-    return (
-        proposed if proposed is not None else (-1, -1),
-        locked if locked is not None else (-1, -1),
-        tuple(sorted(pre)),
-        tuple(sorted(com)),
-    )
 
 
 def ablation_matrix(max_round: int = 2, byzantine: int = 1, n: int = 4) -> dict[str, CheckResult]:

@@ -12,6 +12,7 @@ wires every invariant audit into the report.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -101,6 +102,11 @@ class _Fields(dict):
     def __missing__(self, key: str):
         raise err(errors.CONFIG_ERROR, f"{self.where}: missing field {key!r}")
 
+    def number(self, key: str, default=None, kind=float):
+        """A numeric field; required when there is no default."""
+        value = self[key] if default is None else self.get(key, default)
+        return _number(value, f"{self.where}: {key}", kind)
+
     def choice(self, key: str, default: str, allowed):
         value = self.get(key, default)
         if value not in allowed:
@@ -116,6 +122,16 @@ def _hex(action: _Fields, key: str, value) -> bytes:
         raise err(errors.CONFIG_ERROR, f"{action.where}: {key} must be hex, got {value!r}") from None
 
 
+def _number(value, what: str, kind=float):
+    """A scenario number as ``kind``: a finite int or float, integral for
+    ``int``. Anything else (a string, a bool, NaN) is a config error."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)
+                              and (kind is float or value.is_integer())):
+        return kind(value)
+    noun = "an integer" if kind is int else "a number"
+    raise err(errors.CONFIG_ERROR, f"{what} must be {noun}, got {value!r}")
+
+
 def _ticks(seconds: float) -> int:
     return int(round(seconds * SECOND))
 
@@ -123,11 +139,11 @@ def _ticks(seconds: float) -> int:
 def parse_update(obj: dict):
     obj = _Fields("update", obj)
     if "scalar" in obj:
-        return algebra_mod.ScalarUpdate(int(obj["scalar"]))
+        return algebra_mod.ScalarUpdate(obj.number("scalar", kind=int))
     if "item" in obj:
-        return algebra_mod.ItemUpdate(bytes.fromhex(obj["item"]), int(obj["delta"]))
+        return algebra_mod.ItemUpdate(bytes.fromhex(obj["item"]), obj.number("delta", kind=int))
     if "side" in obj:
-        return algebra_mod.SideUpdate(int(obj["side"]), parse_update(obj["inner"]))
+        return algebra_mod.SideUpdate(obj.number("side", kind=int), parse_update(obj["inner"]))
     raise err(errors.CONFIG_ERROR, f"cannot parse update {obj!r}")
 
 
@@ -243,7 +259,7 @@ def _operation(prepare):
 
 def _transfer(run: RunResult, action: dict):
     src, dest = run.account_ids[action["from"]], run.account_ids[action["to"]]
-    operation = Transfer(dest, int(action["value"]))
+    operation = Transfer(dest, action.number("value", kind=int))
     return src, lambda: operation, lambda _op: "ok"
 
 
@@ -298,7 +314,10 @@ def _swap(run: RunResult, action: dict, key: str, start: float) -> None:
     if type(drivers_cfg) is not list or not drivers_cfg or any(
             type(r) is not int or r not in (1, 2) for r in drivers_cfg):
         raise err(errors.CONFIG_ERROR, f"{action.where}: drivers must be a non-empty list of 1 and 2")
-    deadline = _ticks(action["deadline_seconds"]) if "deadline_seconds" in action else run.sim.budget
+    deadline = run.sim.budget
+    if "deadline_seconds" in action:
+        deadline = _ticks(action.number("deadline_seconds"))
+    lock_wait = _ticks(action.number("lock_wait_seconds", 4.0))
 
     def broker(env):
         # The owners lock after the instance is created, so when the broker
@@ -322,14 +341,14 @@ def _swap(run: RunResult, action: dict, key: str, start: float) -> None:
                 behavior=_behavior,
                 drives=_role in drivers_cfg,
                 desired=_desired,
-                lock_wait=_ticks(action.get("lock_wait_seconds", 4.0)),
+                lock_wait=lock_wait,
                 deadline=deadline,
             )
 
         run.client(
             f"client:{key}.owner{role}",
             owner,
-            start + action.get(f"owner{role}_delay", 0.1 * role),
+            start + action.number(f"owner{role}_delay", 0.1 * role),
         )
 
 
@@ -339,6 +358,7 @@ def _auction(run: RunResult, action: dict, key: str, start: float) -> None:
     item_id = run.account_ids[action["item"]]
     rule = _RULES[action.choice("rule", "second_price", _RULES)]
     behavior = action.choice("seller_behavior", "honest", ("honest", "withhold", "misreport"))
+    bid_wait = _ticks(action.number("bid_wait_seconds", 20.0))
     ctx = AuctionContext(expected_bidders=len(action.get("bidders", [])))
     run.contexts[key] = ctx
 
@@ -347,7 +367,7 @@ def _auction(run: RunResult, action: dict, key: str, start: float) -> None:
             env, committee, wallet, seller_id, item_id, rule, ctx,
             run.tpke_system.public, timeout, run.logs[env.name],
             behavior=behavior,
-            bid_wait=_ticks(action.get("bid_wait_seconds", 20.0)),
+            bid_wait=bid_wait,
         )
 
     run.client(f"client:{key}.seller", seller, start)
@@ -355,14 +375,15 @@ def _auction(run: RunResult, action: dict, key: str, start: float) -> None:
         bidder = _Fields(f"{action.where} bidder {b_idx}", bidder)
         bidder_id = run.account_ids[bidder["name"]]
 
-        def bid(env, _uid=bidder_id, _bid=int(bidder["bid"]), _deposit=int(bidder["deposit"])):
+        def bid(env, _uid=bidder_id, _bid=bidder.number("bid", kind=int),
+                _deposit=bidder.number("deposit", kind=int)):
             yield from bidder_script(
                 env, committee, wallet, _uid, _bid, _deposit, ctx,
                 run.tpke_system.public, run.sim.rng, timeout, run.logs[env.name],
             )
 
         run.client(f"client:{key}.bidder{b_idx}", bid,
-                   start + bidder.get("delay", 0.05 * (b_idx + 1)))
+                   start + bidder.number("delay", 0.05 * (b_idx + 1)))
 
 
 def _transmute(run: RunResult, action: dict, key: str, start: float) -> None:
@@ -374,8 +395,8 @@ def _transmute(run: RunResult, action: dict, key: str, start: float) -> None:
                                        "account names, and data one hex string per input")
     data = [_hex(action, "data", h) for h in action["data"]]
     params = _hex(action, "params", action.get("params", ""))
-    out_count = int(action.get("outputs", 1))
-    repeat = int(action.get("repeat", 1))
+    out_count = action.number("outputs", 1, kind=int)
+    repeat = action.number("repeat", 1, kind=int)
 
     def script(env):
         log = run.logs[env.name]
@@ -425,25 +446,25 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
     signers = [mac_keypair(rng) for _ in range(n)]
     committee = Committee(tuple(s.public_key for s in signers))
 
-    net_cfg = config.get("net", {})
+    net_cfg = _Fields("net", config.get("net", {}))
     net = NetConfig(
-        min_delay=net_cfg.get("min_delay_ms", 10),
-        max_delay=net_cfg.get("max_delay_ms", 120),
-        drop=net_cfg.get("drop", 0.0),
-        dup=net_cfg.get("dup", 0.0),
-        gst=_ticks(net_cfg.get("gst_seconds", 0.0)),
-        gst_bound=net_cfg.get("gst_bound_ms", 150),
-        xshard_min=net_cfg.get("xshard_min_ms", 1),
-        xshard_max=net_cfg.get("xshard_max_ms", 60),
-        xshard_dup=net_cfg.get("xshard_dup", 0.05),
+        min_delay=net_cfg.number("min_delay_ms", 10, kind=int),
+        max_delay=net_cfg.number("max_delay_ms", 120, kind=int),
+        drop=net_cfg.number("drop", 0.0),
+        dup=net_cfg.number("dup", 0.0),
+        gst=_ticks(net_cfg.number("gst_seconds", 0.0)),
+        gst_bound=net_cfg.number("gst_bound_ms", 150, kind=int),
+        xshard_min=net_cfg.number("xshard_min_ms", 1, kind=int),
+        xshard_max=net_cfg.number("xshard_max_ms", 60, kind=int),
+        xshard_dup=net_cfg.number("xshard_dup", 0.05),
     )
     timeout = max(500, 4 * net.max_delay)
-    delta = config.get("consensus", {}).get("delta_ms", 4 * net.max_delay)
 
-    consensus_cfg = config.get("consensus", {})
+    consensus_cfg = _Fields("consensus", config.get("consensus", {}))
+    delta = consensus_cfg.number("delta_ms", 4 * net.max_delay, kind=int)
     schedule = RoundSchedule(
-        interval=_ticks(consensus_cfg.get("interval_seconds", 1.0)),
-        escalation_round=consensus_cfg.get("escalation_round", 8),
+        interval=_ticks(consensus_cfg.number("interval_seconds", 1.0)),
+        escalation_round=consensus_cfg.number("escalation_round", 8, kind=int),
     )
     parity = consensus_cfg.get("parity_leader", False)
 
@@ -487,7 +508,7 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
         )
     initial_total = 0
     for i, acct in enumerate(accounts_cfg):
-        balance = acct.get("balance", 0)
+        balance = _number(acct.get("balance", 0), f"account {i}: balance", int)
         initial_total += balance
         for authority in authorities:
             entry = wallet[account_ids[acct["name"]]]
@@ -496,23 +517,26 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
     sim = Simulator(
         seed=rng.randrange(1 << 62),
         net=net,
-        budget=_ticks(config.get("budget_seconds", 120.0)),
+        budget=_ticks(_number(config.get("budget_seconds", 120.0), "budget_seconds")),
     )
     for authority in authorities:
         sim.add_authority(authority)
     for idx, when in faults.get("crash", {}).items():
-        sim.crash_at[f"auth:{int(idx)}"] = _ticks(when)
+        sim.crash_at[f"auth:{int(idx)}"] = _ticks(_number(when, f"faults.crash.{idx}"))
     for idx, p in faults.get("withhold_votes", {}).items():
-        sim.withhold[f"auth:{int(idx)}"] = float(p)
+        sim.withhold[f"auth:{int(idx)}"] = _number(p, f"faults.withhold_votes.{idx}")
     for idx, windows in faults.get("outages", {}).items():
-        sim.outages[f"auth:{int(idx)}"] = [(_ticks(a), _ticks(b)) for a, b in windows]
+        what = f"faults.outages.{idx}"
+        sim.outages[f"auth:{int(idx)}"] = [(_ticks(_number(a, what)), _ticks(_number(b, what)))
+                                           for a, b in windows]
 
     run = RunResult(rng, sim, committee, wallet, account_ids, timeout, delta, schedule,
                     tpke_system, initial_total)
     for idx, action in enumerate(config.get("actions", [])):
         kind = action["kind"]
         key = action.get("id", f"{kind}{idx}")
-        ACTIONS[kind](run, _Fields(f"action {key!r}", action), key, action.get("start", 0.0))
+        fields = _Fields(f"action {key!r}", action)
+        ACTIONS[kind](run, fields, key, fields.number("start", 0.0))
 
     sim.run()
 

@@ -59,6 +59,13 @@ def test_modelcheck_command(capsys):
     assert payload["baseline"]["violation"] is False
 
 
+@pytest.mark.parametrize("flag", ["--rounds", "--byzantine"])
+def test_modelcheck_negative_bound_exit_code(capsys, flag):
+    code = main(["modelcheck", flag, "-1"])
+    assert code == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
 def test_modelcheck_ablation_exit_code(capsys):
     # an ablated rule that still finds a violation is the expected outcome
     code = main(["modelcheck", "--rounds", "1", "--byzantine", "0", "--ablate", "a"])
@@ -86,6 +93,10 @@ BAD_EDITS = {
     "byzantine_unknown": ("swap_byzantine", ("faults", "arbitrary_signer"), [9]),
     "crash_unknown": ("swap_crash_fault", ("faults", "crash"), {"4": 0.05}),
     "crash_not_int": ("swap_crash_fault", ("faults", "crash"), {"x": 1.0}),
+    "crash_not_number": ("swap_crash_fault", ("faults", "crash"), {"2": "soon"}),
+    "repeat_not_int": ("transmute_assets", ("actions", 0, "repeat"), "x"),
+    "drop_not_number": ("transfers", ("net", "drop"), "x"),
+    "balance_not_int": ("transfers", ("accounts", 0, "balance"), "x"),
     "faults_not_object": ("swap_crash_fault", ("faults",), []),
 }
 

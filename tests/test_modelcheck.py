@@ -2,8 +2,16 @@
 
 import pytest
 
-from bftledger.errors import ProtocolError
-from bftledger.modelcheck import ablation_matrix, check_swap_agreement
+from bftledger import errors
+from bftledger.errors import ProtocolError, err
+from bftledger.modelcheck import (
+    _FRESH,
+    CheckResult,
+    _step_precommit,
+    _step_proposal,
+    ablation_matrix,
+    check_swap_agreement,
+)
 
 # Rounds <= 2, n = 4, one byzantine authority. The depth-first search stops at
 # the first violation, so these counts and paths also pin the exploration order.
@@ -78,6 +86,10 @@ def test_bounds_guard():
         check_swap_agreement(max_round=2, byzantine=2)
     with pytest.raises(ProtocolError):
         check_swap_agreement(max_round=2, byzantine=1, max_states=10)
+    for bounds in ({"max_round": -1}, {"byzantine": -1}):
+        with pytest.raises(ProtocolError) as exc:
+            check_swap_agreement(**bounds)
+        assert exc.value.code == "ConfigError"
 
 
 def test_byzantine_votes_strengthen_adversary():
@@ -106,3 +118,139 @@ def test_no_state_carries_across_checks():
     # A check at other bounds in between does not disturb the next one either.
     check_swap_agreement(max_round=1, byzantine=0, disabled_rules=frozenset("a"))
     assert _rounds2("without_a").example == ROUNDS2_EXAMPLES["without_a"]
+
+
+# -- differential check against the search as it was before ids and memos ------------
+# A verbatim copy of the earlier implementation, kept only as a reference. The two
+# must agree on the verdict, the state count and the example path, so the
+# exploration order (which pins the ablation counts above) is unchanged too.
+
+
+def _reference_check(
+    max_round: int = 2,
+    byzantine: int = 1,
+    n: int = 4,
+    disabled_rules: frozenset = frozenset(),
+    max_states: int = 5_000_000,
+    want_example: bool = False,
+) -> CheckResult:
+    """Exhaustively search all schedules up to the round bound.
+
+    Raises BoundsTooLarge for bounds outside the desk-scale envelope.
+    """
+    if max_round > 3 or n > 7:
+        raise err(errors.BOUNDS_TOO_LARGE, f"max_round={max_round}, n={n}")
+    f = (n - 1) // 3
+    if byzantine > f:
+        raise err(errors.BOUNDS_TOO_LARGE, f"byzantine={byzantine} exceeds f={f}")
+    quorum = 2 * f + 1
+    honest = n - byzantine
+    proposals = [
+        (k, v) for k in range(max_round + 1) for v in (0, 1)
+    ]
+
+    def formable(state, field_index: int):
+        counts: dict[tuple[int, int], int] = {}
+        for record in state:
+            for pv in record[field_index]:
+                counts[pv] = counts.get(pv, 0) + 1
+        return {pv for pv, c in counts.items() if c + byzantine >= quorum}
+
+    def violated(state) -> bool:
+        decisions = {v for (_k, v) in formable(state, 3)}
+        return len(decisions) > 1
+
+    # Per-check memo tables; see the module docstring.
+    proposal_moves: dict = {}  # record -> [("prop", pv, successor), ...]
+    precommit_next: dict = {}  # (record, pv) -> successor or None
+    keys: dict = {_FRESH: _record_key(_FRESH)}  # every record in a state -> sort key
+
+    def successors(record, precommits):
+        moves = proposal_moves.get(record)
+        if moves is None:
+            moves = proposal_moves[record] = []
+            for pv in proposals:
+                new_record = _step_proposal(record, pv, disabled_rules)
+                if new_record is not None:
+                    keys.setdefault(new_record, _record_key(new_record))
+                    moves.append(("prop", pv, new_record))
+        moves = list(moves)
+        for pv in precommits:
+            move = (record, pv)
+            if move not in precommit_next:
+                new_record = _step_precommit(record, pv, disabled_rules)
+                if new_record is not None:
+                    keys.setdefault(new_record, _record_key(new_record))
+                precommit_next[move] = new_record
+            new_record = precommit_next[move]
+            if new_record is not None:
+                moves.append(("pre", pv, new_record))
+        return moves
+
+    initial = tuple([_FRESH] * honest)
+    seen = {initial}
+    frontier = [initial]
+    parents: dict = {initial: None} if want_example else {}
+    target = None
+    sort_key = keys.__getitem__
+
+    while frontier:
+        state = frontier.pop()
+        if violated(state):
+            target = state
+            break
+        precommits = formable(state, 2)
+        # Authorities with identical records are interchangeable: act on the
+        # first index of each distinct record only.
+        first_of: dict = {}
+        for i, record in enumerate(state):
+            first_of.setdefault(record, i)
+        for record, i in first_of.items():
+            others = state[:i] + state[i + 1:]
+            for kind, pv, new_record in successors(record, precommits):
+                new_state = tuple(sorted(others + (new_record,), key=sort_key))
+                if new_state in seen:
+                    continue
+                if len(seen) >= max_states:
+                    raise err(errors.BOUNDS_TOO_LARGE, f"state budget {max_states} exhausted")
+                seen.add(new_state)
+                frontier.append(new_state)
+                if want_example:
+                    parents[new_state] = (state, (kind, pv))
+
+    example = None
+    if target is not None and want_example:
+        example = []
+        cursor = target
+        while parents.get(cursor) is not None:
+            cursor, action = parents[cursor]
+            example.append(action)
+        example.reverse()
+    return CheckResult(violation=target is not None, states=len(seen), example=example)
+
+
+def _record_key(record):
+    proposed, locked, pre, com = record
+    return (
+        proposed if proposed is not None else (-1, -1),
+        locked if locked is not None else (-1, -1),
+        tuple(sorted(pre)),
+        tuple(sorted(com)),
+    )
+
+
+# Every ablation at small bounds, plus rounds <= 3 without rule a: the smallest
+# case found whose example path changes if pre-commits are tried in sorted order.
+DIFFERENTIAL_CASES = [
+    (max_round, byzantine, n, rule)
+    for max_round, byzantine, n in [(0, 0, 4), (0, 1, 4), (1, 0, 4), (1, 1, 4), (0, 2, 7)]
+    for rule in ["", *"abcd"]
+] + [(3, 1, 4, "a")]
+
+
+@pytest.mark.parametrize("max_round,byzantine,n,rule", DIFFERENTIAL_CASES)
+def test_matches_reference_search(max_round, byzantine, n, rule):
+    bounds = dict(max_round=max_round, byzantine=byzantine, n=n, disabled_rules=frozenset(rule),
+                  want_example=True)
+    new, ref = check_swap_agreement(**bounds), _reference_check(**bounds)
+    assert (new.violation, new.states, new.example) == (ref.violation, ref.states, ref.example)
