@@ -98,6 +98,26 @@ BAD_EDITS = {
     "drop_not_number": ("transfers", ("net", "drop"), "x"),
     "balance_not_int": ("transfers", ("accounts", 0, "balance"), "x"),
     "faults_not_object": ("swap_crash_fault", ("faults",), []),
+    "repeat_zero": ("transmute_assets", ("actions", 0, "repeat"), 0),
+    "repeat_negative": ("transmute_assets", ("actions", 0, "repeat"), -1),
+    "outage_not_pair": ("partition_heal", ("faults", "outages"), {"3": [[1, 2, 3]]}),
+    "update_item_not_hex": ("algebra_updates", ("actions", 2, "u_plus", "item"), "zz"),
+    "net_not_object": ("transfers", ("net",), "fast"),
+    "accounts_not_list": ("transfers", ("accounts",), "alice"),
+    "bidders_not_list": ("auction_second_price", ("actions", 0, "bidders"), "dan"),
+    "action_not_object": ("transfers", ("actions", 0), ["transfer"]),
+    "id_not_string": ("transfers", ("actions", 0, "id"), ["t"]),
+    "delays_reversed": ("transfers", ("net", "min_delay_ms"), 500),
+    "gst_bound_below_min": ("swap_contested", ("net", "gst_bound_ms"), 5),
+    "xshard_delays_reversed": ("transfers", ("net", "xshard_min_ms"), 100),
+    "unknown_field": ("swap_confirm", ("actions", 0, "owner2_behaviour"), "no_lock"),
+    "duplicate_id": ("transfers", ("actions", 1, "id"), "transfer0"),
+    "parity_not_bool": ("swap_liveness_parity", ("consensus", "parity_leader"), "no"),
+    "value_out_of_range": ("transfers", ("actions", 0, "value"), 2**70),
+    "bid_out_of_range": ("auction_second_price", ("actions", 0, "bidders", 0, "bid"), -5),
+    "budget_too_large": ("transfers", ("budget_seconds",), 10**400),
+    "withhold_above_one": ("swap_confirm", ("faults",), {"withhold_votes": {"1": 2.0}}),
+    "start_negative": ("transfers", ("actions", 0, "start"), -5.0),
 }
 
 
@@ -122,5 +142,15 @@ def test_bad_scenario_rejected(tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(bad_config(case)))
     code = main(["run", "--scenario", str(bad)])
+    assert code == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["{\"version\": 1,", None])
+def test_unreadable_scenario_rejected(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["run", "--scenario", str(path)])
     assert code == 2
     assert "ConfigError" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 import json
 import os
 
-from bftledger.scenario import load_scenario, run_scenario
+from bftledger.scenario import load_scenario, run_scenario, validate_scenario
 from bftledger.swap import DecisionValue
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -281,5 +281,5 @@ def test_budget_exceeded_is_reported_not_fatal():
 
 def test_every_shipped_scenario_loads():
     for fname in sorted(os.listdir(SCENARIOS)):
-        config = load_scenario(os.path.join(SCENARIOS, fname))
-        assert config["version"] == 1
+        spec = validate_scenario(load_scenario(os.path.join(SCENARIOS, fname)))
+        assert spec["version"] == 1
