@@ -20,6 +20,7 @@ def main() -> int:
     summary = run_fuzz(runs=runs, base_seed=base_seed)
     print(f"{summary.line()} in {time.time() - started:.1f}s")
     print(f"trace sha256: {summary.trace_sha256}")
+    print(f"synced sha256: {summary.synced_sha256}")
     for seed, violations in summary.agreement_violations:
         print(f"  seed {seed}: {violations}")
     return 0 if not summary.agreement_violations else 1

@@ -6,7 +6,9 @@ request is then executed exactly once per sequence number. Effects that
 touch other UIDs travel as idempotent cross-shard messages.
 
 Operations are an open set: modules that add their own account operations
-(asset spends, auction creation) register a validator and an executor here.
+(asset spends, auction creation) register them here. A validator only raises
+to refuse a request. An executor applies a certified request and returns its
+effects, or returns None to park the certificate until a credit pays for it.
 """
 
 from __future__ import annotations
@@ -140,6 +142,15 @@ class SetOwnerEffect:
     cert: Certificate
 
 
+@dataclass(frozen=True)
+class EscrowDebitEffect:
+    """Drain an auction's escrow account at settlement."""
+
+    target: AccountId
+    amount: int
+    cert: Certificate
+
+
 # -- Account state -------------------------------------------------------------
 
 
@@ -166,19 +177,39 @@ class AccountState:
 
 # -- Operation validation / execution registries -------------------------------
 
-# validator(ledger, account, request_id, n, op) -> RequestKind (raises ProtocolError)
-# executor(ledger, account, request_id, op, cert) -> list of effects
+# validator(account, request_id, op) raises ProtocolError to refuse the request.
+# executor(ledger, account, request_id, op, cert) returns the certified
+# operation's effects, or None, leaving the account untouched, when the account
+# cannot afford it yet: the certificate is then parked until a credit arrives.
 VALIDATORS: dict[type, Callable] = {}
 EXECUTORS: dict[type, Callable] = {}
-
-# applier(ledger, effect) for effect types that may need re-application once
-# funds arrive (populated by the modules defining such effects)
-EFFECT_APPLIERS: dict[type, Callable] = {}
 
 
 def operation(op_cls: type, validator: Callable, executor: Callable) -> None:
     VALIDATORS[op_cls] = validator
     EXECUTORS[op_cls] = executor
+
+
+def validate_operation(account: AccountState, id: AccountId, op: Any) -> None:
+    validator = VALIDATORS.get(type(op))
+    if validator is None:
+        raise err(errors.BAD_VALUE, f"unknown operation {type(op).__name__}")
+    validator(account, id, op)
+
+
+def check_derived_id(account: AccountState, id: AccountId, child: AccountId) -> None:
+    """A new object's UID must be its creator's UID extended by the creating sequence number."""
+    if child != id.child(account.next_sequence):
+        raise err(errors.BAD_DERIVED_ID, f"{child} is not {id}::{account.next_sequence}")
+
+
+def _receive(account: AccountState, cert: Certificate) -> bool:
+    """Record a certificate that acts on this account; False if it was already recorded."""
+    digest = value_digest(cert.value)
+    if digest in account.received:
+        return False
+    account.received[digest] = cert
+    return True
 
 
 class Ledger:
@@ -193,7 +224,8 @@ class Ledger:
         self.tombstones: dict[AccountId, bytes] = {}
         self.algebra_of = algebra_of
         self.on_mutate: Callable[[AccountId, AccountState], None] = lambda _uid, _acct: None
-        self.deferred_effects: dict[AccountId, list] = {}
+        # Escrow debits that arrived before the deposits they drain.
+        self.deferred_effects: dict[AccountId, list[EscrowDebitEffect]] = {}
 
     # -- bootstrap / init --
 
@@ -216,25 +248,23 @@ class Ledger:
 
     # -- request path --
 
-    def validate_operation(self, account: AccountState, id: AccountId, n: int, op: Any) -> Request:
-        validator = VALIDATORS.get(type(op))
-        if validator is None:
-            raise err(errors.BAD_VALUE, f"unknown operation {type(op).__name__}")
-        kind = validator(self, account, id, n, op)
-        return Request(kind, id, n, op)
+    def owned_account(self, auth: Authenticated, id: AccountId) -> AccountState:
+        """The active account ``id``, provided its owner signed ``auth``."""
+        account = self.accounts.get(id)
+        if account is None:
+            raise err(errors.UNKNOWN_ACCOUNT, str(id))
+        if account.pk is None:
+            raise err(errors.INACTIVE_ACCOUNT, str(id))
+        if not check_authenticated(auth, expected_pk=account.pk):
+            raise err(errors.BAD_AUTH, str(id))
+        return account
 
     def handle_request(self, auth: Authenticated) -> Request:
         """Validate and lock the account on a request; returns the value to vote on."""
         request = auth.payload
         if not isinstance(request, Request):
             raise err(errors.BAD_AUTH, "payload is not a request")
-        account = self.accounts.get(request.id)
-        if account is None:
-            raise err(errors.UNKNOWN_ACCOUNT, str(request.id))
-        if account.pk is None:
-            raise err(errors.INACTIVE_ACCOUNT, str(request.id))
-        if not check_authenticated(auth, expected_pk=account.pk):
-            raise err(errors.BAD_AUTH, str(request.id))
+        account = self.owned_account(auth, request.id)
         if account.pending == request:
             return request  # idempotent re-vote
         if account.pending is not None:
@@ -244,9 +274,7 @@ class Ledger:
                 errors.SEQUENCE_MISMATCH,
                 f"expected {account.next_sequence}, got {request.n}",
             )
-        validated = self.validate_operation(account, request.id, request.n, request.op)
-        if validated != request:
-            raise err(errors.BAD_VALUE, "request does not match validated form")
+        validate_operation(account, request.id, request.op)
         account.pending = request
         return request
 
@@ -255,8 +283,8 @@ class Ledger:
     def handle_confirmation(self, cert: Certificate) -> list:
         """Execute a certified Execute request once; idempotent on replay.
 
-        Returns cross-shard effects. If the operation's local mutation is not
-        yet executable (missing funds at this replica), the certificate is
+        Returns cross-shard effects. If the account cannot afford the
+        operation yet (missing funds at this replica), the certificate is
         parked and retried when a credit arrives.
         """
         request = cert.value
@@ -273,104 +301,87 @@ class Ledger:
             raise err(errors.INACTIVE_ACCOUNT, str(request.id))
         if account.next_sequence != request.n:
             return []  # replay of an already-executed (or future) sequence number
-        if not self._executable(account, request.op):
+        return self._execute(account, cert)
+
+    def _execute(self, account: AccountState, cert: Certificate) -> list:
+        request = cert.value
+        effects = EXECUTORS[type(request.op)](self, account, request.id, request.op, cert)
+        if effects is None:
             account.parked = cert
             return []
-        return self._execute(account, cert, request)
-
-    def _executable(self, account: AccountState, op: Any) -> bool:
-        alg = account.alg
-        if isinstance(op, Transfer):
-            up = alg.money_update(-op.value)
-            return up is not None and alg.is_valid(alg.apply(account.state, up))
-        if isinstance(op, ApplyUpdate):
-            return alg.applicable(op.u_minus) and alg.is_valid(
-                alg.apply(account.state, op.u_minus)
-            )
-        return True
-
-    def _execute(self, account: AccountState, cert: Certificate, request: Request) -> list:
-        executor = EXECUTORS[type(request.op)]
-        effects = executor(self, account, request.id, request.op, cert)
         # The account may have been deactivated by its own operation.
         if request.id in self.accounts:
-            account.next_sequence = request.n + 1
-            account.pending = None
-            account.parked = None
-            account.confirmed.append(cert)
-            self.on_mutate(request.id, account)
+            self._advance(request.id, account, cert)
         return effects
 
-    def defer_effect(self, target: AccountId, eff) -> None:
-        queue = self.deferred_effects.setdefault(target, [])
-        if eff not in queue:
-            queue.append(eff)
+    def _advance(self, id: AccountId, account: AccountState, cert: Certificate) -> None:
+        """Close the account's current sequence number with ``cert``."""
+        account.next_sequence += 1
+        account.pending = None
+        account.parked = None
+        account.confirmed.append(cert)
+        self.on_mutate(id, account)
 
-    def retry_parked(self, id: AccountId) -> list:
-        """Retry work blocked on this account's funds: deferred incoming
-        effects first, then a parked confirmation."""
+    def _retry(self, id: AccountId) -> list:
+        """Retry work blocked on this account's funds: deferred escrow debits
+        first, then a parked confirmation."""
         for eff in self.deferred_effects.pop(id, []):
-            EFFECT_APPLIERS[type(eff)](self, eff)  # may re-defer itself
+            self.apply_escrow_debit(eff)  # may defer itself again
+        # A parked certificate is always for the account's next sequence
+        # number: every advance of the sequence clears it.
         account = self.accounts.get(id)
         if account is None or account.parked is None:
             return []
-        cert = account.parked
-        request = cert.value
-        if account.next_sequence != request.n or not self._executable(account, request.op):
-            return []
-        return self._execute(account, cert, request)
+        return self._execute(account, account.parked)
 
     # -- cross-shard effect application (idempotent) --
 
     def apply_init_account(self, eff: InitAccountEffect) -> None:
         if eff.target in self.tombstones:
             return  # never re-create a deactivated id
-        account = self.accounts.get(eff.target)
-        if account is None:
-            account = self.init_account(eff.target, eff.pk)
-        digest = value_digest(eff.cert.value)
-        account.received.setdefault(digest, eff.cert)
+        account = self.accounts.get(eff.target) or self.init_account(eff.target, eff.pk)
+        _receive(account, eff.cert)
 
     def apply_credit(self, eff: CreditEffect) -> list:
         """Apply a certified remote update exactly once (dedup by cert digest)."""
         if eff.target in self.tombstones:
             return []  # a credit to a deactivated id is dropped
-        account = self.accounts.get(eff.target)
-        if account is None:
-            account = self.init_account(eff.target, None)
-        digest = value_digest(eff.cert.value)
-        if digest in account.received:
+        account = self.accounts.get(eff.target) or self.init_account(eff.target, None)
+        # An update that does not fit this account's algebra is dropped.
+        if not account.alg.applicable(eff.update) or not _receive(account, eff.cert):
             return []
-        if not account.alg.applicable(eff.update):
-            return []  # the update does not fit this account's algebra
-        account.received[digest] = eff.cert
         account.state = account.alg.apply(account.state, eff.update)
         self.on_mutate(eff.target, account)
-        return self.retry_parked(eff.target)
+        return self._retry(eff.target)
+
+    def apply_escrow_debit(self, eff: EscrowDebitEffect) -> None:
+        """Drain the escrow once (dedup by cert digest), deferring until any
+        deposit credits that have not landed at this replica arrive."""
+        account = self.accounts.get(eff.target) or self.init_account(eff.target, None)
+        digest = value_digest(eff.cert.value)
+        if digest in account.received:
+            return
+        if account.balance < eff.amount:
+            queue = self.deferred_effects.setdefault(eff.target, [])
+            if eff not in queue:
+                queue.append(eff)
+            return
+        account.received[digest] = eff.cert
+        account.state = account.alg.apply(account.state, account.alg.money_update(-eff.amount))
+        self.on_mutate(eff.target, account)
 
     def apply_unlock(self, eff: UnlockEffect) -> None:
         account = self.accounts.get(eff.target)
-        if account is None:
-            return
-        if account.next_sequence != eff.n:
-            return  # stale or already applied
-        account.next_sequence = eff.n + 1
-        account.pending = None
-        account.parked = None
+        if account is None or account.next_sequence != eff.n:
+            return  # unknown id, or a stale or already applied unlock
         if eff.new_pk is not None:
             account.pk = eff.new_pk
-        account.confirmed.append(eff.cert)
-        self.on_mutate(eff.target, account)
+        self._advance(eff.target, account, eff.cert)
 
     def apply_set_owner(self, eff: SetOwnerEffect) -> None:
         account = self.accounts.get(eff.target)
-        if account is None:
-            return  # owner change for an unknown id
-        digest = value_digest(eff.cert.value)
-        if digest in account.received:
-            return
-        account.received[digest] = eff.cert
-        account.pk = eff.pk
+        if account is not None and _receive(account, eff.cert):
+            account.pk = eff.pk
 
     def deactivate(self, id: AccountId, marker: bytes) -> None:
         self.accounts.pop(id, None)
@@ -380,33 +391,29 @@ class Ledger:
 # -- Core operation validators/executors ---------------------------------------
 
 
-def _validate_open(ledger: Ledger, account: AccountState, id: AccountId, n: int, op: OpenAccount):
-    if op.child != id.child(account.next_sequence):
-        raise err(errors.BAD_DERIVED_ID, f"{op.child} is not {id}::{account.next_sequence}")
-    return RequestKind.EXECUTE
-
-
-def _execute_open(ledger: Ledger, account: AccountState, id: AccountId, op: OpenAccount, cert: Certificate):
-    return [InitAccountEffect(target=op.child, pk=op.pk, cert=cert)]
-
-
-def _validate_transfer(ledger: Ledger, account: AccountState, id: AccountId, n: int, op: Transfer):
+def _validate_transfer(account: AccountState, id: AccountId, op: Transfer) -> None:
     if op.value <= 0:
         raise err(errors.BAD_VALUE, f"transfer of {op.value}")
     if op.value > account.balance:
         raise err(errors.INSUFFICIENT_FUNDS, f"{op.value} > {account.balance}")
-    return RequestKind.EXECUTE
+
+
+def _apply_local(account: AccountState, update: Any) -> bool:
+    """Apply an executor's local update unless the account cannot afford it yet."""
+    alg = account.alg
+    if update is None or not alg.applicable(update):
+        return False
+    state = alg.apply(account.state, update)
+    if not alg.is_valid(state):
+        return False
+    account.state = state
+    return True
 
 
 def _execute_transfer(ledger: Ledger, account: AccountState, id: AccountId, op: Transfer, cert: Certificate):
-    alg = account.alg
-    account.state = alg.apply(account.state, alg.money_update(-op.value))
-    credit = algebra_mod.ScalarUpdate(op.value)
-    return [CreditEffect(target=op.dest, update=credit, cert=cert)]
-
-
-def _validate_change_key(ledger: Ledger, account: AccountState, id: AccountId, n: int, op: ChangeKey):
-    return RequestKind.EXECUTE
+    if not _apply_local(account, account.alg.money_update(-op.value)):
+        return None
+    return [CreditEffect(target=op.dest, update=algebra_mod.ScalarUpdate(op.value), cert=cert)]
 
 
 def _execute_change_key(ledger: Ledger, account: AccountState, id: AccountId, op: ChangeKey, cert: Certificate):
@@ -414,14 +421,10 @@ def _execute_change_key(ledger: Ledger, account: AccountState, id: AccountId, op
     return []
 
 
-def _validate_start_instance(
-    ledger: Ledger, account: AccountState, id: AccountId, n: int, op: StartConsensusInstance
-):
-    if op.swid != id.child(account.next_sequence):
-        raise err(errors.BAD_DERIVED_ID, f"{op.swid} is not {id}::{account.next_sequence}")
+def _validate_start_instance(account: AccountState, id: AccountId, op: StartConsensusInstance) -> None:
+    check_derived_id(account, id, op.swid)
     if op.id1 == op.id2:
         raise err(errors.SAME_ACCOUNT_SWAP, str(op.id1))
-    return RequestKind.EXECUTE
 
 
 def _execute_start_instance(
@@ -436,31 +439,30 @@ def _execute_start_instance(
     ]
 
 
-def _validate_lock_into(ledger: Ledger, account: AccountState, id: AccountId, n: int, op: LockInto):
+def _validate_lock_into(account: AccountState, id: AccountId, op: LockInto) -> None:
     if op.role not in (1, 2):
         raise err(errors.BAD_VALUE, f"lock role {op.role}")
-    return RequestKind.LOCK
 
 
-def _execute_lock_into(*_args):
-    raise AssertionError("lock requests are never executed as regular operations")
-
-
-def _validate_apply_update(ledger: Ledger, account: AccountState, id: AccountId, n: int, op: ApplyUpdate):
+def _validate_apply_update(account: AccountState, id: AccountId, op: ApplyUpdate) -> None:
     reason = algebra_mod.validate_apply(account.alg, account.state, op.u_minus, op.u_plus)
     if reason is not None:
         raise err(reason, str(id))
-    return RequestKind.EXECUTE
 
 
 def _execute_apply_update(ledger: Ledger, account: AccountState, id: AccountId, op: ApplyUpdate, cert: Certificate):
-    account.state = account.alg.apply(account.state, op.u_minus)
+    if not _apply_local(account, op.u_minus):
+        return None
     return [CreditEffect(target=op.dest, update=op.u_plus, cert=cert)]
 
 
-operation(OpenAccount, _validate_open, _execute_open)
+operation(
+    OpenAccount,
+    lambda account, id, op: check_derived_id(account, id, op.child),
+    lambda ledger, account, id, op, cert: [InitAccountEffect(target=op.child, pk=op.pk, cert=cert)],
+)
 operation(Transfer, _validate_transfer, _execute_transfer)
-operation(ChangeKey, _validate_change_key, _execute_change_key)
+operation(ChangeKey, lambda account, id, op: None, _execute_change_key)
 operation(StartConsensusInstance, _validate_start_instance, _execute_start_instance)
-operation(LockInto, _validate_lock_into, _execute_lock_into)
+VALIDATORS[LockInto] = _validate_lock_into  # no executor: a swap instance spends lock certificates
 operation(ApplyUpdate, _validate_apply_update, _execute_apply_update)

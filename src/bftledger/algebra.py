@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from . import serialize
+from . import errors, serialize
 
 Update = Any
 State = Any
@@ -336,8 +336,6 @@ def by_name(name: str) -> StateAlgebra:
 
 def validate_apply(alg: StateAlgebra, state: State, u_minus: Update, u_plus: Update) -> str | None:
     """Why an owner-issued pair of updates cannot be accepted, or None if it can."""
-    from . import errors
-
     if not alg.applicable(u_minus) or not alg.applicable(u_plus):
         return errors.INVALID_UPDATE
     if not alg.is_safe(u_plus):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import errors, serialize
-from .accounts import AccountId, AccountState, Ledger, Request, RequestKind
+from .accounts import AccountId, AccountState, Ledger, Request, operation
 from .committee import (
     Authenticated,
     Certificate,
@@ -154,13 +154,7 @@ def handle_certify(ledger: Ledger, auth: Authenticated) -> AssetBinding:
     req = auth.payload
     if not isinstance(req, AssetCertifyRequest):
         raise err(errors.BAD_AUTH, "payload is not a certify request")
-    account = ledger.accounts.get(req.id)
-    if account is None:
-        raise err(errors.UNKNOWN_ACCOUNT, str(req.id))
-    if account.pk is None:
-        raise err(errors.INACTIVE_ACCOUNT, str(req.id))
-    if not check_authenticated(auth, expected_pk=account.pk):
-        raise err(errors.BAD_AUTH, str(req.id))
+    account = ledger.owned_account(auth, req.id)
     if req.n != account.next_sequence:
         raise err(errors.SEQUENCE_MISMATCH, f"expected {account.next_sequence}")
     return AssetBinding(id=req.id, n=req.n, data=req.data)
@@ -187,11 +181,7 @@ def handle_transmute(ledger: Ledger, committee, req: TransmuteRequest) -> list[A
     spend_requests: list[Request] = []
     for role, (spend_auth, asset_cert) in enumerate(zip(req.spends, req.inputs)):
         spend = spend_auth.payload
-        if (
-            not isinstance(spend, Request)
-            or spend.kind != RequestKind.EXECUTE
-            or not isinstance(spend.op, Spend)
-        ):
+        if not isinstance(spend, Request) or not isinstance(spend.op, Spend):
             raise err(errors.BAD_VALUE, f"input {role} is not a spend")
         if spend.op.commitment != commitment:
             raise err(errors.COMMITMENT_MISMATCH, f"input {role}")
@@ -242,17 +232,14 @@ def handle_transmute(ledger: Ledger, committee, req: TransmuteRequest) -> list[A
 # Spend as a regular certified account operation (outside a transmute bundle).
 
 
-def _validate_spend(ledger: Ledger, account: AccountState, id: AccountId, n: int, op: Spend):
+def _validate_spend(account: AccountState, id: AccountId, op: Spend) -> None:
     if account.balance != 0:
         raise err(errors.BAD_VALUE, "account still holds funds")
-    return RequestKind.EXECUTE
 
 
 def _execute_spend(ledger: Ledger, account: AccountState, id: AccountId, op: Spend, cert: Certificate):
     ledger.deactivate(id, value_digest(cert.value))
     return []
 
-
-from .accounts import operation  # noqa: E402  (registration after definitions)
 
 operation(Spend, _validate_spend, _execute_spend)

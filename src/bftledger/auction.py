@@ -22,7 +22,16 @@ from enum import IntEnum
 from typing import Optional
 
 from . import errors, serialize, tpke
-from .accounts import AccountId, CreditEffect, Ledger, Request, RequestKind, SetOwnerEffect, Transfer
+from .accounts import (
+    AccountId,
+    CreditEffect,
+    EscrowDebitEffect,
+    Request,
+    SetOwnerEffect,
+    Transfer,
+    check_derived_id,
+    operation,
+)
 from .algebra import ScalarUpdate
 from .committee import (
     Authenticated,
@@ -61,13 +70,6 @@ class InitAuctionEffect:
     seller_pk: bytes
     item: AccountId
     rule: PriceRule
-    cert: Certificate
-
-
-@dataclass(frozen=True)
-class EscrowDebitEffect:
-    target: AccountId
-    amount: int
     cert: Certificate
 
 
@@ -208,7 +210,6 @@ class AuctionService:
         escrow = proof.value
         if (
             not isinstance(escrow, Request)
-            or escrow.kind != RequestKind.EXECUTE
             or not isinstance(escrow.op, Transfer)
             or escrow.id != req.bidder
             or escrow.op.dest != req.auction_id
@@ -375,35 +376,7 @@ class AuctionService:
         return effects
 
 
-def apply_escrow_debit(ledger: Ledger, eff: EscrowDebitEffect) -> None:
-    """Drain the escrow once (dedup by certificate digest), waiting for any
-    deposit credits that have not landed at this replica yet."""
-    account = ledger.accounts.get(eff.target)
-    if account is None:
-        account = ledger.init_account(eff.target, None)
-    digest = value_digest(eff.cert.value)
-    if digest in account.received:
-        return
-    if account.balance < eff.amount:
-        ledger.defer_effect(eff.target, eff)
-        return
-    account.received[digest] = eff.cert
-    account.state = account.alg.apply(account.state, account.alg.money_update(-eff.amount))
-    ledger.on_mutate(eff.target, account)
-
-
-from .accounts import EFFECT_APPLIERS  # noqa: E402
-
-EFFECT_APPLIERS[EscrowDebitEffect] = apply_escrow_debit
-
-
 # CreateAuction as a regular certified account operation.
-
-
-def _validate_create_auction(ledger, account, id, n, op: CreateAuction):
-    if op.auction_id != id.child(account.next_sequence):
-        raise err(errors.BAD_DERIVED_ID, f"{op.auction_id} is not {id}::{account.next_sequence}")
-    return RequestKind.EXECUTE
 
 
 def _execute_create_auction(ledger, account, id, op: CreateAuction, cert: Certificate):
@@ -419,6 +392,8 @@ def _execute_create_auction(ledger, account, id, op: CreateAuction, cert: Certif
     ]
 
 
-from .accounts import operation  # noqa: E402
-
-operation(CreateAuction, _validate_create_auction, _execute_create_auction)
+operation(
+    CreateAuction,
+    lambda account, id, op: check_derived_id(account, id, op.auction_id),
+    _execute_create_auction,
+)

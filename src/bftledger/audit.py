@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import algebra as algebra_mod
-from .accounts import CreditEffect, Request
-from .auction import EscrowDebitEffect
+from .accounts import CreditEffect, EscrowDebitEffect, Request
 from .committee import Committee, value_digest
 from .swap import CommitStatement, PreCommitStatement
 

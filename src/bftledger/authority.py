@@ -16,13 +16,14 @@ from . import assets, errors, swap
 from .accounts import (
     AccountId,
     CreditEffect,
+    EscrowDebitEffect,
     InitAccountEffect,
     Ledger,
     Request,
     SetOwnerEffect,
     UnlockEffect,
 )
-from .auction import AuctionService, EscrowDebitEffect, InitAuctionEffect, apply_escrow_debit
+from .auction import AuctionService, InitAuctionEffect
 from .committee import Certificate, Committee, check_certificate, make_vote, value_digest
 from .errors import ProtocolError, err
 from .keys import Signer
@@ -241,7 +242,7 @@ class Authority:
         CreditEffect: _effect(_apply_credit),
         UnlockEffect: _effect(lambda self, eff, now: self.ledger.apply_unlock(eff)),
         SetOwnerEffect: _effect(lambda self, eff, now: self.ledger.apply_set_owner(eff)),
-        EscrowDebitEffect: _effect(lambda self, eff, now: apply_escrow_debit(self.ledger, eff)),
+        EscrowDebitEffect: _effect(lambda self, eff, now: self.ledger.apply_escrow_debit(eff)),
         InitInstanceEffect: _effect(lambda self, eff, now: self.swaps.init_instance(eff, now)),
         InitAuctionEffect: _effect(lambda self, eff, now: self.auctions.init_auction(eff)),
     }

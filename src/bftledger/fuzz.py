@@ -67,6 +67,7 @@ class FuzzSummary:
     stalled: int
     agreement_violations: list
     trace_sha256: str  # over every schedule's trace.bin bytes, in seed order
+    synced_sha256: str  # over every schedule's synced snapshots, in seed then authority order
 
     def line(self) -> str:
         status = "PASS" if not self.agreement_violations else "FAIL"
@@ -81,10 +82,13 @@ def run_fuzz(runs: int = 200, base_seed: int = 0) -> FuzzSummary:
     committed = stalled = 0
     violations = []
     traces = hashlib.sha256()
+    synced = hashlib.sha256()
     for i in range(runs):
         seed = base_seed + i
         run, report = run_scenario(fuzz_swap_config(seed))
         traces.update(run.sim.trace.to_bytes())
+        for auth in sorted(run.synced_snapshots):
+            synced.update(auth.encode() + run.synced_snapshots[auth].encode())
         agreement = next(a for a in report.audits if a.name == "agreement")
         if not agreement.passed:
             violations.append((seed, agreement.violations))
@@ -94,5 +98,5 @@ def run_fuzz(runs: int = 200, base_seed: int = 0) -> FuzzSummary:
             stalled += 1
     return FuzzSummary(
         runs=runs, committed=committed, stalled=stalled, agreement_violations=violations,
-        trace_sha256=traces.hexdigest(),
+        trace_sha256=traces.hexdigest(), synced_sha256=synced.hexdigest(),
     )

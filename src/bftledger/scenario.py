@@ -417,7 +417,10 @@ def _transmute(run: RunResult, action: dict, key: str, start: float) -> None:
     def script(env):
         log = run.logs[env.name]
         # Resolved when the client runs: an input may name a child account
-        # that an earlier open_account registered.
+        # that an earlier open_account registered, or has not certified yet.
+        if any(name not in run.account_ids for name in action["inputs"]):
+            run.results[key] = "unknown_input"
+            return
         input_ids = [run.account_ids[name] for name in action["inputs"]]
         asset_certs = []
         for uid, payload in zip(input_ids, action["data"]):

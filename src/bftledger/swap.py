@@ -74,7 +74,6 @@ class SwapInstance:
     pk2: Optional[bytes] = None
     proposed: Optional[Proposal] = None
     locked: Optional[Certificate] = None  # pre-commit certificate
-    received: Optional[Certificate] = None  # creation certificate, audit only
     created_at: int = 0
 
     def side(self, role: int) -> tuple[AccountId, int, Optional[bytes]]:
@@ -165,8 +164,7 @@ class SwapService:
         if eff.target in self.tombstones or eff.target in self.instances:
             return  # no-op on redelivery; never resurrect a deleted instance
         self.instances[eff.target] = SwapInstance(
-            id1=eff.id1, n1=eff.n1, id2=eff.id2, n2=eff.n2,
-            received=eff.cert, created_at=now,
+            id1=eff.id1, n1=eff.n1, id2=eff.id2, n2=eff.n2, created_at=now
         )
 
     def _parse_lock_cert(self, cert: Certificate, swid: AccountId, role: int):

@@ -34,7 +34,7 @@ WIRE_TYPES = (
     accounts.SetOwnerEffect,
     swap.InitInstanceEffect,
     auction.InitAuctionEffect,
-    auction.EscrowDebitEffect,
+    accounts.EscrowDebitEffect,
     # swap consensus
     swap.Proposal,
     swap.PreCommitStatement,

@@ -58,15 +58,18 @@ def shipped(name):
 # -- 1. agreement fuzz -------------------------------------------------------------
 
 
-# sha256 over the 200 schedules' trace.bin bytes in seed order. A change that
-# alters what the schedules do must re-pin it and say so in CHANGES.md:
-# ``python scripts/fuzz_swaps.py`` prints the current value.
+# sha256 over the 200 schedules' trace.bin bytes in seed order, and over their
+# synced snapshots (each authority's name and consistency snapshot after the
+# end-of-run sync, which runs after the trace is written). A change that alters
+# what the schedules do must re-pin them and say so in CHANGES.md:
+# ``python scripts/fuzz_swaps.py`` prints the current values.
 FUZZ_TRACE_SHA256 = "f91e67ced0fed6d0515af38786521a24a18c4f18ee09b367bc3b29bc57a1afa7"
+FUZZ_SYNCED_SHA256 = "7a49f9151b3d5a6375587583ef94d85b9b69b20532a091e3280f8cfbe12e6de1"
 
 
 def test_acceptance_1_agreement_fuzz():
     """>= 200 randomized adversarial swap schedules, zero conflicting commits, < 60 s,
-    and the schedules' traces are the pinned ones."""
+    and the schedules' traces and synced snapshots are the pinned ones."""
     from bftledger.fuzz import run_fuzz
 
     started = time.time()
@@ -76,9 +79,11 @@ def test_acceptance_1_agreement_fuzz():
         not summary.agreement_violations
         and elapsed < 60
         and summary.trace_sha256 == FUZZ_TRACE_SHA256
+        and summary.synced_sha256 == FUZZ_SYNCED_SHA256
     )
     report_line(1, "agreement fuzz", ok,
-                f"{summary.line()}, trace sha256 {summary.trace_sha256[:16]}, {elapsed:.1f}s")
+                f"{summary.line()}, trace sha256 {summary.trace_sha256[:16]}, "
+                f"synced sha256 {summary.synced_sha256[:16]}, {elapsed:.1f}s")
 
 
 # -- 2. bounded model check ---------------------------------------------------------
@@ -431,14 +436,14 @@ def run_settlement_engine(harness, values, deposits, rule, dummy_cipher):
         ledger.init_account(uid, key.public_key, balance=100 - deposit)
     ledger.init_account(auction_id, None, balance=sum(deposits))
     from bftledger.accounts import CreditEffect, SetOwnerEffect
-    from bftledger.auction import EscrowDebitEffect, apply_escrow_debit
+    from bftledger.auction import EscrowDebitEffect
 
     item_owner = seller_key.public_key
     for effect in effects:
         if isinstance(effect, CreditEffect):
             ledger.apply_credit(effect)
         elif isinstance(effect, EscrowDebitEffect):
-            apply_escrow_debit(ledger, effect)
+            ledger.apply_escrow_debit(effect)
         elif isinstance(effect, SetOwnerEffect):
             ledger.apply_set_owner(effect)
             item_owner = effect.pk

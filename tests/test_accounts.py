@@ -12,11 +12,13 @@ from bftledger.accounts import (
     Ledger,
     LockInto,
     OpenAccount,
+    RequestKind,
     StartConsensusInstance,
     Transfer,
     UnlockEffect,
     execute_request,
     lock_request,
+    validate_operation,
 )
 from bftledger.algebra import ScalarUpdate
 from bftledger.committee import authenticate
@@ -85,7 +87,7 @@ def test_transfer_over_balance_rejected(harness):
     led, _ = setup_owned(harness, balance=3)
     acct = led.accounts[ALICE]
     with pytest.raises(ProtocolError) as exc:
-        led.validate_operation(acct, ALICE, 0, Transfer(BOB, 5))
+        validate_operation(acct, ALICE, Transfer(BOB, 5))
     assert exc.value.code == errors.INSUFFICIENT_FUNDS
 
 
@@ -93,7 +95,7 @@ def test_transfer_zero_rejected(harness):
     led, _ = setup_owned(harness)
     acct = led.accounts[ALICE]
     with pytest.raises(ProtocolError) as exc:
-        led.validate_operation(acct, ALICE, 0, Transfer(BOB, 0))
+        validate_operation(acct, ALICE, Transfer(BOB, 0))
     assert exc.value.code == errors.BAD_VALUE
 
 
@@ -101,10 +103,9 @@ def test_open_account_requires_derived_id(harness):
     led, _ = setup_owned(harness)
     acct = led.accounts[ALICE]
     acct.next_sequence = 7
-    request = led.validate_operation(acct, ALICE, 7, OpenAccount(ALICE.child(7), b"pk"))
-    assert request == execute_request(ALICE, 7, OpenAccount(ALICE.child(7), b"pk"))
+    validate_operation(acct, ALICE, OpenAccount(ALICE.child(7), b"pk"))
     with pytest.raises(ProtocolError) as exc:
-        led.validate_operation(acct, ALICE, 7, OpenAccount(ALICE.child(8), b"pk"))
+        validate_operation(acct, ALICE, OpenAccount(ALICE.child(8), b"pk"))
     assert exc.value.code == errors.BAD_DERIVED_ID
 
 
@@ -112,8 +113,8 @@ def test_lock_into_yields_lock_request(harness):
     led, _ = setup_owned(harness)
     acct = led.accounts[ALICE]
     op = LockInto(AccountId(5), 1, b"handover")
-    request = led.validate_operation(acct, ALICE, 0, op)
-    assert request == lock_request(ALICE, 0, op)
+    validate_operation(acct, ALICE, op)
+    assert lock_request(ALICE, 0, op).kind == RequestKind.LOCK
 
 
 def test_same_account_swap_rejected(harness):
@@ -121,7 +122,7 @@ def test_same_account_swap_rejected(harness):
     acct = led.accounts[ALICE]
     op = StartConsensusInstance(ALICE.child(0), BOB, 0, BOB, 1)
     with pytest.raises(ProtocolError) as exc:
-        led.validate_operation(acct, ALICE, 0, op)
+        validate_operation(acct, ALICE, op)
     assert exc.value.code == errors.SAME_ACCOUNT_SWAP
 
 
@@ -216,6 +217,32 @@ def test_confirmation_parks_until_funds_arrive(harness):
     assert credit.target == BOB
 
 
+def test_apply_update_parks_until_affordable(harness):
+    """An ApplyUpdate whose local update would leave the account invalid parks;
+    a credit that still does not cover it leaves the parked op unapplied, and
+    the credit that does executes it exactly once."""
+    led, owner = setup_owned(harness, balance=0)
+    request = execute_request(ALICE, 0, ApplyUpdate(BOB, ScalarUpdate(-5), ScalarUpdate(5)))
+    cert = harness.certify(request)
+    assert led.handle_confirmation(cert) == []
+    acct = led.accounts[ALICE]
+    assert acct.parked == cert and acct.balance == 0 and acct.next_sequence == 0
+    partial = harness.certify(execute_request(BOB, 0, Transfer(ALICE, 3)))
+    assert led.apply_credit(CreditEffect(target=ALICE, update=ScalarUpdate(3), cert=partial)) == []
+    assert acct.parked == cert and acct.balance == 3
+    assert acct.next_sequence == 0 and acct.confirmed == []
+    rest = harness.certify(execute_request(BOB, 1, Transfer(ALICE, 4)))
+    effects = led.apply_credit(CreditEffect(target=ALICE, update=ScalarUpdate(4), cert=rest))
+    assert effects == [CreditEffect(target=BOB, update=ScalarUpdate(5), cert=cert)]
+    assert acct.balance == 2 and acct.next_sequence == 1
+    assert acct.parked is None and acct.confirmed == [cert]
+    # neither a replayed certificate nor a later credit executes it again
+    assert led.handle_confirmation(cert) == []
+    more = harness.certify(execute_request(BOB, 2, Transfer(ALICE, 1)))
+    assert led.apply_credit(CreditEffect(target=ALICE, update=ScalarUpdate(1), cert=more)) == []
+    assert acct.balance == 3 and acct.next_sequence == 1
+
+
 def test_transfer_autocreates_receiver(harness):
     led, owner = setup_owned(harness, balance=8)
     request = execute_request(ALICE, 0, Transfer(BOB, 5))
@@ -295,10 +322,9 @@ def test_apply_update_validation(harness):
     led, owner = setup_owned(harness, balance=3)
     acct = led.accounts[ALICE]
     with pytest.raises(ProtocolError) as exc:
-        led.validate_operation(acct, ALICE, 0, ApplyUpdate(BOB, ScalarUpdate(-5), ScalarUpdate(5)))
+        validate_operation(acct, ALICE, ApplyUpdate(BOB, ScalarUpdate(-5), ScalarUpdate(5)))
     assert exc.value.code == errors.INVALID_LOCAL_RESULT
     with pytest.raises(ProtocolError) as exc:
-        led.validate_operation(acct, ALICE, 0, ApplyUpdate(BOB, ScalarUpdate(-2), ScalarUpdate(-2)))
+        validate_operation(acct, ALICE, ApplyUpdate(BOB, ScalarUpdate(-2), ScalarUpdate(-2)))
     assert exc.value.code == errors.UNSAFE_REMOTE
-    request = led.validate_operation(acct, ALICE, 0, ApplyUpdate(BOB, ScalarUpdate(-2), ScalarUpdate(2)))
-    assert request.op.u_plus == ScalarUpdate(2)
+    validate_operation(acct, ALICE, ApplyUpdate(BOB, ScalarUpdate(-2), ScalarUpdate(2)))

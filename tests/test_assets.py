@@ -3,7 +3,7 @@
 import pytest
 
 from bftledger import errors, serialize
-from bftledger.accounts import AccountId, Ledger, execute_request
+from bftledger.accounts import AccountId, Ledger, execute_request, validate_operation
 from bftledger.assets import (
     AssetBinding,
     AssetCertifyRequest,
@@ -217,7 +217,7 @@ def test_spend_with_funds_rejected(harness):
     ledger.init_account(A1, owner.public_key, balance=5)
     acct = ledger.accounts[A1]
     with pytest.raises(ProtocolError) as exc:
-        ledger.validate_operation(acct, A1, 0, Spend(b"\x00" * 32))
+        validate_operation(acct, A1, Spend(b"\x00" * 32))
     assert exc.value.code == errors.BAD_VALUE
 
 

@@ -8,6 +8,7 @@ from bftledger import audit, errors, keys
 from bftledger.accounts import (
     AccountId,
     CreditEffect,
+    EscrowDebitEffect,
     LockInto,
     SetOwnerEffect,
     StartConsensusInstance,
@@ -16,6 +17,7 @@ from bftledger.accounts import (
     lock_request,
 )
 from bftledger.algebra import ScalarUpdate
+from bftledger.auction import EndOfAuctionStatement
 from bftledger.authority import ArbitrarySigner, Authority
 from bftledger.committee import Certificate, Committee, aggregate_certificate, authenticate, make_vote
 from bftledger.messages import CommitMsg, ConfirmMsg, ErrorReply, PreCommitMsg, ProposalMsg, VoteReply
@@ -199,3 +201,37 @@ def test_effects_from_a_client_rejected():
     for authority in sim.authorities.values():
         account = authority.ledger.accounts[AccountId(0)]
         assert (account.balance, account.pk) == (10, owner.public_key)
+
+
+def test_deferred_escrow_debit_counted_then_applied_once(harness):
+    """A settlement's escrow debit that reaches a replica before the deposit
+    credit it drains waits in the ledger, where the conservation audit counts
+    it as in flight, and is applied exactly once when the credit lands."""
+    authority = Authority(0, harness.signers[0], harness.committee)
+    sim = Simulator(seed=3)
+    sim.add_authority(authority)
+    ledger = authority.ledger
+    bidder, seller, auction_id = AccountId(0), AccountId(1), AccountId(1).child(0)
+    ledger.init_account(bidder, harness.keypair().public_key, balance=10)
+    ledger.init_account(seller, harness.keypair().public_key)
+    deposit = harness.certify(execute_request(bidder, 0, Transfer(auction_id, 6)))
+    (deposit_credit,) = ledger.handle_confirmation(deposit)
+    sim.post(authority.name, authority.name, deposit_credit)  # still in flight
+
+    settlement = harness.certify(EndOfAuctionStatement(auction_id=auction_id, values=(6,)))
+    debit = EscrowDebitEffect(target=auction_id, amount=6, cert=settlement)
+    ledger.apply_escrow_debit(debit)
+    ledger.apply_escrow_debit(debit)  # a duplicate waits once
+    ledger.apply_credit(CreditEffect(target=seller, update=ScalarUpdate(6), cert=settlement))
+    assert ledger.deferred_effects == {auction_id: [debit]}
+    assert ledger.accounts[auction_id].balance == 0
+    assert audit.audit_conservation(sim, harness.committee, initial_total=10).passed
+
+    sim.run()  # delivers the deposit credit
+    escrow = ledger.accounts[auction_id]
+    assert escrow.balance == 0 and not ledger.deferred_effects
+    assert len(escrow.received) == 2
+    ledger.apply_escrow_debit(debit)
+    assert escrow.balance == 0 and not ledger.deferred_effects
+    assert authority.total_money() == 10
+    assert audit.audit_conservation(sim, harness.committee, initial_total=10).passed

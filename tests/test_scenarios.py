@@ -283,3 +283,17 @@ def test_every_shipped_scenario_loads():
     for fname in sorted(os.listdir(SCENARIOS)):
         spec = validate_scenario(load_scenario(os.path.join(SCENARIOS, fname)))
         assert spec["version"] == 1
+
+
+def test_transmute_input_not_yet_opened_is_an_outcome():
+    """A transmute input naming an open_account child that is not certified when
+    the transmute client starts ends that action as ``unknown_input``; the run
+    still reports."""
+    config = shipped("transmute_assets")
+    config["actions"].insert(0, {"kind": "open_account", "owner": "art1", "name": "kid"})
+    config["actions"][1]["inputs"] = ["kid", "art2"]
+    run, report = run_scenario(config)
+    assert_audits(report)
+    assert run.results["transmute1"] == "unknown_input"
+    assert report.outcomes["transmute1"] == "unknown_input"
+    assert run.results["open_account0"] == str(run.account_ids["kid"])

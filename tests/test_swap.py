@@ -143,11 +143,15 @@ def test_huge_rounds_rejected():
 # -- service handlers -----------------------------------------------------------
 
 
+def creation_cert(harness):
+    return harness.certify(lock_request(ID1, 1, LockInto(SWID, 1, b"x")))  # any cert
+
+
 def make_service(harness, parity=False):
     service = SwapService(harness.committee, parity_leader=parity)
-    creation = harness.certify(lock_request(ID1, 1, LockInto(SWID, 1, b"x")))  # any cert
     service.init_instance(
-        InitInstanceEffect(target=SWID, id1=ID1, n1=1, id2=ID2, n2=0, cert=creation), now=0
+        InitInstanceEffect(target=SWID, id1=ID1, n1=1, id2=ID2, n2=0, cert=creation_cert(harness)),
+        now=0,
     )
     return service
 
@@ -163,8 +167,7 @@ def test_init_instance_idempotent_and_tombstoned(harness):
     inst = service.instances[SWID]
     assert inst.pk1 is None and inst.pk2 is None  # fresh instances hold no keys
     assert inst.proposed is None and inst.locked is None
-    assert inst.received is not None
-    effect = InitInstanceEffect(target=SWID, id1=ID2, n1=9, id2=ID1, n2=9, cert=inst.received)
+    effect = InitInstanceEffect(target=SWID, id1=ID2, n1=9, id2=ID1, n2=9, cert=creation_cert(harness))
     service.init_instance(effect, now=50)
     assert service.instances[SWID] is inst  # redelivery does not reset
     commit = harness.certify(CommitStatement(proposal(0, ABORT)))
