@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Run every shipped scenario and print its report, its trace sha256, its
-delivery count and its wall time, and the sha256 of its synced snapshots; exit
-nonzero on any failed audit. The wall time covers ``run_scenario`` alone."""
+delivery count and its wall time, the sha256 of its synced snapshots, and the
+sha256 of its outputs (every authority's final snapshot, the results, the
+outcomes and every client's driver log); exit nonzero on any failed audit. The
+wall time covers ``run_scenario`` alone.
+
+Running it before and after a refactor and diffing the output checks that the
+shipped scenarios behave the same."""
 
 import hashlib
 import os
@@ -13,6 +18,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from bftledger.scenario import load_scenario, run_scenario  # noqa: E402
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+def outputs_digest(run, report) -> str:
+    outputs = hashlib.sha256()
+    for name in sorted(run.sim.authorities):
+        outputs.update(run.sim.authorities[name].snapshot().encode())
+    outputs.update(repr(sorted(run.results.items())).encode())
+    outputs.update(repr(sorted(report.outcomes.items())).encode())
+    for name in sorted(run.logs):
+        outputs.update(name.encode() + repr(run.logs[name].events).encode())
+    return outputs.hexdigest()
 
 
 def main() -> int:
@@ -30,6 +46,7 @@ def main() -> int:
         for name in sorted(run.synced_snapshots):
             synced.update(name.encode() + run.synced_snapshots[name].encode())
         print(f"synced sha256: {synced.hexdigest()}")
+        print(f"outputs sha256: {outputs_digest(run, report)}")
         ok &= report.all_passed
     return 0 if ok else 1
 

@@ -164,8 +164,12 @@ def settle_outcome(values: tuple[int, ...], deposits: tuple[int, ...], rule: Pri
 
 
 class AuctionService:
-    """One authority's auction objects. The hosting authority verifies votes and
-    certificates' quorums; this class owns phases, bid sets, and settlement."""
+    """One authority's auction objects: phases, bid sets, and settlement. The
+    service checks the quorum of every certificate it is handed itself, with
+    `check_certificate` in four methods: deposit proofs in `handle_submit_bid`,
+    bid certificates in `handle_end_of_bidding`, end-of-bidding certificates in
+    `apply_end_of_bidding_cert` (which `release_shares`, `handle_end_of_auction`
+    and `apply_settlement` call) and end-of-auction ones in `apply_settlement`."""
 
     def __init__(self, committee, tpke_public: Optional[tpke.TpkePublic] = None,
                  tpke_share: Optional[tpke.TpkeShare] = None):

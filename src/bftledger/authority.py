@@ -97,10 +97,8 @@ class Authority:
         self._notes.append(("cert_accepted", kind, signers))
 
     def _swap_note(self, swid: AccountId) -> None:
-        exists, proposed, locked = self.swaps.query(swid)
-        if exists:
-            locked_p = locked.value.proposal if locked is not None else None
-            self._notes.append(("swap_state", swid, proposed, locked_p))
+        instance = self.swaps.instances[swid]
+        self._notes.append(("swap_state", swid, instance.proposed, instance.locked_proposal))
 
     # -- dispatch --
 
@@ -164,9 +162,10 @@ class Authority:
         return [(self.name, eff) for eff in effects] + [(src, _ACK_OK)]
 
     def _on_query_instance(self, src, payload: QueryInstanceMsg, now):
-        exists, proposed, locked = self.swaps.query(payload.swid)
-        created = self.swaps.instances[payload.swid].created_at if exists else 0
-        return [(src, InstanceViewReply(exists, created, proposed, locked))]
+        instance = self.swaps.instances.get(payload.swid)
+        if instance is None:
+            return [(src, InstanceViewReply(False, 0, None, None))]
+        return [(src, InstanceViewReply(True, instance.created_at, instance.proposed, instance.locked))]
 
     def _on_certify_asset(self, src, payload: CertifyAssetMsg, now):
         return [(src, self._vote(assets.handle_certify(self.ledger, payload.auth)))]
@@ -287,16 +286,8 @@ class Authority:
             lines.append(f"accounts: {inst.id1} @{inst.n1} / {inst.id2} @{inst.n2}")
             lines.append(f"pk1: {inst.pk1.hex() if inst.pk1 else '-'}")
             lines.append(f"pk2: {inst.pk2.hex() if inst.pk2 else '-'}")
-            proposed = (
-                f"{inst.proposed.round}:{inst.proposed.decision.name}" if inst.proposed else "-"
-            )
-            lines.append(f"proposed: {proposed}")
-            locked = (
-                f"{inst.locked.value.proposal.round}:{inst.locked.value.proposal.decision.name}"
-                if inst.locked
-                else "-"
-            )
-            lines.append(f"locked: {locked}")
+            for label, p in (("proposed", inst.proposed), ("locked", inst.locked_proposal)):
+                lines.append(f"{label}: {f'{p.round}:{p.decision.name}' if p else '-'}")
         for auction_id in sorted(self.auctions.auctions):
             auction = self.auctions.auctions[auction_id]
             lines.append(f"[auction {auction_id}]")

@@ -227,15 +227,13 @@ def drive_round(env, committee: Committee, swid: AccountId, leader_signer: Signe
 
         k_max = max((v.proposed.round for v in live if v.proposed is not None), default=-1)
         created = max(v.created_at for v in live)
-        best_locked = None
-        for view in live:
-            cert = view.locked
-            if cert is None or not isinstance(cert.value, PreCommitStatement):
-                continue
-            if cert.value.proposal.swid != swid or not check_certificate(committee, cert):
-                continue
-            if best_locked is None or cert.value.proposal.round > best_locked.value.proposal.round:
-                best_locked = cert
+        # The highest valid locked pre-commit; ties go to the first.
+        best_locked = max(
+            (cert for cert in (v.locked for v in live)
+             if cert is not None and isinstance(cert.value, PreCommitStatement)
+             and cert.value.proposal.swid == swid and check_certificate(committee, cert)),
+            key=lambda cert: cert.value.proposal.round, default=None,
+        )
         yield env.sleep(delta)
 
         if best_locked is not None and not flip_flop:
@@ -324,6 +322,7 @@ def swap_owner_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
     yield from wait_until(env, lambda: ctx.swid is not None, 50, deadline - env.now)
     if ctx.swid is None:
         log.note("no_instance", str(uid))
+        ctx.outcome[f"owner{role}"] = "no_instance"
         return
     swid = ctx.swid
 
@@ -335,6 +334,7 @@ def swap_owner_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
         lock = yield from request_votes(env, committee, entry, request, timeout, log)
         if lock is None:
             log.note("lock_failed", str(uid))
+            ctx.outcome[f"owner{role}"] = "lock_failed"
             return
         ctx.locks[role] = lock
         log.note("locked", str(uid), role)

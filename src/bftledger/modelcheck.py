@@ -8,8 +8,10 @@ certificate. The state keeps, per honest authority, its last proposal, its
 locked pre-commit, and the votes it has issued; certificates exist exactly
 when enough votes do.
 
-Safety is evaluated through the production rule implementations, so ablating
-a rule here ablates exactly what authorities enforce. Agreement is violated
+Safety is evaluated through the production rule implementations, called with
+a record's (round, decision) pairs as they are, the same view that
+`SwapInstance.rule_view` gives an authority; ablating a rule here ablates
+exactly what authorities enforce. Agreement is violated
 when commit certificates for different decisions become formable; the
 checker reports the first such state and the action path to it.
 
@@ -36,23 +38,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import errors
-from .accounts import AccountId
-from .committee import Certificate
 from .errors import err
-from .swap import (
-    CommitStatement,
-    DecisionValue,
-    PreCommitStatement,
-    Proposal,
-    SwapInstance,
-    is_safe_pre_commit,
-    is_safe_proposal,
-)
-
-_SWID = AccountId(0, (0,))
-
-PK1 = b"m-one"
-PK2 = b"m-two"
+from .swap import is_safe_pre_commit, is_safe_proposal
 
 
 @dataclass
@@ -66,21 +53,6 @@ class CheckResult:
         return f"{status} over {self.states} reachable states"
 
 
-def _proposal(pv: tuple[int, int]) -> Proposal:
-    return Proposal(_SWID, pv[0], DecisionValue(pv[1]))
-
-
-def _precommit_cert(pv: tuple[int, int]) -> Certificate:
-    return Certificate(value=PreCommitStatement(_proposal(pv)), votes=())
-
-
-def _instance(proposed, locked) -> SwapInstance:
-    inst = SwapInstance(id1=AccountId(0), n1=0, id2=AccountId(1), n2=0, pk1=PK1, pk2=PK2)
-    inst.proposed = _proposal(proposed) if proposed is not None else None
-    inst.locked = _precommit_cert(locked) if locked is not None else None
-    return inst
-
-
 # A record is (proposed, locked, prevotes, comvotes) where proposed/locked are
 # (round, decision) or None and the vote fields are frozensets of (round, decision).
 _FRESH = (None, None, frozenset(), frozenset())
@@ -90,7 +62,7 @@ def _step_proposal(record, pv, disabled):
     proposed, locked, pre, com = record
     if pv in pre:
         return None  # idempotent re-vote, no new state
-    if not is_safe_proposal(_instance(proposed, locked), _proposal(pv), disabled):
+    if not is_safe_proposal(proposed, locked, pv, disabled):
         return None
     return (pv, locked, pre | {pv}, com)
 
@@ -99,7 +71,7 @@ def _step_precommit(record, pv, disabled):
     proposed, locked, pre, com = record
     if locked == pv and pv in com:
         return None
-    if not is_safe_pre_commit(_instance(proposed, locked), _precommit_cert(pv), disabled):
+    if not is_safe_pre_commit(proposed, locked, pv, disabled):
         return None
     return (proposed, pv, pre, com | {pv})
 

@@ -12,6 +12,9 @@ proposals (producing pre-commit certificates) and on pre-commit certificates
 (c) a pre-commit certificate below the last proposal's round is rejected;
 (d) a pre-commit certificate below the locked round is rejected.
 
+The rule functions see only (round, decision) pairs: the authority passes
+`SwapInstance.rule_view()`, and the model check passes its records as they are.
+
 Round numbers are released over time, linearly at first and then at an
 exponentially slowing rate, so they stay boundable without coordination.
 """
@@ -87,6 +90,16 @@ class SwapInstance:
         else:
             self.pk2 = pk
 
+    @property
+    def locked_proposal(self) -> Optional[Proposal]:
+        return self.locked.value.proposal if self.locked is not None else None
+
+    def rule_view(self) -> tuple:
+        """(proposed, locked proposal) as the (round, decision) pairs that the
+        safety rules take."""
+        return tuple(None if p is None else (p.round, p.decision)
+                     for p in (self.proposed, self.locked_proposal))
+
 
 # -- Round availability ---------------------------------------------------------
 
@@ -119,29 +132,22 @@ class RoundSchedule:
 # -- Safety rules ----------------------------------------------------------------
 
 
-def is_safe_proposal(instance: SwapInstance, p: Proposal, disabled: frozenset = frozenset()) -> bool:
-    """Rules (a) and (b); re-submitting the exact stored proposal stays safe."""
-    if instance.proposed is not None and p != instance.proposed and "a" not in disabled:
-        if p.round <= instance.proposed.round:
-            return False
-    if instance.locked is not None:
-        locked_p = instance.locked.value.proposal
-        if "b" not in disabled:
-            if p.round <= locked_p.round or p.decision != locked_p.decision:
-                return False
-    return True
+def is_safe_proposal(proposed, locked, p, disabled: frozenset = frozenset()) -> bool:
+    """Rules (a) and (b) for the candidate proposal `p`, given the last proposal
+    voted and the locked pre-commit's proposal. Each is a (round, decision)
+    pair, or None when there is none. Re-submitting the exact stored proposal
+    stays safe."""
+    if proposed is not None and p != proposed and "a" not in disabled and p[0] <= proposed[0]:
+        return False
+    return locked is None or "b" in disabled or (p[0] > locked[0] and p[1] == locked[1])
 
 
-def is_safe_pre_commit(instance: SwapInstance, cert: Certificate, disabled: frozenset = frozenset()) -> bool:
-    """Rules (c) and (d)."""
-    round_c = cert.value.proposal.round
-    if instance.proposed is not None and "c" not in disabled:
-        if round_c < instance.proposed.round:
-            return False
-    if instance.locked is not None and "d" not in disabled:
-        if round_c < instance.locked.value.proposal.round:
-            return False
-    return True
+def is_safe_pre_commit(proposed, locked, p, disabled: frozenset = frozenset()) -> bool:
+    """Rules (c) and (d) for a pre-commit certificate on the proposal `p`; the
+    arguments are (round, decision) pairs as for `is_safe_proposal`."""
+    if proposed is not None and "c" not in disabled and p[0] < proposed[0]:
+        return False
+    return locked is None or "d" in disabled or p[0] >= locked[0]
 
 
 # -- Consensus service (one authority's instances) -------------------------------
@@ -168,7 +174,8 @@ class SwapService:
         )
 
     def _parse_lock_cert(self, cert: Certificate, swid: AccountId, role: int):
-        """Return (id, n, pk) from a valid lock certificate for this swid/role, else None."""
+        """Return (id, n, pk) from a valid lock certificate for this swid/role,
+        else None (also for no certificate)."""
         if not isinstance(cert, Certificate):
             return None
         request = cert.value
@@ -221,7 +228,7 @@ class SwapService:
                 raise err(errors.ROUND_UNAVAILABLE, f"round {proposal.round} reserved for the other owner")
         if proposal == instance.proposed:
             return PreCommitStatement(proposal)  # idempotent re-vote
-        if not is_safe_proposal(instance, proposal):
+        if not is_safe_proposal(*instance.rule_view(), (proposal.round, proposal.decision)):
             raise err(errors.UNSAFE, f"proposal round {proposal.round}")
         instance.proposed = proposal
         return PreCommitStatement(proposal)
@@ -235,7 +242,7 @@ class SwapService:
             raise err(errors.UNKNOWN_INSTANCE, str(proposal.swid))
         if not check_certificate(self.committee, cert):
             raise err(errors.BAD_CERTIFICATE, "pre-commit vote check failed")
-        if not is_safe_pre_commit(instance, cert):
+        if not is_safe_pre_commit(*instance.rule_view(), (proposal.round, proposal.decision)):
             raise err(errors.UNSAFE, f"pre-commit round {proposal.round}")
         instance.locked = cert
         return CommitStatement(proposal)
@@ -250,9 +257,10 @@ class SwapService:
 
         Abort unlocks honor attached lock certificates without checking them
         against instance data, so accounts can always be freed after early
-        instance deletion. Confirm unlocks need both owner keys: they come
-        from the instance, falling back to strictly matching attached
-        certificates.
+        instance deletion. Confirm unlocks need both owner keys: on a live
+        instance they come from the instance or from an attached certificate
+        for the same (id, n); after deletion, from the attached certificates.
+        Junk attachments never block a valid commit.
         """
         if not isinstance(cert.value, CommitStatement):
             raise err(errors.BAD_CERTIFICATE, "not a commit certificate")
@@ -262,23 +270,14 @@ class SwapService:
         swid = proposal.swid
         instance = self.instances.get(swid)
 
-        sides: dict[int, Optional[tuple[AccountId, int, Optional[bytes]]]] = {1: None, 2: None}
-        if instance is not None:
-            sides[1] = instance.side(1)
-            sides[2] = instance.side(2)
+        sides = {role: None if instance is None else instance.side(role) for role in (1, 2)}
         for role, lock in ((1, lock1), (2, lock2)):
-            if lock is None:
-                continue
             parsed = self._parse_lock_cert(lock, swid, role)
-            if parsed is None:
-                continue  # junk attachments never block a valid commit
-            if proposal.decision == DecisionValue.ABORT:
-                sides[role] = parsed
-            elif instance is not None:
-                inst_id, inst_n, _ = instance.side(role)
-                if parsed[0] == inst_id and parsed[1] == inst_n:
-                    sides[role] = parsed
-            else:
+            if parsed is not None and (
+                proposal.decision == DecisionValue.ABORT
+                or sides[role] is None
+                or parsed[:2] == sides[role][:2]
+            ):
                 sides[role] = parsed
 
         effects: list[UnlockEffect] = []
@@ -299,10 +298,3 @@ class SwapService:
             del self.instances[swid]
         self.tombstones.add(swid)
         return effects
-
-    def query(self, swid: AccountId):
-        """Current (exists, proposed, locked) view of an instance."""
-        instance = self.instances.get(swid)
-        if instance is None:
-            return (False, None, None)
-        return (True, instance.proposed, instance.locked)

@@ -3,6 +3,7 @@
 import json
 import os
 
+from bftledger.fuzz import fuzz_swap_config
 from bftledger.scenario import load_scenario, run_scenario, validate_scenario
 from bftledger.swap import DecisionValue
 
@@ -297,3 +298,11 @@ def test_transmute_input_not_yet_opened_is_an_outcome():
     assert run.results["transmute1"] == "unknown_input"
     assert report.outcomes["transmute1"] == "unknown_input"
     assert run.results["open_account0"] == str(run.account_ids["kid"])
+
+
+def test_failed_lock_is_an_outcome():
+    """In fuzz schedule 162 owner 1's lock request never reaches a quorum; the
+    owner records ``lock_failed`` instead of returning without an outcome."""
+    run, report = run_scenario(fuzz_swap_config(162))
+    assert report.outcomes["swap0"]["owner1"] == "lock_failed"
+    assert any(event[0] == "lock_failed" for event in run.logs["client:swap0.owner1"].events)

@@ -4,7 +4,7 @@ import pytest
 
 from bftledger import errors
 from bftledger.accounts import AccountId, LockInto, lock_request
-from bftledger.committee import Certificate, authenticate
+from bftledger.committee import authenticate
 from bftledger.errors import ProtocolError
 from bftledger.swap import (
     CommitStatement,
@@ -13,7 +13,6 @@ from bftledger.swap import (
     PreCommitStatement,
     Proposal,
     RoundSchedule,
-    SwapInstance,
     SwapService,
     is_safe_pre_commit,
     is_safe_proposal,
@@ -30,58 +29,48 @@ def proposal(k, v=CONFIRM):
     return Proposal(SWID, k, v)
 
 
-def fake_precommit(k, v=CONFIRM):
-    return Certificate(value=PreCommitStatement(proposal(k, v)), votes=())
-
-
-def instance(proposed=None, locked=None):
-    inst = SwapInstance(id1=ID1, n1=1, id2=ID2, n2=0)
-    inst.proposed = proposed
-    inst.locked = locked
-    return inst
-
-
 # -- safety rule tables -------------------------------------------------------
+# The rules take (proposed, locked, candidate) as (round, decision) pairs.
 
 
 def test_fresh_instance_any_proposal_safe():
-    assert is_safe_proposal(instance(), proposal(0, ABORT))
-    assert is_safe_proposal(instance(), proposal(5, CONFIRM))
+    assert is_safe_proposal(None, None, (0, ABORT))
+    assert is_safe_proposal(None, None, (5, CONFIRM))
 
 
 def test_rule_a_same_round_different_proposal_unsafe():
-    inst = instance(proposed=proposal(2, CONFIRM))
-    assert not is_safe_proposal(inst, proposal(2, ABORT))
-    assert not is_safe_proposal(inst, proposal(1, ABORT))
-    assert is_safe_proposal(inst, proposal(3, ABORT))
+    proposed = (2, CONFIRM)
+    assert not is_safe_proposal(proposed, None, (2, ABORT))
+    assert not is_safe_proposal(proposed, None, (1, ABORT))
+    assert is_safe_proposal(proposed, None, (3, ABORT))
 
 
 def test_rule_a_revote_of_stored_proposal_is_safe():
-    stored = proposal(2, CONFIRM)
-    assert is_safe_proposal(instance(proposed=stored), stored)
+    stored = (2, CONFIRM)
+    assert is_safe_proposal(stored, None, stored)
 
 
 def test_rule_b_locked_forces_decision_and_round():
-    inst = instance(locked=fake_precommit(1, CONFIRM))
-    assert not is_safe_proposal(inst, proposal(2, ABORT))  # decision mismatch
-    assert not is_safe_proposal(inst, proposal(1, CONFIRM))  # round not higher
-    assert is_safe_proposal(inst, proposal(2, CONFIRM))
+    locked = (1, CONFIRM)
+    assert not is_safe_proposal(None, locked, (2, ABORT))  # decision mismatch
+    assert not is_safe_proposal(None, locked, (1, CONFIRM))  # round not higher
+    assert is_safe_proposal(None, locked, (2, CONFIRM))
 
 
 def test_rule_c_precommit_below_proposed_unsafe():
-    inst = instance(proposed=proposal(3, ABORT))
-    assert not is_safe_pre_commit(inst, fake_precommit(2, ABORT))
-    assert is_safe_pre_commit(inst, fake_precommit(3, ABORT))  # equal round allowed
+    proposed = (3, ABORT)
+    assert not is_safe_pre_commit(proposed, None, (2, ABORT))
+    assert is_safe_pre_commit(proposed, None, (3, ABORT))  # equal round allowed
 
 
 def test_rule_d_precommit_below_locked_unsafe():
-    inst = instance(locked=fake_precommit(2, CONFIRM))
-    assert not is_safe_pre_commit(inst, fake_precommit(1, ABORT))
-    assert is_safe_pre_commit(inst, fake_precommit(2, ABORT))
+    locked = (2, CONFIRM)
+    assert not is_safe_pre_commit(None, locked, (1, ABORT))
+    assert is_safe_pre_commit(None, locked, (2, ABORT))
 
 
 def test_fresh_instance_precommit_safe():
-    assert is_safe_pre_commit(instance(), fake_precommit(0, ABORT))
+    assert is_safe_pre_commit(None, None, (0, ABORT))
 
 
 # -- round availability --------------------------------------------------------
@@ -340,4 +329,69 @@ def test_parity_leader_restriction(harness):
     auth2 = authenticate(proposal(1, CONFIRM), owner2.public_key, owner2)
     assert service.handle_proposal(auth2, l1, l2, now=10 ** 6) == PreCommitStatement(
         proposal(1, CONFIRM)
+    )
+
+
+def test_service_accepts_exactly_what_the_rules_accept(harness):
+    """Over every (proposed, locked, candidate) with rounds <= 2, a proposal is
+    voted iff rules (a)/(b) allow it or it re-votes the stored proposal, and a
+    pre-commit certificate iff rules (c)/(d) allow it."""
+    owner1, owner2 = harness.keypair(), harness.keypair()
+    l1 = lock_cert(harness, 1, owner1.public_key)
+    l2 = lock_cert(harness, 2, owner2.public_key)
+    creation = creation_cert(harness)
+    pairs = [(k, v) for k in range(3) for v in (CONFIRM, ABORT)]
+    signed = {pv: authenticate(proposal(*pv), owner1.public_key, owner1) for pv in pairs}
+    precommits = {pv: harness.certify(PreCommitStatement(proposal(*pv))) for pv in pairs}
+
+    def service_at(proposed, locked):
+        service = SwapService(harness.committee)
+        service.init_instance(
+            InitInstanceEffect(target=SWID, id1=ID1, n1=1, id2=ID2, n2=0, cert=creation), now=0
+        )
+        inst = service.instances[SWID]
+        inst.proposed = None if proposed is None else proposal(*proposed)
+        inst.locked = None if locked is None else precommits[locked]
+        return service, inst
+
+    def accepted(call):
+        try:
+            call()
+        except ProtocolError as exc:
+            assert exc.code == errors.UNSAFE
+            return False
+        return True
+
+    for proposed in [None] + pairs:
+        for locked in [None] + pairs:
+            for pv in pairs:
+                service, inst = service_at(proposed, locked)
+                voted = accepted(lambda: service.handle_proposal(signed[pv], l1, l2, now=10 ** 6))
+                assert voted == (pv == proposed or is_safe_proposal(proposed, locked, pv)), (
+                    proposed, locked, pv)
+                if voted:
+                    assert inst.proposed == proposal(*pv)
+                service, inst = service_at(proposed, locked)
+                voted = accepted(lambda: service.handle_pre_commit(precommits[pv]))
+                assert voted == is_safe_pre_commit(proposed, locked, pv), (proposed, locked, pv)
+                if voted:
+                    assert inst.locked is precommits[pv]
+
+
+def test_commit_confirm_on_live_instance_ignores_foreign_lock_cert(harness):
+    """A Confirm commit on a live instance takes an attached lock certificate
+    only for the instance's own (id, n); other certificates, valid as they
+    are, leave the unlocks to the instance data."""
+    service = make_service(harness)
+    owner1, owner2, other = harness.keypair(), harness.keypair(), harness.keypair()
+    l1 = lock_cert(harness, 1, owner1.public_key)
+    l2 = lock_cert(harness, 2, owner2.public_key)
+    service.handle_proposal(authenticate(proposal(0, CONFIRM), owner1.public_key, owner1), l1, l2, now=0)
+    foreign_id = lock_cert(harness, 1, other.public_key, uid=AccountId(9))
+    foreign_n = lock_cert(harness, 2, other.public_key, n=7)
+    commit = harness.certify(CommitStatement(proposal(0, CONFIRM)))
+    effects = service.handle_commit(commit, foreign_id, foreign_n)
+    assert SWID not in service.instances
+    assert sorted((e.target, e.n, e.new_pk) for e in effects) == sorted(
+        [(ID1, 1, owner2.public_key), (ID2, 0, owner1.public_key)]
     )
