@@ -1,11 +1,13 @@
 """Randomized adversarial swap schedules for agreement fuzzing.
 
 Each seed yields a scenario with randomized network noise (drops,
-duplication, reordering via random delays), a random fault assignment within
-the f budget (crash, byzantine signer, vote withholding), and adversarial
-owner behaviors including flip-flopping proposers. The only property checked
-is the one that must survive all of it: no two commit certificates for one
-swap instance ever disagree.
+duplication, reordering via random delays), a random fault assignment (crash,
+byzantine signer, vote withholding), and adversarial owner behaviors
+including flip-flopping proposers. The crashed or byzantine authority and the
+withholding one are drawn independently, so a schedule may fault two of the
+four authorities, more than the f = 1 budget: 50 of seeds 0-299 do. The only
+property checked is the one that must survive all of it: no two commit
+certificates for one swap instance ever disagree.
 """
 
 from __future__ import annotations

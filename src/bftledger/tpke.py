@@ -12,13 +12,38 @@ Plaintexts are bounded non-negative integers (default below 2**20): they are
 placed in the exponent and recovered by baby-step giant-step, which keeps the
 scheme additively structured and the search cheap at these sizes.
 
-Every power of the fixed generator G goes through ``_g_pow``, a fixed-base
-exponentiation (Brickell, Gordon, McCurley and Wilson, 1992) over a 4-bit
-window table: row i holds G**(j * 16**i) for j in 0..15, 64 rows for a 256-bit
-exponent, so G**e costs one modular multiplication per nonzero hex digit of e,
-at most 64, against about 300 squarings and multiplications for ``pow``. The
-table is built on first use (960 multiplications, about 0.3 MB) and gives the
-same integers as ``pow``.
+Costs are counted in 2048-bit modular products; a square costs about 3/4 of
+one. ``pow`` with a 256-bit exponent takes about 255 squares and 60 products.
+Two routines do better, with the same integers as ``pow``:
+
+- ``_fixed_pow`` serves fixed bases: G and each verification key. A base's
+  table (Brickell, Gordon, McCurley and Wilson, 1992) has 64 rows, and row i
+  holds base**(j * 16**i) for j in 0..15. A power then costs one product per
+  nonzero hex digit of the exponent, at most 64. A table takes 512 squares
+  and 448 products to build (about 3.5 ``pow``) and holds 960 group elements,
+  about 0.3 MB. G's table is built by the first power of G and kept. A
+  verification key's table is built by the first ``share_verify`` of a share
+  with that key's index, so it pays for itself by about its fifth use. The
+  tables are kept for the last ``_SYSTEM_TABLES`` systems whose shares were
+  verified, and no more, however many systems a process creates.
+- ``_multi_pow`` serves variable bases: a product of powers by Straus's
+  simultaneous exponentiation (1964). One chain of about 255 squares serves
+  every base. Each base adds about 8 products for its odd powers and one
+  product per sliding window of up to 4 bits, about 51 for a 256-bit exponent.
+
+Per operation:
+
+- setup: n + 1 fixed-base powers of G.
+- encrypt: two fixed-base powers of G, and ``pow`` for pk**r.
+- share_decrypt: two ``pow`` (c1**s and c1**w) and a fixed-base power of G.
+- share_verify: t1 = G**z * vk**(Q - e) from two tables, at most 128
+  products. t2 = c1**z * mu**(Q - e) by ``_multi_pow``, about 255 squares and
+  120 products, where two ``pow`` take 510 squares and 120 products.
+- interpolate: one ``_multi_pow`` over the k shares' mu**lambda, and one
+  inverse mod P, then baby-step giant-step.
+
+The subgroup checks of ciphertexts and of mu are one ``pow`` each, cached per
+element.
 
 The five operations: setup, encrypt, share_decrypt, share_verify, combine.
 ``combine`` is ``verified_shares`` followed by ``interpolate``; a caller that
@@ -85,33 +110,100 @@ def _in_group(x: int) -> bool:
     return 1 <= x < P and pow(x, Q, P) == 1
 
 
-# Fixed-base table for G: _G_ROWS[i][j] == G**(j * 16**i) % P, filled on first use.
-_G_WINDOW_BITS = 4
-_G_ROWS: list[list[int]] = []
+# Fixed-base tables (Brickell, Gordon, McCurley and Wilson, 1992) with 4-bit
+# windows: rows[i][j] == base**(j * 16**i) % P, 64 rows for a 256-bit exponent.
+_WINDOW_BITS = 4
+_DIGIT_MASK = (1 << _WINDOW_BITS) - 1
+_G_ROWS: list[list[int]] = []  # G's table, filled on first use and kept
+_SYSTEM_TABLES = 4  # systems whose verification-key tables are kept
+
+
+def _check_exponent(e: int) -> None:
+    if not 0 <= e < Q:
+        raise ValueError("exponent outside [0, Q)")
+
+
+def _fixed_rows(base: int) -> list[list[int]]:
+    rows = []
+    for _ in range(-(-Q.bit_length() // _WINDOW_BITS)):
+        row = [1, base]
+        for j in range(2, 1 << _WINDOW_BITS):  # a square costs about 3/4 of a product
+            row.append(row[j // 2] * row[j // 2] % P if j % 2 == 0 else row[j - 1] * base % P)
+        rows.append(row)
+        half = row[1 << _WINDOW_BITS - 1]
+        base = half * half % P
+    return rows
+
+
+def _fixed_pow(pairs: Iterable[tuple[list[list[int]], int]]) -> int:
+    """Product of b**e % P over (table of b, e) pairs, 0 <= e < Q: one table
+    multiplication per nonzero digit of each e."""
+    acc = 1
+    for rows, e in pairs:
+        _check_exponent(e)
+        for row in rows:
+            if not e:
+                break
+            if e & _DIGIT_MASK:
+                acc = acc * row[e & _DIGIT_MASK] % P
+            e >>= _WINDOW_BITS
+    return acc
+
+
+def _g_rows() -> list[list[int]]:
+    if not _G_ROWS:
+        _G_ROWS.extend(_fixed_rows(G))  # all rows at once: an interrupted fill leaves none
+    return _G_ROWS
 
 
 def _g_pow(e: int) -> int:
-    """G**e % P for 0 <= e < Q, one table multiplication per nonzero digit of e."""
-    if not 0 <= e < Q:
-        raise ValueError("exponent of G outside [0, Q)")
-    if not _G_ROWS:
-        rows = []
-        base = G
-        for _ in range(-(-Q.bit_length() // _G_WINDOW_BITS)):
-            row = [1, base]
-            while len(row) < 1 << _G_WINDOW_BITS:
-                row.append(row[-1] * base % P)
-            rows.append(row)
-            base = row[-1] * base % P
-        _G_ROWS.extend(rows)  # all rows at once: an interrupted fill leaves none
-    mask = (1 << _G_WINDOW_BITS) - 1
+    """G**e % P for 0 <= e < Q."""
+    return _fixed_pow([(_g_rows(), e)])
+
+
+@lru_cache(maxsize=_SYSTEM_TABLES)
+def _vk_tables(vks: tuple[bytes, ...]) -> list[Optional[list[list[int]]]]:
+    # One slot per verification key of a system, filled by its first share_verify.
+    return [None] * len(vks)
+
+
+def _vk_rows(public: TpkePublic, index: int) -> list[list[int]]:
+    tables = _vk_tables(public.vks)
+    rows = tables[index - 1]
+    if rows is None:
+        rows = tables[index - 1] = _fixed_rows(_from_bytes(public.vks[index - 1]))
+    return rows
+
+
+def _multi_pow(pairs: Iterable[tuple[int, int]]) -> int:
+    """Product of b**e % P over (b, e) pairs, 0 <= e < Q, by simultaneous
+    exponentiation (Straus, 1964): one chain of squarings serves every base.
+    Each e is cut into sliding windows of up to 4 bits, each an odd digit d
+    at some bit; it costs one multiplication by b**d at that bit of the chain."""
+    at_bit: dict[int, list[int]] = {}
+    for base, e in pairs:
+        _check_exponent(e)
+        windows = []
+        bit = 0
+        while e >> bit:
+            if e >> bit & 1:
+                windows.append((bit, e >> bit & _DIGIT_MASK))
+                bit += _WINDOW_BITS
+            else:
+                bit += 1
+        odd = [base % P]  # odd[k] == b**(2k + 1) % P, up to the largest digit
+        top = max((digit for _, digit in windows), default=1)
+        if top > 1:
+            square = odd[0] * odd[0] % P
+            while 2 * len(odd) - 1 < top:
+                odd.append(odd[-1] * square % P)
+        for bit, digit in windows:
+            at_bit.setdefault(bit, []).append(odd[digit >> 1])
     acc = 1
-    for row in _G_ROWS:
-        if not e:
-            break
-        if e & mask:
-            acc = acc * row[e & mask] % P
-        e >>= _G_WINDOW_BITS
+    for bit in range(max(at_bit, default=-1), -1, -1):
+        acc = acc * acc % P
+        for power in at_bit.get(bit, ()):
+            acc = acc * power % P
     return acc
 
 
@@ -244,10 +336,8 @@ def share_verify(public: TpkePublic, c: Ciphertext, share: DecryptionShare) -> b
     z = _from_bytes(share.resp)
     if not (0 < e < Q and 0 <= z < Q):
         return False
-    c1 = _from_bytes(c.c1)
-    vk = _from_bytes(public.vks[share.index - 1])
-    t1 = (_g_pow(z) * pow(vk, Q - e, P)) % P
-    t2 = (pow(c1, z, P) * pow(mu, Q - e, P)) % P
+    t1 = _fixed_pow([(_g_rows(), z), (_vk_rows(public, share.index), Q - e)])
+    t2 = _multi_pow([(_from_bytes(c.c1), z), (mu, Q - e)])
     expected = _hash_to_scalar(
         c.c1, c.c2, c.aad, public.vks[share.index - 1],
         share.mu, _to_bytes(t1), _to_bytes(t2),
@@ -300,15 +390,15 @@ def interpolate(public: TpkePublic, c: Ciphertext,
         return None
     mus = {s.index: _from_bytes(s.mu) for s in shares}
     indices = sorted(mus)
-    c1s = 1
+    powers = []
     for i in indices:
         lam_num, lam_den = 1, 1
         for j in indices:
             if j != i:
                 lam_num = (lam_num * j) % Q
                 lam_den = (lam_den * (j - i)) % Q
-        lam = (lam_num * pow(lam_den, -1, Q)) % Q
-        c1s = (c1s * pow(mus[i], lam, P)) % P
+        powers.append((mus[i], (lam_num * pow(lam_den, -1, Q)) % Q))
+    c1s = _multi_pow(powers)
     m_elt = (_from_bytes(c.c2) * pow(c1s, -1, P)) % P
     return _bsgs(m_elt, public.message_bound)
 

@@ -239,7 +239,7 @@ def test_unsafe_proposal_rejected(harness):
 def test_pre_commit_votes_and_locks(harness):
     service = make_service(harness)
     cert = harness.certify(PreCommitStatement(proposal(0, ABORT)))
-    statement = service.handle_commit_vote = service.handle_pre_commit(cert)
+    statement = service.handle_pre_commit(cert)
     assert statement == CommitStatement(proposal(0, ABORT))
     assert service.instances[SWID].locked == cert
 

@@ -376,9 +376,145 @@ def test_g_pow_rejects_exponent_outside_range(e):
 
 
 def test_import_builds_no_g_table():
-    # The table is built by the first power of G, never at import.
+    # Tables are built by the first power of their base, never at import.
     src = os.path.dirname(os.path.dirname(tpke.__file__))
-    code = "import bftledger.wire, bftledger.tpke as t; print(len(t._G_ROWS))"
+    code = ("import bftledger.wire, bftledger.tpke as t; "
+            "print(len(t._G_ROWS), t._vk_tables.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0"]
+
+
+# -- simultaneous and fixed-base exponentiation against pow -------------------------------
+
+_EDGE_EXPONENTS = (0, 1, tpke.Q - 1)
+
+
+@pytest.fixture(scope="module")
+def edge_bases(system):
+    """name -> (base, its fixed-base table): 1, P - 1, G and a real verification key."""
+    bases = {"one": 1, "p_minus_1": tpke.P - 1, "g": tpke.G, "vk": _scalar(system.public.vks[0])}
+    return {name: (base, tpke._fixed_rows(base)) for name, base in bases.items()}
+
+
+def _pow_product(pairs):
+    acc = 1
+    for base, e in pairs:
+        acc = acc * pow(base, e, tpke.P) % tpke.P
+    return acc
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_multi_and_fixed_pow_match_pow_on_edges(edge_bases, count):
+    factors = [(name, e) for name in sorted(edge_bases) for e in _EDGE_EXPONENTS]
+    if count < 3:
+        cases = itertools.product(factors, repeat=count)
+    else:  # a sample of the 1,728 triples that still takes each factor thrice
+        cases = [(factors[i], factors[(i + 5) % 12], factors[(i + 7) % 12]) for i in range(12)]
+    for case in cases:
+        pairs = [(edge_bases[name][0], e) for name, e in case]
+        want = _pow_product(pairs)
+        assert tpke._multi_pow(pairs) == want, case
+        assert tpke._fixed_pow([(edge_bases[name][1], e) for name, e in case]) == want, case
+
+
+@pytest.mark.parametrize("e", [-1, tpke.Q], ids=["minus_1", "q"])
+def test_multi_and_fixed_pow_reject_exponent_outside_range(edge_bases, e):
+    with pytest.raises(ValueError):
+        tpke._multi_pow([(tpke.G, 1), (tpke.G, e)])
+    with pytest.raises(ValueError):
+        tpke._fixed_pow([(edge_bases["g"][1], e)])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(["one", "p_minus_1", "g", "vk"]), st.integers(0, tpke.P - 1),
+                          st.integers(0, tpke.Q - 1)),
+                min_size=1, max_size=3))
+def test_multi_and_fixed_pow_match_pow_everywhere(edge_bases, drawn):
+    # _multi_pow on any base in [0, P); _fixed_pow on the bases that have tables.
+    assert tpke._multi_pow([(base, e) for _, base, e in drawn]) == _pow_product(
+        [(base, e) for _, base, e in drawn])
+    assert tpke._fixed_pow([(edge_bases[name][1], e) for name, _, e in drawn]) == _pow_product(
+        [(edge_bases[name][0], e) for name, _, e in drawn])
+
+
+def test_key_tables_do_not_grow_with_systems():
+    tpke._vk_tables.cache_clear()
+    rng = random.Random(17)
+    for _ in range(tpke._SYSTEM_TABLES + 2):
+        system = tpke.setup(4, 2, rng=rng)
+        c = tpke.encrypt(system.public, 1, rng=rng)
+        assert tpke.share_verify(system.public, c, tpke.share_decrypt(system.public, system.shares[0], c))
+        assert tpke._vk_tables.cache_info().currsize <= tpke._SYSTEM_TABLES
+    assert [rows is not None for rows in tpke._vk_tables(system.public.vks)] == [
+        True, False, False, False]
+
+
+# -- share_verify and interpolate against a plain-pow reference ---------------------------
+
+
+def _reference_share_verify(public, c, share):
+    """share_verify with every power taken by pow."""
+    p, q = tpke.P, tpke.Q
+    if not 1 <= share.index <= public.n:
+        return False
+    if (len(share.mu), len(share.chal), len(share.resp)) != (
+            tpke.GROUP_BYTES, tpke.SCALAR_BYTES, tpke.SCALAR_BYTES):
+        return False
+    if not tpke._cipher_ok(c):
+        return False
+    mu, e, z = _scalar(share.mu), _scalar(share.chal), _scalar(share.resp)
+    if not (tpke._in_group(mu) and 0 < e < q and 0 <= z < q):
+        return False
+    vk = public.vks[share.index - 1]
+    t1 = pow(tpke.G, z, p) * pow(_scalar(vk), q - e, p) % p
+    t2 = pow(_scalar(c.c1), z, p) * pow(mu, q - e, p) % p
+    return e == tpke._hash_to_scalar(c.c1, c.c2, c.aad, vk, share.mu,
+                                     tpke._to_bytes(t1), tpke._to_bytes(t2))
+
+
+def _reference_interpolate(public, c, shares):
+    """interpolate with every power of a share taken by pow."""
+    if len(shares) < public.threshold:
+        return None
+    p, q = tpke.P, tpke.Q
+    mus = {s.index: _scalar(s.mu) for s in shares}
+    c1s = 1
+    for i in mus:
+        lam = 1
+        for j in mus:
+            if j != i:
+                lam = lam * j * pow(j - i, -1, q) % q
+        c1s = c1s * pow(mus[i], lam, p) % p
+    return tpke._bsgs(_scalar(c.c2) * pow(c1s, -1, p) % p, public.message_bound)
+
+
+def _flip(share):
+    return dataclasses.replace(share, mu=bytes([share.mu[0] ^ 1]) + share.mu[1:])
+
+
+def test_share_verify_and_interpolate_match_reference(three_of_five):
+    system, ciphers, shares = three_of_five
+    public, n = system.public, system.public.n
+    variants = {
+        "valid": lambda w, s: s,
+        "bitflip": lambda w, s: _flip(s),
+        "wrong_index": lambda w, s: dataclasses.replace(s, index=s.index % n + 1),
+        "other_cipher": lambda w, s: shares[(w + 1) % len(ciphers)][s.index - 1],
+    }
+    verdicts = {}
+    for which, c in enumerate(ciphers):
+        for kind, make in variants.items():
+            made = [make(which, s) for s in shares[which]]
+            for share in made:
+                verdict = tpke.share_verify(public, c, share)
+                assert verdict == _reference_share_verify(public, c, share), (which, kind)
+                verdicts.setdefault(kind, set()).add(verdict)
+            # every third k-subset: a failed search costs about 20 ms on each side
+            for subset in itertools.islice(itertools.combinations(made, public.threshold), 0, None, 3):
+                got = tpke.interpolate(public, c, list(subset))
+                assert got == _reference_interpolate(public, c, list(subset)), (which, kind)
+                if kind == "valid":
+                    assert got == _PLAINTEXTS[which]
+    assert verdicts == {"valid": {True}, "bitflip": {False}, "wrong_index": {False},
+                        "other_cipher": {False}}
