@@ -42,10 +42,7 @@ def main() -> int:
         print(report.to_text())
         digest = hashlib.sha256(run.sim.trace.to_bytes()).hexdigest()
         print(f"trace sha256: {digest} ({len(run.sim.trace.events)} deliveries, {wall_s:.2f} s)")
-        synced = hashlib.sha256()
-        for name in sorted(run.synced_snapshots):
-            synced.update(name.encode() + run.synced_snapshots[name].encode())
-        print(f"synced sha256: {synced.hexdigest()}")
+        print(f"synced sha256: {run.synced_digest().hexdigest()}")
         print(f"outputs sha256: {outputs_digest(run, report)}")
         ok &= report.all_passed
     return 0 if ok else 1

@@ -89,8 +89,7 @@ def run_fuzz(runs: int = 200, base_seed: int = 0) -> FuzzSummary:
         seed = base_seed + i
         run, report = run_scenario(fuzz_swap_config(seed))
         traces.update(run.sim.trace.to_bytes())
-        for auth in sorted(run.synced_snapshots):
-            synced.update(auth.encode() + run.synced_snapshots[auth].encode())
+        run.synced_digest(synced)
         agreement = next(a for a in report.audits if a.name == "agreement")
         if not agreement.passed:
             violations.append((seed, agreement.violations))

@@ -7,13 +7,17 @@ exchanges, algebra updates). Each object of the file declares its fields
 once, below; ``validate_scenario`` checks the whole file against those
 declarations and returns typed values. ``run_scenario`` builds the
 deterministic simulation from them, adding each action's clients through the
-``ACTIONS`` registry, runs it to quiescence or budget, performs the
-end-of-run full sync, and wires every invariant audit into the report.
+``ACTIONS`` registry, runs it to quiescence or budget, and wires every
+invariant audit into the report. Before the final-state audits,
+``Simulator.sync_deliver`` brings each live honest authority up to date with
+one pass over the certified messages the network delivered; no client state
+is read for it.
 """
 
 from __future__ import annotations
 
 import collections
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -30,7 +34,6 @@ from .drivers import (AuctionContext, DriverLog, SwapContext, Wallet, bidder_scr
                       swap_owner_script, transmute)
 from .errors import err
 from .keys import mac_keypair
-from .messages import CommitMsg, ConfirmMsg
 from .sim import SECOND, NetConfig, Simulator
 from .swap import DecisionValue, RoundSchedule
 
@@ -245,6 +248,14 @@ class RunResult:
         self.logs[name] = DriverLog()
         self.sim.add_client(name, script_factory)
         self.sim.start_client_at(name, _ticks(start))
+
+    def synced_digest(self, into=None):
+        """sha256 over each synced authority's name and consistency snapshot, in
+        name order; ``into`` is a running digest to continue."""
+        digest = into or hashlib.sha256()
+        for name in sorted(self.synced_snapshots):
+            digest.update(name.encode() + self.synced_snapshots[name].encode())
+        return digest
 
 
 @dataclass
@@ -548,18 +559,7 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
 
     sim.run()
 
-    # Full sync: redeliver every certified message delivered in the run (plus
-    # certificates still held by clients) to all live honest authorities.
-    sync_messages = dict(sim.certified)
-    for ctx in run.contexts.values():
-        if isinstance(ctx, SwapContext):
-            if ctx.creation_cert is not None:
-                message = ConfirmMsg(ctx.creation_cert)
-                sync_messages.setdefault(value_digest(message), message)
-            if ctx.commit is not None:
-                message = CommitMsg(ctx.commit, ctx.locks.get(1), ctx.locks.get(2))
-                sync_messages.setdefault(value_digest(message), message)
-    sim.sync_deliver(list(sync_messages.values()))
+    sim.sync_deliver()
     run.synced_snapshots = {a.name: a.consistency_snapshot() for a in sim.honest_authorities()}
 
     audits = audit.run_standard_audits(sim, committee, initial_total,

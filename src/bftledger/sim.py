@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from .committee import value_digest
 from .messages import CommitMsg, ConfirmMsg, SettleAuctionMsg
@@ -29,7 +29,7 @@ from .trace import TraceWriter
 
 SECOND = 1000  # ticks
 
-# Certificate-bearing deliveries to an authority; the end-of-run sync redelivers them.
+# Certificate-bearing deliveries to an authority, filed for the end-of-run sync.
 CERTIFIED_MESSAGES = (ConfirmMsg, CommitMsg, SettleAuctionMsg)
 
 
@@ -274,32 +274,30 @@ class Simulator:
     # -- post-run utilities --
 
     def honest_authorities(self) -> list:
-        return [
-            a
-            for name, a in self.authorities.items()
-            if a.honest and name not in self.crash_at
-        ]
+        """Honest authorities that had not crashed by the last event."""
+        return [a for name, a in self.authorities.items()
+                if a.honest and not self._crashed(name, self.now)]
 
-    def sync_deliver(self, messages: Iterable[Any], rounds: int = 12) -> None:
-        """Deliver certified messages directly to every live honest authority,
-        applying effects synchronously, until states stop changing. Used for
-        the end-of-run full sync before consistency comparison."""
+    def sync_deliver(self) -> None:
+        """The end-of-run sync: hand every message in ``certified`` to every
+        live honest authority once, in first-delivery order, draining each
+        authority's self-addressed effects before the next message. It
+        bypasses the network, outages and the fault model.
+
+        One pass is enough because a message is filed only after everything
+        it depends on was delivered, and so filed, before it. A certificate
+        at ``(id, n+1)`` needs 2f+1 votes, so at least f+1 honest voters were
+        at ``next_sequence`` n+1: each had handled the ConfirmMsg for n, or
+        the CommitMsg whose unlock closed n. A debit that a credit pays for
+        needs voters that had seen the credit's ConfirmMsg, and a settlement
+        needs the auction's creation and its deposits. A certificate parked
+        for want of funds is retried, within the same pass, by the credit
+        that pays for it. The ``eventual_consistency`` audit checks that this
+        reasoning holds."""
         targets = self.honest_authorities()
-        before = [a.snapshot() for a in targets]
-        for _ in range(rounds):
-            for message in messages:
-                for authority in targets:
-                    self._apply_sync(authority, message)
-            after = [a.snapshot() for a in targets]
-            if after == before:
-                break
-            before = after
-
-    def _apply_sync(self, authority, message) -> None:
-        queue = [("sync", message)]
-        while queue:
-            src, payload = queue.pop(0)
-            outputs, _notes = authority.handle(src, payload, self.now)
-            for dest, out in outputs:
-                if dest == authority.name:
-                    queue.append((authority.name, out))
+        for message in self.certified.values():
+            for authority in targets:
+                queue = [("sync", message)]
+                for src, payload in queue:  # runs on as self-addressed effects join
+                    outputs, _notes = authority.handle(src, payload, self.now)
+                    queue.extend((dest, out) for dest, out in outputs if dest == authority.name)

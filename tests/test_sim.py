@@ -169,3 +169,52 @@ def test_budget_exceeded_reported():
     sim.run()
     assert sim.budget_exceeded
     assert sim.now <= 1000
+
+
+def test_crash_after_last_event_is_still_honest():
+    sim = build(5)
+    sim.crash_at["auth:0"] = 0
+    sim.crash_at["auth:1"] = 100 * SECOND  # scheduled after the run's last event
+    results = []
+    sim.add_client("client:a", ping_script(results))
+    sim.start_client_at("client:a", 0)
+    sim.run()
+    assert sim.now < sim.crash_at["auth:1"]
+    assert [a.name for a in sim.honest_authorities()] == ["auth:1", "auth:2", "auth:3"]
+
+
+class SyncStub:
+    """Answers a filed message with a self-addressed effect, which yields one
+    more, plus a reply to a client that the sync must not deliver."""
+
+    def __init__(self, index, honest=True):
+        self.index = index
+        self.name = f"auth:{index}"
+        self.honest = honest
+        self.seen = []
+
+    def handle(self, src, payload, now):
+        self.seen.append((src, payload))
+        if isinstance(payload, str):
+            return [(self.name, ("effect", payload)), ("client:a", AckReply(payload))], []
+        if payload[0] == "effect":
+            return [(self.name, ("settled", payload[1]))], []
+        return [], []
+
+
+def test_sync_deliver_one_pass_in_first_delivery_order():
+    sim = Simulator(seed=1)
+    stubs = [SyncStub(0), SyncStub(1), SyncStub(2, honest=False), SyncStub(3)]
+    for stub in stubs:
+        sim.add_authority(stub)
+    sim.crash_at["auth:1"] = 0
+    sim.certified.update({b"\x02": "m2", b"\x00": "m0", b"\x01": "m1"})
+    sim.sync_deliver()
+
+    for stub in (stubs[0], stubs[3]):
+        expected = []
+        for message in ("m2", "m0", "m1"):  # filing order
+            expected += [("sync", message), (stub.name, ("effect", message)),
+                         (stub.name, ("settled", message))]
+        assert stub.seen == expected
+    assert stubs[1].seen == stubs[2].seen == []
