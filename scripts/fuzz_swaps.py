@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Agreement fuzzing: randomized adversarial swap schedules.
+"""Swap fuzzing: randomized adversarial swap schedules, every standard audit
+on each; exits nonzero if any audit fails.
 
     python scripts/fuzz_swaps.py [runs] [base_seed]
 """
@@ -21,9 +22,9 @@ def main() -> int:
     print(f"{summary.line()} in {time.time() - started:.1f}s")
     print(f"trace sha256: {summary.trace_sha256}")
     print(f"synced sha256: {summary.synced_sha256}")
-    for seed, violations in summary.agreement_violations:
-        print(f"  seed {seed}: {violations}")
-    return 0 if not summary.agreement_violations else 1
+    for seed, name, violations in summary.failed_audits:
+        print(f"  seed {seed} {name}: {violations}")
+    return 0 if not summary.failed_audits else 1
 
 
 if __name__ == "__main__":

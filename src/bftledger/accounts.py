@@ -127,7 +127,9 @@ class CreditEffect:
 
 @dataclass(frozen=True)
 class UnlockEffect:
-    """Unlock an account after a swap commit, optionally handing it a new owner key."""
+    """Unlock an account after a swap commit, optionally handing it a new owner
+    key. `cert` is the side's lock certificate: the one certified request at
+    (target, n), whichever commit certificate the authority applied."""
 
     target: AccountId
     n: int

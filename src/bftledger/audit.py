@@ -101,8 +101,9 @@ def audit_conservation(sim, committee: Committee, initial_total: int) -> AuditRe
 
 
 def audit_sequences(sim) -> AuditResult:
-    """Confirmed logs hold exactly one certificate per sequence number, in
-    order, and their length matches next_sequence."""
+    """Confirmed logs hold the certified request of each sequence number in
+    order (entry i is a request at n = i, a lock request for a swap's unlock),
+    and their length matches next_sequence."""
     violations = []
     for authority in sim.honest_authorities():
         for uid, account in authority.ledger.accounts.items():
@@ -111,9 +112,10 @@ def audit_sequences(sim) -> AuditResult:
                     f"{authority.name} {uid}: {len(account.confirmed)} certs, "
                     f"seq {account.next_sequence}"
                 )
-            ns = [c.value.n for c in account.confirmed if isinstance(c.value, Request)]
-            if ns != sorted(set(ns)):
-                violations.append(f"{authority.name} {uid}: unordered confirmations")
+            for i, c in enumerate(account.confirmed):
+                if not isinstance(c.value, Request) or c.value.n != i:
+                    violations.append(f"{authority.name} {uid}: entry {i} is not a request at n = {i}")
+                    break
     return _result("per_account_sequence", violations)
 
 

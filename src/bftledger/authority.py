@@ -283,9 +283,9 @@ class Authority:
         for swid in sorted(self.swaps.instances):
             inst = self.swaps.instances[swid]
             lines.append(f"[instance {swid}]")
-            lines.append(f"accounts: {inst.id1} @{inst.n1} / {inst.id2} @{inst.n2}")
-            lines.append(f"pk1: {inst.pk1.hex() if inst.pk1 else '-'}")
-            lines.append(f"pk2: {inst.pk2.hex() if inst.pk2 else '-'}")
+            (id1, n1), (id2, n2) = inst.accounts[1], inst.accounts[2]
+            lines.append(f"accounts: {id1} @{n1} / {id2} @{n2}")
+            lines += [f"pk{r}: {inst.pk(r).hex() if inst.pk(r) else '-'}" for r in (1, 2)]
             for label, p in (("proposed", inst.proposed), ("locked", inst.locked_proposal)):
                 lines.append(f"{label}: {f'{p.round}:{p.decision.name}' if p else '-'}")
         for auction_id in sorted(self.auctions.auctions):

@@ -359,7 +359,7 @@ def swap_owner_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
         ctx.outcome.setdefault(f"owner{role}", "stalled")
         return
     ok = yield from broadcast_until_acked(
-        env, committee, CommitMsg(ctx.commit, lock1, lock2), timeout
+        env, committee, CommitMsg(ctx.commit, ctx.locks.get(1), ctx.locks.get(2)), timeout
     )
     decision = ctx.commit.value.proposal.decision
     ctx.outcome[f"owner{role}"] = decision.name if ok else "finalize_failed"

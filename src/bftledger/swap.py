@@ -21,12 +21,12 @@ exponentially slowing rate, so they stay boundable without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
 from . import errors
-from .accounts import AccountId, LockInto, Request, RequestKind, UnlockEffect
+from .accounts import AccountId, Request, RequestKind, UnlockEffect
 from .committee import Authenticated, Certificate, check_authenticated, check_certificate
 from .errors import err
 
@@ -69,26 +69,16 @@ class InitInstanceEffect:
 
 @dataclass
 class SwapInstance:
-    id1: AccountId
-    n1: int
-    id2: AccountId
-    n2: int
-    pk1: Optional[bytes] = None
-    pk2: Optional[bytes] = None
+    accounts: dict[int, tuple[AccountId, int]]  # role -> the (id, n) the creation names
+    locks: dict[int, Certificate] = field(default_factory=dict)  # role -> its lock certificate
     proposed: Optional[Proposal] = None
     locked: Optional[Certificate] = None  # pre-commit certificate
     created_at: int = 0
 
-    def side(self, role: int) -> tuple[AccountId, int, Optional[bytes]]:
-        if role == 1:
-            return (self.id1, self.n1, self.pk1)
-        return (self.id2, self.n2, self.pk2)
-
-    def set_pk(self, role: int, pk: bytes) -> None:
-        if role == 1:
-            self.pk1 = pk
-        else:
-            self.pk2 = pk
+    def pk(self, role: int) -> Optional[bytes]:
+        """The key that the side's lock certificate hands over, once seen."""
+        lock = self.locks.get(role)
+        return lock.value.op.pk if lock is not None else None
 
     @property
     def locked_proposal(self) -> Optional[Proposal]:
@@ -170,23 +160,19 @@ class SwapService:
         if eff.target in self.tombstones or eff.target in self.instances:
             return  # no-op on redelivery; never resurrect a deleted instance
         self.instances[eff.target] = SwapInstance(
-            id1=eff.id1, n1=eff.n1, id2=eff.id2, n2=eff.n2, created_at=now
+            accounts={1: (eff.id1, eff.n1), 2: (eff.id2, eff.n2)}, created_at=now
         )
 
-    def _parse_lock_cert(self, cert: Certificate, swid: AccountId, role: int):
-        """Return (id, n, pk) from a valid lock certificate for this swid/role,
-        else None (also for no certificate)."""
+    def _is_lock_cert(self, cert: Optional[Certificate], swid: AccountId, role: int) -> bool:
+        """Whether `cert` is a valid lock certificate for this swid and role
+        (False also for no certificate)."""
         if not isinstance(cert, Certificate):
-            return None
+            return False
         request = cert.value
         if not isinstance(request, Request) or request.kind != RequestKind.LOCK:
-            return None
+            return False
         op = request.op
-        if not isinstance(op, LockInto) or op.swid != swid or op.role != role:
-            return None
-        if not check_certificate(self.committee, cert):
-            return None
-        return (request.id, request.n, op.pk)
+        return op.swid == swid and op.role == role and check_certificate(self.committee, cert)
 
     def handle_proposal(
         self,
@@ -206,24 +192,19 @@ class SwapService:
         for role, lock in ((1, lock1), (2, lock2)):
             if lock is None:
                 continue
-            parsed = self._parse_lock_cert(lock, proposal.swid, role)
-            if parsed is None:
+            if not self._is_lock_cert(lock, proposal.swid, role):
                 raise err(errors.BAD_LOCK_CERT, f"role {role}")
-            lock_id, lock_n, lock_pk = parsed
-            inst_id, inst_n, _ = instance.side(role)
-            if lock_id != inst_id or lock_n != inst_n:
+            if (lock.value.id, lock.value.n) != instance.accounts[role]:
                 raise err(errors.BAD_LOCK_CERT, f"role {role} does not match instance")
-            instance.set_pk(role, lock_pk)
-        if auth.pk not in (instance.pk1, instance.pk2) or auth.pk is None:
+            instance.locks[role] = lock
+        if auth.pk is None or auth.pk not in (instance.pk(1), instance.pk(2)):
             raise err(errors.NOT_A_LOCKED_OWNER, str(proposal.swid))
-        if proposal.decision == DecisionValue.CONFIRM and (
-            instance.pk1 is None or instance.pk2 is None
-        ):
+        if proposal.decision == DecisionValue.CONFIRM and len(instance.locks) < 2:
             raise err(errors.INVALID_CONFIRM, "both accounts must be locked")
         if not self.schedule.is_available(instance.created_at, proposal.round, now):
             raise err(errors.ROUND_UNAVAILABLE, f"round {proposal.round}")
         if self.parity_leader and proposal.round > self.schedule.escalation_round:
-            required = instance.pk1 if proposal.round % 2 == 0 else instance.pk2
+            required = instance.pk(1 if proposal.round % 2 == 0 else 2)
             if required is None or auth.pk != required:
                 raise err(errors.ROUND_UNAVAILABLE, f"round {proposal.round} reserved for the other owner")
         if proposal == instance.proposed:
@@ -255,11 +236,12 @@ class SwapService:
     ) -> list[UnlockEffect]:
         """Unlock (and on Confirm, rekey) the swapped accounts; delete the instance.
 
-        Abort unlocks honor attached lock certificates without checking them
-        against instance data, so accounts can always be freed after early
-        instance deletion. Confirm unlocks need both owner keys: on a live
-        instance they come from the instance or from an attached certificate
-        for the same (id, n); after deletion, from the attached certificates.
+        Each side is one lock certificate: the attached one if it is valid
+        and, for a Confirm on a live instance, names that side's (id, n); else
+        the instance's. An Abort thus frees accounts even after early instance
+        deletion; a Confirm needs both sides, each taking the other's key. An
+        unlock logs its lock certificate, the one certified request at (id, n),
+        not the commit certificate, of which one decision may have several.
         Junk attachments never block a valid commit.
         """
         if not isinstance(cert.value, CommitStatement):
@@ -269,32 +251,23 @@ class SwapService:
         proposal = cert.value.proposal
         swid = proposal.swid
         instance = self.instances.get(swid)
+        confirm = proposal.decision == DecisionValue.CONFIRM
 
-        sides = {role: None if instance is None else instance.side(role) for role in (1, 2)}
+        locks = {} if instance is None else dict(instance.locks)
         for role, lock in ((1, lock1), (2, lock2)):
-            parsed = self._parse_lock_cert(lock, swid, role)
-            if parsed is not None and (
-                proposal.decision == DecisionValue.ABORT
-                or sides[role] is None
-                or parsed[:2] == sides[role][:2]
+            if self._is_lock_cert(lock, swid, role) and (
+                not confirm or instance is None
+                or (lock.value.id, lock.value.n) == instance.accounts[role]
             ):
-                sides[role] = parsed
-
-        effects: list[UnlockEffect] = []
-        if proposal.decision == DecisionValue.CONFIRM:
-            # Keys are exchanged, so unlocking side i needs the other side's key.
-            if all(sides[r] is not None and sides[r][2] is not None for r in (1, 2)):
-                for role in (1, 2):
-                    acct_id, n, _ = sides[role]
-                    new_pk = sides[3 - role][2]
-                    effects.append(UnlockEffect(target=acct_id, n=n, new_pk=new_pk, cert=cert))
-        else:
-            for role in (1, 2):
-                if sides[role] is not None and sides[role][2] is not None:
-                    acct_id, n, _ = sides[role]
-                    effects.append(UnlockEffect(target=acct_id, n=n, new_pk=None, cert=cert))
+                locks[role] = lock
 
         if instance is not None:
             del self.instances[swid]
         self.tombstones.add(swid)
-        return effects
+        if confirm and len(locks) < 2:
+            return []
+        return [
+            UnlockEffect(target=locks[role].value.id, n=locks[role].value.n,
+                         new_pk=locks[3 - role].value.op.pk if confirm else None, cert=locks[role])
+            for role in (1, 2) if role in locks
+        ]

@@ -177,6 +177,22 @@ def test_unsafe_internal_credit_flagged_by_credit_safety_audit():
     assert result.violations == [f"unsafe credit to {AccountId(0)}"]
 
 
+def test_sequence_audit_wants_the_request_at_each_n():
+    """Entry i of a confirmed log must be a request at n = i: a swap's unlock
+    logs its lock request, and a commit certificate or a request at another n
+    in that slot is a violation."""
+    sim, owner, _rng = build_honest_world(35)
+    swid = AccountId(1).child(0)
+    lock = lock_request(AccountId(0), 0, LockInto(swid, 1, owner.public_key))
+    commit = CommitStatement(Proposal(swid, 0, DecisionValue.CONFIRM))
+    later = lock_request(AccountId(0), 1, LockInto(swid, 1, owner.public_key))
+    for value, passed in ((lock, True), (commit, False), (later, False)):
+        for authority in sim.authorities.values():
+            account = authority.ledger.accounts[AccountId(0)]
+            account.confirmed, account.next_sequence = [Certificate(value=value, votes=())], 1
+        assert audit.audit_sequences(sim).passed == passed
+
+
 def test_effects_from_a_client_rejected():
     """A client that sends internal effects can neither mint money nor take
     over an account: every authority answers BadValue and changes nothing."""

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from bftledger.fuzz import fuzz_swap_config
 from bftledger.scenario import load_scenario, run_scenario, validate_scenario
 from bftledger.swap import DecisionValue
@@ -306,3 +308,14 @@ def test_failed_lock_is_an_outcome():
     run, report = run_scenario(fuzz_swap_config(162))
     assert report.outcomes["swap0"]["owner1"] == "lock_failed"
     assert any(event[0] == "lock_failed" for event in run.logs["client:swap0.owner1"].events)
+
+
+# Perfbench swap_fuzz schedules that once failed eventual_consistency. In the
+# first, owner 2 finalized with the lock copies taken when its lock wait ended,
+# before owner 1 locked, so no authority that missed owner 1's lock learnt its
+# key. In the other two, the owners formed commit certificates for one decision
+# at different rounds, and each authority logged the one it applied first.
+@pytest.mark.parametrize("schedule", [1429313080, 1142139918, 1901720973])
+def test_swap_schedule_passes_every_audit(schedule):
+    _run, report = run_scenario(fuzz_swap_config(schedule))
+    assert_audits(report)

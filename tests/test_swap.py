@@ -154,7 +154,7 @@ def lock_cert(harness, role, pk, uid=None, n=None):
 def test_init_instance_idempotent_and_tombstoned(harness):
     service = make_service(harness)
     inst = service.instances[SWID]
-    assert inst.pk1 is None and inst.pk2 is None  # fresh instances hold no keys
+    assert inst.pk(1) is None and inst.pk(2) is None  # fresh instances hold no keys
     assert inst.proposed is None and inst.locked is None
     effect = InitInstanceEffect(target=SWID, id1=ID2, n1=9, id2=ID1, n2=9, cert=creation_cert(harness))
     service.init_instance(effect, now=50)
@@ -175,7 +175,7 @@ def test_proposal_happy_path_abort(harness):
     statement = service.handle_proposal(auth, l1, None, now=0)
     assert statement == PreCommitStatement(p)
     assert service.instances[SWID].proposed == p
-    assert service.instances[SWID].pk1 == owner1.public_key
+    assert service.instances[SWID].pk(1) == owner1.public_key
     # exact resubmission re-votes instead of failing rule (a)
     assert service.handle_proposal(auth, l1, None, now=0) == statement
 
@@ -274,6 +274,25 @@ def test_commit_confirm_swaps_keys(harness):
     by_target = {e.target: e for e in effects}
     assert by_target[ID1].n == 1 and by_target[ID1].new_pk == owner2.public_key
     assert by_target[ID2].n == 0 and by_target[ID2].new_pk == owner1.public_key
+
+
+def test_unlocks_log_the_lock_certificates_in_role_order(harness):
+    """Each unlock closes its account's sequence number with that side's lock
+    certificate, the one certified request at (id, n), so commit certificates
+    for one decision at different rounds unlock identically; a Confirm emits
+    role 1's unlock first, whichever lock the instance saw first."""
+    owner1, owner2 = harness.keypair(), harness.keypair()
+    l1 = lock_cert(harness, 1, owner1.public_key)
+    l2 = lock_cert(harness, 2, owner2.public_key)
+    unlocks = []
+    for rnd in (0, 1):
+        service = make_service(harness)
+        service.handle_proposal(authenticate(proposal(0, ABORT), owner2.public_key, owner2), None, l2, now=0)
+        service.handle_proposal(authenticate(proposal(1, CONFIRM), owner1.public_key, owner1), l1, None, now=1000)
+        commit = harness.certify(CommitStatement(proposal(rnd, CONFIRM)))
+        unlocks.append(service.handle_commit(commit, None, None))
+    assert unlocks[0] == unlocks[1]
+    assert [(e.target, e.cert) for e in unlocks[0]] == [(ID1, l1), (ID2, l2)]
 
 
 def test_commit_abort_unlocks_via_attached_cert_after_deletion(harness):
