@@ -37,7 +37,7 @@ from .committee import (
     Authenticated,
     Certificate,
     check_authenticated,
-    check_certificate,
+    check_certificate_once,
     value_digest,
 )
 from .errors import err
@@ -166,14 +166,18 @@ def settle_outcome(values: tuple[int, ...], deposits: tuple[int, ...], rule: Pri
 class AuctionService:
     """One authority's auction objects: phases, bid sets, and settlement. The
     service checks the quorum of every certificate it is handed itself, with
-    `check_certificate` in four methods: deposit proofs in `handle_submit_bid`,
-    bid certificates in `handle_end_of_bidding`, end-of-bidding certificates in
-    `apply_end_of_bidding_cert` (which `release_shares`, `handle_end_of_auction`
-    and `apply_settlement` call) and end-of-auction ones in `apply_settlement`."""
+    `check_certificate_once` in four methods: deposit proofs in
+    `handle_submit_bid`, bid certificates in `handle_end_of_bidding`,
+    end-of-bidding certificates in `apply_end_of_bidding_cert` (which
+    `release_shares`, `handle_end_of_auction` and `apply_settlement` call) and
+    end-of-auction ones in `apply_settlement`. `verified` is the owning
+    authority's set of verified certificates; a service built alone keeps its own."""
 
     def __init__(self, committee, tpke_public: Optional[tpke.TpkePublic] = None,
-                 tpke_share: Optional[tpke.TpkeShare] = None):
+                 tpke_share: Optional[tpke.TpkeShare] = None,
+                 verified: Optional[set[bytes]] = None):
         self.committee = committee
+        self.verified = set() if verified is None else verified
         self.tpke_public = tpke_public
         self.tpke_share = tpke_share
         self.auctions: dict[AccountId, AuctionState] = {}
@@ -218,7 +222,7 @@ class AuctionService:
             or escrow.id != req.bidder
             or escrow.op.dest != req.auction_id
             or escrow.op.value != req.deposit
-            or not check_certificate(self.committee, proof)
+            or not check_certificate_once(self.committee, proof, self.verified)
         ):
             raise err(errors.BAD_EVIDENCE, "deposit proof does not match the bid")
         digest = value_digest(proof.value)
@@ -254,7 +258,7 @@ class AuctionService:
             statement = cert.value
             if not isinstance(statement, BidStatement) or statement.auction_id != req.auction_id:
                 raise err(errors.BAD_BID_CERT, "wrong statement")
-            if not check_certificate(self.committee, cert):
+            if not check_certificate_once(self.committee, cert, self.verified):
                 raise err(errors.BAD_BID_CERT, "bad quorum")
             digest = value_digest(statement)
             if digest in seen:
@@ -274,7 +278,7 @@ class AuctionService:
         statement = cert.value
         if not isinstance(statement, EndOfBiddingStatement):
             raise err(errors.BAD_CERTIFICATE, "not an end-of-bidding certificate")
-        if not check_certificate(self.committee, cert):
+        if not check_certificate_once(self.committee, cert, self.verified):
             raise err(errors.BAD_CERTIFICATE, "end-of-bidding quorum")
         auction = self.auctions.get(statement.auction_id)
         if auction is None or auction.phase == AuctionPhase.SETTLED:
@@ -341,7 +345,7 @@ class AuctionService:
         statement = cert.value
         if not isinstance(statement, EndOfAuctionStatement):
             raise err(errors.BAD_CERTIFICATE, "not an end-of-auction certificate")
-        if not check_certificate(self.committee, cert):
+        if not check_certificate_once(self.committee, cert, self.verified):
             raise err(errors.BAD_CERTIFICATE, "end-of-auction quorum")
         auction_id = statement.auction_id
         if auction_id in self.settled:

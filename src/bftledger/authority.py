@@ -24,7 +24,7 @@ from .accounts import (
     UnlockEffect,
 )
 from .auction import AuctionService, InitAuctionEffect
-from .committee import Certificate, Committee, check_certificate, make_vote, value_digest
+from .committee import Certificate, Committee, check_certificate_once, make_vote, value_digest
 from .errors import ProtocolError, err
 from .keys import Signer
 from .messages import (
@@ -57,6 +57,20 @@ _ACK_OK = AckReply("ok")
 
 
 class Authority:
+    """One committee member's state and handlers.
+
+    ``verified`` holds the ``value_digest`` of every certificate that this
+    authority has verified; its checks go through ``check_certificate_once``,
+    so a certificate that arrives again (a lock certificate attached to each
+    proposal and commit, a re-sent commit, the end-of-run sync) is not
+    checked again. That is sound because two certificates share a digest only
+    if they encode to the same bytes, and ``check_certificate``'s verdict
+    depends only on those bytes and this authority's fixed committee; failed
+    and unencodable certificates are never added. The set is this
+    authority's alone, and grows by one 32-byte digest per accepted
+    certificate.
+    """
+
     honest = True
 
     def __init__(
@@ -77,8 +91,11 @@ class Authority:
         self.committee = committee
         self.ledger = Ledger(algebra_of)
         self.ledger.on_mutate = self._check_account
-        self.swaps = SwapService(committee, schedule=schedule, parity_leader=parity_leader)
-        self.auctions = AuctionService(committee, tpke_public=tpke_public, tpke_share=tpke_share)
+        self.verified: set[bytes] = set()
+        self.swaps = SwapService(committee, schedule=schedule, parity_leader=parity_leader,
+                                 verified=self.verified)
+        self.auctions = AuctionService(committee, tpke_public=tpke_public, tpke_share=tpke_share,
+                                       verified=self.verified)
         self._notes: list[tuple] = []
 
     # -- helpers --
@@ -122,7 +139,8 @@ class Authority:
 
     def _on_confirm(self, src, payload: ConfirmMsg, now):
         cert = payload.cert
-        if not isinstance(cert.value, Request) or not check_certificate(self.committee, cert):
+        if not (isinstance(cert.value, Request)
+                and check_certificate_once(self.committee, cert, self.verified)):
             raise err(errors.BAD_CERTIFICATE, "confirmation")
         self._accept_cert(cert, "request")
         effects = self.ledger.handle_confirmation(cert)
@@ -171,7 +189,9 @@ class Authority:
         return [(src, self._vote(assets.handle_certify(self.ledger, payload.auth)))]
 
     def _on_transmute(self, src, payload: TransmuteMsg, now):
-        bindings = assets.handle_transmute(self.ledger, self.committee, payload.request)
+        bindings = assets.handle_transmute(
+            self.ledger, self.committee, payload.request, self.verified
+        )
         items = tuple(
             (binding, make_vote(self.index, self.signer, binding)) for binding in bindings
         )

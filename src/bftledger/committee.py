@@ -154,6 +154,28 @@ def check_certificate(committee: Committee, cert: Certificate) -> bool:
     return all(vote_is_valid(committee, d, v) for v in cert.votes)
 
 
+def check_certificate_once(committee: Committee, cert: Any, verified: set[bytes]) -> bool:
+    """``check_certificate``'s verdict, computed once per certificate that ``verified`` holds.
+
+    ``verified`` holds the ``value_digest`` of every certificate that passed
+    here; a certificate with a digest in it counts as valid, any other one is
+    checked, and added if it passes. Failures are not kept. This is sound
+    because two certificates share a digest only if they encode to the same
+    bytes, and the verdict depends only on those bytes and ``committee``,
+    which must be the same in every call with one set.
+    """
+    try:
+        key = value_digest(cert)
+    except serialize.EncodingError:
+        return check_certificate(committee, cert)
+    if key in verified:
+        return True
+    if not check_certificate(committee, cert):
+        return False
+    verified.add(key)
+    return True
+
+
 def authenticate(payload: Any, pk: bytes, signer: Signer) -> Authenticated:
     return Authenticated(payload=payload, pk=pk, sig=signer.sign(value_digest(payload)))
 

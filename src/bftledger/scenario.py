@@ -158,6 +158,16 @@ def _object(fields: dict, make=None):
     return conv
 
 
+def _utf8(text: str) -> bool:
+    """Whether ``text`` has a UTF-8 form, which the codec needs; a JSON
+    string may hold a lone surrogate, which has none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _update(value, where, refs):
     """An ``apply`` update object, as the algebra's update value."""
     tag = next((t for t in _UPDATES if t in value), None) if type(value) is dict else None
@@ -178,11 +188,11 @@ def _action(value, where, refs):
 _INT, _COUNT = _number(-(1 << 63), (1 << 63) - 1, int), _number(0, (1 << 63) - 1, int)
 _SECONDS = _number(0, 1e9, lambda v: _ticks(float(v)))  # read as ticks
 _DELAY = _number(0, 1e9)  # seconds, added to a start before they become ticks
-_PROBABILITY, _TEXT = _number(0, 1), _leaf("a string", (str,))
+_PROBABILITY, _TEXT = _number(0, 1), _leaf("a UTF-8 string", (str,), _utf8)
 _HEX = _leaf("a string of hex digit pairs", (str,), lambda v: len(v) % 2 == 0
              and all(c in "0123456789abcdefABCDEF" for c in v), bytes.fromhex)
-_NAME = _leaf("an account name", (str,), ref="account")
-_INPUT = _leaf("an account name", (str,), ref="input")
+_NAME = _leaf("an account name", (str,), _utf8, ref="account")
+_INPUT = _leaf("an account name", (str,), _utf8, ref="input")
 _AUTHORITY = _leaf("an authority index", (int, str), lambda v: type(v) is int or v.isdecimal(),
                    int, ref="authority")  # an object key is a decimal string
 _COMMITTEE_SIZE = _leaf("3f+1 for an integer f > 0", (int,), lambda v: v > 1 and v % 3 == 1)

@@ -7,18 +7,21 @@ type.  The exact rules (documented bit-exactly in docs/encoding.md):
 - integers: 8-byte little-endian two's complement; fields that are
   semantically unsigned use the same layout restricted to [0, 2**63).
 - bytes / str: 4-byte little-endian length prefix, then raw bytes (str as
-  UTF-8).
+  UTF-8; a str that has no UTF-8 form, such as a lone surrogate, does not encode).
 - bool: one byte, 0x00 or 0x01.
 - Optional[T]: one presence byte (0x00 absent / 0x01 present), then payload.
 - homogeneous sequences (tuple[T, ...] or list[T]): 4-byte little-endian
   count, then elements.
 - fixed tuples tuple[A, B, ...]: elements in order, no prefix.
-- IntEnum: single byte.
+- IntEnum: single byte; a field encodes only a member of its own enum.
 - dataclasses: fields in declaration order, no per-field tags.
 - fields annotated ``AnyWire``: one tag byte identifying the concrete class
   in the wire registry, then that class encoded as a dataclass.
 
 The wire registry is populated once, in a fixed order, by ``wire.py``.
+Encoding and decoding fail only with ``EncodingError``. Each dataclass and
+each homogeneous sequence type gets one generated encoder, compiled on first
+use (see ``_generated``).
 """
 
 from __future__ import annotations
@@ -107,7 +110,11 @@ def _enc_bytes(value: Any, out: bytearray) -> None:
 def _enc_str(value: Any, out: bytearray) -> None:
     if not isinstance(value, str):
         raise EncodingError(f"expected str, got {value!r}")
-    _enc_bytes(value.encode("utf-8"), out)
+    try:
+        data = value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise EncodingError(f"string has no UTF-8 form: {exc}") from None
+    _enc_bytes(data, out)
 
 
 def _dec_str(r: _Reader) -> str:
@@ -115,6 +122,13 @@ def _dec_str(r: _Reader) -> str:
         return r.take(r.count()).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"bad UTF-8 string: {exc}") from None
+
+
+def _length(value: Any) -> int:
+    try:
+        return len(value)
+    except TypeError:
+        raise EncodingError(f"expected a sequence, got {value!r}") from None
 
 
 def _enc_bool(value: Any, out: bytearray) -> None:
@@ -125,10 +139,11 @@ def _enc_bool(value: Any, out: bytearray) -> None:
 
 def _enc_any(value: Any, out: bytearray) -> None:
     cls = type(value)
-    if cls not in _TAG_OF:
+    tag = _TAG_OF.get(cls)
+    if tag is None:
         raise EncodingError(f"{cls.__name__} is not a registered wire type")
-    out.append(_TAG_OF[cls])
-    _codec(cls)[0](value, out)
+    out.append(tag)
+    (_CODECS.get(cls) or _codec(cls))[0](value, out)
 
 
 def _dec_any(r: _Reader) -> Any:
@@ -151,8 +166,10 @@ _CODECS: dict[Any, tuple[Callable, Callable]] = {
 def _codec(tp: Any) -> tuple[Callable, Callable]:
     """The (encoder, decoder) pair for wire type ``tp``, built once from its hints.
 
-    This is the only place that inspects a type; the closures it returns
-    check values and move bytes, nothing else.
+    This is the only place that inspects a type. What it returns checks
+    values and moves bytes, nothing else: a dataclass's or a homogeneous
+    sequence's encoder is one generated function, every other encoder and
+    every decoder a closure.
     """
     pair = _CODECS.get(tp)
     if pair is not None:
@@ -174,33 +191,29 @@ def _codec(tp: Any) -> tuple[Callable, Callable]:
         codecs = [_codec(a) for a in args]
 
         def encode_fixed(value: Any, out: bytearray) -> None:
-            if len(value) != len(codecs):
+            if _length(value) != len(codecs):
                 raise EncodingError("fixed tuple arity mismatch")
             for (enc_item, _), item in zip(codecs, value):
                 enc_item(item, out)
 
         pair = (encode_fixed, lambda r: tuple(dec_item(r) for _, dec_item in codecs))
     elif origin in (tuple, list):
-        enc, dec = _codec(args[0])
-
-        def encode_sequence(value: Any, out: bytearray) -> None:
-            if len(value) > LEN_MAX:
-                raise EncodingError("sequence too long")
-            out += _LEN.pack(len(value))
-            for item in value:
-                enc(item, out)
+        dec = _codec(args[0])[1]
 
         def decode_sequence(r: _Reader) -> Any:
             items = [dec(r) for _ in range(r.count())]
             return tuple(items) if origin is tuple else items
 
-        pair = (encode_sequence, decode_sequence)
+        pair = (_sequence_encoder(args[0]), decode_sequence)
     elif isinstance(tp, type) and issubclass(tp, IntEnum):
 
         def encode_enum(value: Any, out: bytearray) -> None:
-            if not 0 <= int(value) <= 0xFF:
+            # A member only: a plain int or a bool may name no member, and then nothing decodes it.
+            if type(value) is not tp:
+                raise EncodingError(f"expected {tp.__name__}, got {value!r}")
+            if not 0 <= value <= 0xFF:
                 raise EncodingError("enum value out of byte range")
-            out.append(int(value))
+            out.append(value)
 
         def decode_enum(r: _Reader) -> Any:
             b = r.byte()
@@ -213,31 +226,93 @@ def _codec(tp: Any) -> tuple[Callable, Callable]:
     elif isinstance(tp, type) and dataclasses.is_dataclass(tp):
         # A class holds itself only through AnyWire, which is resolved per value.
         hints = get_type_hints(tp)
-        fields = [(f.name, *_codec(hints[f.name])) for f in dataclasses.fields(tp)]
-
-        def encode_dataclass(value: Any, out: bytearray) -> None:
-            if type(value) is not tp:
-                raise EncodingError(f"expected {tp.__name__}, got {type(value).__name__}")
-            for name, enc_field, _ in fields:
-                enc_field(getattr(value, name), out)
+        decoders = [_codec(hints[f.name])[1] for f in dataclasses.fields(tp)]
 
         def decode_dataclass(r: _Reader) -> Any:
-            values = [dec_field(r) for _, _, dec_field in fields]
+            values = [dec_field(r) for dec_field in decoders]
             try:
                 return tp(*values)
             except ValueError as exc:  # a __post_init__ invariant rejects the fields
                 raise EncodingError(f"invalid {tp.__name__}: {exc}") from None
 
-        pair = (encode_dataclass, decode_dataclass)
+        pair = (_dataclass_encoder(tp, hints), decode_dataclass)
     else:
         raise EncodingError(f"unsupported wire type: {tp!r}")
     _CODECS[tp] = pair
     return pair
 
 
+# Statements that encode the value ``v`` into ``out`` in place, by its
+# annotation; they fall back to the plain encoder for its checks and messages.
+_INLINE = {
+    int: (
+        "if type(v) is int and -0x8000000000000000 <= v <= 0x7FFFFFFFFFFFFFFF:",
+        "    out += _pack_int(v)",
+        "else:",
+        "    _enc_int(v, out)",
+    ),
+    bytes: (
+        "if type(v) is bytes and len(v) <= 0xFFFFFFFF:",
+        "    out += _pack_len(len(v))",
+        "    out += v",
+        "else:",
+        "    _enc_bytes(v, out)",
+    ),
+}
+
+
+def _generated(name: str, body: list[str], env: dict) -> Callable:
+    """Compile ``def name(value, out)`` with ``body`` once with ``exec``, as
+    ``dataclasses`` builds ``__init__``; ``env`` holds its globals."""
+    env.update(EncodingError=EncodingError, _enc_int=_enc_int, _enc_bytes=_enc_bytes,
+               _length=_length, _pack_int=_INT.pack, _pack_len=_LEN.pack)
+    source = f"def {name}(value, out):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, f"<{name}>", "exec"), env)
+    return env[name]
+
+
+def _encode_v(tp: Any, env: dict) -> list[str]:
+    """Statements that encode ``v`` of wire type ``tp``: inline for an int or
+    bytes, else a call to ``tp``'s own encoder, bound in ``env``."""
+    if tp in _INLINE:
+        return list(_INLINE[tp])
+    name = f"enc_{len(env)}"
+    env[name] = _codec(tp)[0]
+    return [f"{name}(v, out)"]
+
+
+def _dataclass_encoder(tp: type, hints: dict) -> Callable:
+    """One flat function that encodes a ``tp`` value: its class check, then
+    each field in declaration order, written from the field names and hints."""
+    env = {"tp": tp}
+    body = [
+        "if type(value) is not tp:",
+        "    raise EncodingError(f'expected {tp.__name__}, got {type(value).__name__}')",
+    ]
+    for field in dataclasses.fields(tp):
+        body += [f"v = value.{field.name}", *_encode_v(hints[field.name], env)]
+    return _generated(f"encode_{tp.__name__}", body, env)
+
+
+def _sequence_encoder(item: Any) -> Callable:
+    """The encoder of a sequence of ``item``: its count, then each item."""
+    env: dict = {}
+    body = [
+        "n = _length(value)",
+        "if n > 0xFFFFFFFF:",
+        "    raise EncodingError('sequence too long')",
+        "out += _pack_len(n)",
+        "for v in value:",
+        *(f"    {line}" for line in _encode_v(item, env)),
+    ]
+    return _generated("encode_sequence", body, env)
+
+
 def encode(value: Any) -> bytes:
     """Encode a registered wire value with its leading class tag."""
-    return encode_as(AnyWire, value)
+    out = bytearray()
+    _enc_any(value, out)
+    return bytes(out)
 
 
 def encode_as(tp: Any, value: Any) -> bytes:

@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import errors
 from .accounts import AccountId, Request, RequestKind, UnlockEffect
-from .committee import Authenticated, Certificate, check_authenticated, check_certificate
+from .committee import Authenticated, Certificate, check_authenticated, check_certificate_once
 from .errors import err
 
 
@@ -149,10 +149,13 @@ class SwapService:
         committee,
         schedule: RoundSchedule = RoundSchedule(),
         parity_leader: bool = False,
+        verified: Optional[set[bytes]] = None,
     ):
         self.committee = committee
         self.schedule = schedule
         self.parity_leader = parity_leader
+        # The owner's set, for check_certificate_once; a service built alone keeps its own.
+        self.verified = set() if verified is None else verified
         self.instances: dict[AccountId, SwapInstance] = {}
         self.tombstones: set[AccountId] = set()
 
@@ -172,7 +175,8 @@ class SwapService:
         if not isinstance(request, Request) or request.kind != RequestKind.LOCK:
             return False
         op = request.op
-        return op.swid == swid and op.role == role and check_certificate(self.committee, cert)
+        return (op.swid == swid and op.role == role
+                and check_certificate_once(self.committee, cert, self.verified))
 
     def handle_proposal(
         self,
@@ -221,7 +225,7 @@ class SwapService:
         instance = self.instances.get(proposal.swid)
         if instance is None:
             raise err(errors.UNKNOWN_INSTANCE, str(proposal.swid))
-        if not check_certificate(self.committee, cert):
+        if not check_certificate_once(self.committee, cert, self.verified):
             raise err(errors.BAD_CERTIFICATE, "pre-commit vote check failed")
         if not is_safe_pre_commit(*instance.rule_view(), (proposal.round, proposal.decision)):
             raise err(errors.UNSAFE, f"pre-commit round {proposal.round}")
@@ -246,7 +250,7 @@ class SwapService:
         """
         if not isinstance(cert.value, CommitStatement):
             raise err(errors.BAD_CERTIFICATE, "not a commit certificate")
-        if not check_certificate(self.committee, cert):
+        if not check_certificate_once(self.committee, cert, self.verified):
             raise err(errors.BAD_CERTIFICATE, "commit vote check failed")
         proposal = cert.value.proposal
         swid = proposal.swid

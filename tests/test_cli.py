@@ -116,6 +116,7 @@ BAD_EDITS = {
     "value_out_of_range": ("transfers", ("actions", 0, "value"), 2**70),
     "bid_out_of_range": ("auction_second_price", ("actions", 0, "bidders", 0, "bid"), -5),
     "budget_too_large": ("transfers", ("budget_seconds",), 10**400),
+    "fexec_not_utf8": ("transmute_assets", ("actions", 0, "fexec"), "\ud800"),
     "withhold_above_one": ("swap_confirm", ("faults",), {"withhold_votes": {"1": 2.0}}),
     "start_negative": ("transfers", ("actions", 0, "start"), -5.0),
 }

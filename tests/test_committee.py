@@ -1,14 +1,17 @@
 """Votes, quorum certificates, and request authentication."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bftledger.committee as committee_module
 import bftledger.wire  # noqa: F401
-from bftledger import keys, serialize
+from bftledger import errors, keys, serialize
 from bftledger.accounts import AccountId, Transfer, execute_request
+from bftledger.authority import Authority
 from bftledger.committee import (
     Authenticated,
     Certificate,
@@ -18,10 +21,12 @@ from bftledger.committee import (
     authenticate,
     check_authenticated,
     check_certificate,
+    check_certificate_once,
     make_vote,
     value_digest,
 )
 from bftledger.errors import ProtocolError
+from bftledger.messages import ConfirmMsg
 
 
 @pytest.fixture
@@ -185,3 +190,56 @@ def test_aggregate_check_roundtrip_fuzz(subset, n, value):
     votes = [make_vote(i, signers[i], statement) for i in sorted(subset)]
     cert = aggregate_certificate(committee, statement, votes)
     assert check_certificate(committee, cert)
+
+
+# -- one verification per (authority, certificate) ---------------------------------
+
+
+def _confirm(authority, cert):
+    (_dest, reply), = [out for out in authority.handle("client", ConfirmMsg(cert), 0)[0]
+                       if out[0] == "client"]
+    return reply
+
+
+def test_verified_set_never_changes_a_verdict(harness):
+    committee = harness.committee
+    authority = Authority(0, harness.signers[0], committee)
+    value = execute_request(AccountId(0), 0, Transfer(AccountId(1), 1))
+    cert = harness.certify(value)
+    assert getattr(_confirm(authority, cert), "code", None) != errors.BAD_CERTIFICATE
+    assert authority.verified == {value_digest(cert)}
+
+    first, *rest = cert.votes
+    forged = execute_request(AccountId(0), 0, Transfer(AccountId(1), True))
+    assert forged == value  # equal, yet it does not encode
+    variants = {
+        "same bytes": Certificate(dataclasses.replace(value), tuple(cert.votes)),
+        "flipped signature": Certificate(value, (
+            dataclasses.replace(first, sig=bytes([first.sig[0] ^ 1]) + first.sig[1:]), *rest)),
+        "signer changed": Certificate(value, (dataclasses.replace(first, signer=3), *rest)),
+        "votes over another value": Certificate(_value(1), cert.votes),
+        "duplicated signer": Certificate(value, (*cert.votes, first)),
+        "bool for an int": Certificate(forged, cert.votes),
+    }
+    for name, variant in variants.items():
+        expected = check_certificate(committee, variant)
+        assert expected is (name == "same bytes"), name
+        assert check_certificate_once(committee, variant, authority.verified) is expected, name
+        rejected = _confirm(authority, variant)
+        assert (getattr(rejected, "code", None) == errors.BAD_CERTIFICATE) is not expected, name
+    assert authority.verified == {value_digest(cert)}  # failures are never kept
+
+
+def test_each_authority_verifies_for_itself(harness, monkeypatch):
+    """auth:1 checks every vote of a certificate that auth:0 has accepted; auth:0
+    checks none a second time."""
+    authorities = [Authority(i, harness.signers[i], harness.committee) for i in range(2)]
+    cert = harness.certify(_value())
+    calls = []
+    real_verify = committee_module.verify
+    monkeypatch.setattr(committee_module, "verify",
+                        lambda *args: calls.append(args) or real_verify(*args))
+    quorum = harness.committee.quorum
+    for authority, total in zip(authorities * 2, (quorum, 2 * quorum, 2 * quorum, 2 * quorum)):
+        _confirm(authority, cert)
+        assert len(calls) == total, authority.name
