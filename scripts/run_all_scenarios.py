@@ -20,17 +20,6 @@ from bftledger.scenario import load_scenario, run_scenario  # noqa: E402
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
-def outputs_digest(run, report) -> str:
-    outputs = hashlib.sha256()
-    for name in sorted(run.sim.authorities):
-        outputs.update(run.sim.authorities[name].snapshot().encode())
-    outputs.update(repr(sorted(run.results.items())).encode())
-    outputs.update(repr(sorted(report.outcomes.items())).encode())
-    for name in sorted(run.logs):
-        outputs.update(name.encode() + repr(run.logs[name].events).encode())
-    return outputs.hexdigest()
-
-
 def main() -> int:
     ok = True
     for fname in sorted(os.listdir(SCENARIOS)):
@@ -43,7 +32,7 @@ def main() -> int:
         digest = hashlib.sha256(run.sim.trace.to_bytes()).hexdigest()
         print(f"trace sha256: {digest} ({len(run.sim.trace.events)} deliveries, {wall_s:.2f} s)")
         print(f"synced sha256: {run.synced_digest().hexdigest()}")
-        print(f"outputs sha256: {outputs_digest(run, report)}")
+        print(f"outputs sha256: {run.outputs_digest().hexdigest()}")
         ok &= report.all_passed
     return 0 if ok else 1
 

@@ -16,13 +16,7 @@ from typing import Callable, Optional
 
 from . import errors, serialize
 from .accounts import AccountId, AccountState, Ledger, Request, operation
-from .committee import (
-    Authenticated,
-    Certificate,
-    check_authenticated,
-    check_certificate_once,
-    value_digest,
-)
+from .committee import Authenticated, Certificate, check_authenticated, value_digest
 from .errors import err
 from .keys import digest32
 
@@ -128,15 +122,15 @@ REGISTRY: dict[str, ExecutionFunction] = {
 }
 
 
-def verify_asset(committee, cert: Certificate, verified: Optional[set[bytes]] = None) -> bool:
-    """Certificate check plus shape check; old certificates stay verifiable.
-    ``verified`` is as for ``check_certificate_once``; a call without one uses a fresh set."""
+def verify_asset(certified: Callable[[Certificate], bool], cert: Certificate) -> bool:
+    """Shape check plus ``certified``, the verdict on the certificate's quorum;
+    old certificates stay verifiable."""
     if not isinstance(cert, Certificate) or not isinstance(cert.value, AssetBinding):
         return False
     binding = cert.value
     if binding.n < 0 or binding.id.root < 0:
         return False
-    return check_certificate_once(committee, cert, set() if verified is None else verified)
+    return certified(cert)
 
 
 def derive_outputs(first_spend: Request, count: int) -> tuple[AccountId, ...]:
@@ -161,8 +155,8 @@ def handle_certify(ledger: Ledger, auth: Authenticated) -> AssetBinding:
     return AssetBinding(id=req.id, n=req.n, data=req.data)
 
 
-def handle_transmute(ledger: Ledger, committee, req: TransmuteRequest,
-                     verified: Optional[set[bytes]] = None) -> list[AssetBinding]:
+def handle_transmute(ledger: Ledger, certified: Callable[[Certificate], bool],
+                     req: TransmuteRequest) -> list[AssetBinding]:
     """Validate a transmutation, deactivate its inputs, and return the output
     bindings to vote on.
 
@@ -187,7 +181,7 @@ def handle_transmute(ledger: Ledger, committee, req: TransmuteRequest,
             raise err(errors.BAD_VALUE, f"input {role} is not a spend")
         if spend.op.commitment != commitment:
             raise err(errors.COMMITMENT_MISMATCH, f"input {role}")
-        if not verify_asset(committee, asset_cert, verified) or asset_cert.value.id != spend.id:
+        if not verify_asset(certified, asset_cert) or asset_cert.value.id != spend.id:
             raise err(errors.BAD_CERTIFICATE, f"input asset {role}")
         bindings.append(asset_cert.value)
         spend_requests.append(spend)

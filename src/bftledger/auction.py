@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional
+from typing import Callable, Optional
 
 from . import errors, serialize, tpke
 from .accounts import (
@@ -33,25 +33,13 @@ from .accounts import (
     operation,
 )
 from .algebra import ScalarUpdate
-from .committee import (
-    Authenticated,
-    Certificate,
-    check_authenticated,
-    check_certificate_once,
-    value_digest,
-)
+from .committee import Authenticated, Certificate, check_authenticated, value_digest
 from .errors import err
 
 
 class PriceRule(IntEnum):
     FIRST_PRICE = 0
     SECOND_PRICE = 1
-
-
-class AuctionPhase(IntEnum):
-    BIDDING = 0
-    REVEALING = 1
-    SETTLED = 2
 
 
 @dataclass(frozen=True)
@@ -129,10 +117,8 @@ class AuctionState:
     seller_pk: bytes
     item: AccountId
     rule: PriceRule
-    phase: AuctionPhase = AuctionPhase.BIDDING
-    bids: list[BidStatement] = field(default_factory=list)
-    deposit_digests: set[bytes] = field(default_factory=set)
-    included: Optional[tuple[BidStatement, ...]] = None
+    bids: dict[bytes, BidStatement] = field(default_factory=dict)  # by deposit digest
+    included: Optional[tuple[BidStatement, ...]] = None  # the closed bid set; None while bidding
 
 
 def auction_aad(auction_id: AccountId) -> bytes:
@@ -164,24 +150,19 @@ def settle_outcome(values: tuple[int, ...], deposits: tuple[int, ...], rule: Pri
 
 
 class AuctionService:
-    """One authority's auction objects: phases, bid sets, and settlement. The
-    service checks the quorum of every certificate it is handed itself, with
-    `check_certificate_once` in four methods: deposit proofs in
-    `handle_submit_bid`, bid certificates in `handle_end_of_bidding`,
-    end-of-bidding certificates in `apply_end_of_bidding_cert` (which
-    `release_shares`, `handle_end_of_auction` and `apply_settlement` call) and
-    end-of-auction ones in `apply_settlement`. `verified` is the owning
-    authority's set of verified certificates; a service built alone keeps its own."""
+    """One authority's auction objects: bid sets and settlement. An auction is
+    bidding until it holds a closed bid set, which the seller's end-of-bidding
+    request proposes and its certificate fixes. Every certificate handed in is
+    checked with ``certified``, the authority's verdict on a certificate."""
 
-    def __init__(self, committee, tpke_public: Optional[tpke.TpkePublic] = None,
-                 tpke_share: Optional[tpke.TpkeShare] = None,
-                 verified: Optional[set[bytes]] = None):
-        self.committee = committee
-        self.verified = set() if verified is None else verified
+    def __init__(self, certified: Callable[[Certificate], bool],
+                 tpke_public: Optional[tpke.TpkePublic] = None,
+                 tpke_share: Optional[tpke.TpkeShare] = None):
+        self.certified = certified
         self.tpke_public = tpke_public
         self.tpke_share = tpke_share
         self.auctions: dict[AccountId, AuctionState] = {}
-        self.settled: dict[AccountId, bytes] = {}
+        self.settled: set[AccountId] = set()
         self._share_cache: dict[bytes, tpke.DecryptionShare] = {}
 
     def init_auction(self, eff: InitAuctionEffect) -> None:
@@ -204,7 +185,7 @@ class AuctionService:
         if not isinstance(req, SubmitBidRequest):
             raise err(errors.BAD_AUTH, "payload is not a bid submission")
         auction = self._get(req.auction_id)
-        if auction.phase != AuctionPhase.BIDDING:
+        if auction.included is not None:
             raise err(errors.WRONG_PHASE, "bidding is closed")
         if not check_authenticated(auth, expected_pk=req.bidder_pk):
             raise err(errors.BAD_AUTH, "bid signature")
@@ -222,7 +203,7 @@ class AuctionService:
             or escrow.id != req.bidder
             or escrow.op.dest != req.auction_id
             or escrow.op.value != req.deposit
-            or not check_certificate_once(self.committee, proof, self.verified)
+            or not self.certified(proof)
         ):
             raise err(errors.BAD_EVIDENCE, "deposit proof does not match the bid")
         digest = value_digest(proof.value)
@@ -234,14 +215,9 @@ class AuctionService:
             deposit=req.deposit,
             deposit_digest=digest,
         )
-        for existing in auction.bids:
-            if existing == statement:
-                return statement  # idempotent resubmission
-        if digest in auction.deposit_digests:
+        if auction.bids.setdefault(digest, statement) != statement:
             raise err(errors.BAD_EVIDENCE, "deposit already backs another bid")
-        auction.bids.append(statement)
-        auction.deposit_digests.add(digest)
-        return statement
+        return statement  # a resubmission is idempotent
 
     # -- end of bidding --
 
@@ -252,39 +228,32 @@ class AuctionService:
         auction = self._get(req.auction_id)
         if not check_authenticated(auth, expected_pk=auction.seller_pk):
             raise err(errors.NOT_SELLER, str(req.auction_id))
-        seen: set[bytes] = set()
-        included: list[BidStatement] = []
+        included: dict[bytes, BidStatement] = {}  # a repeated listing counts once
         for cert in req.bids:
             statement = cert.value
             if not isinstance(statement, BidStatement) or statement.auction_id != req.auction_id:
                 raise err(errors.BAD_BID_CERT, "wrong statement")
-            if not check_certificate_once(self.committee, cert, self.verified):
+            if not self.certified(cert):
                 raise err(errors.BAD_BID_CERT, "bad quorum")
-            digest = value_digest(statement)
-            if digest in seen:
-                continue  # deduplicate repeated listings
-            seen.add(digest)
-            included.append(statement)
-        statement = EndOfBiddingStatement(auction_id=req.auction_id, bids=tuple(included))
-        if auction.phase == AuctionPhase.BIDDING:
-            auction.phase = AuctionPhase.REVEALING
+            included.setdefault(value_digest(statement), statement)
+        statement = EndOfBiddingStatement(auction_id=req.auction_id, bids=tuple(included.values()))
+        if auction.included is None:
             auction.included = statement.bids
         elif auction.included != statement.bids:
             raise err(errors.WRONG_PHASE, "a different bid set was already closed")
         return statement
 
     def apply_end_of_bidding_cert(self, cert: Certificate) -> None:
-        """Learn a certified bid set (idempotent); stops bid acceptance here."""
+        """Close the auction on its certified bid set (idempotent), which
+        replaces a set this authority only voted for: an equivocating seller
+        can get votes for two sets, but 2f+1 authorities certify at most one."""
         statement = cert.value
         if not isinstance(statement, EndOfBiddingStatement):
             raise err(errors.BAD_CERTIFICATE, "not an end-of-bidding certificate")
-        if not check_certificate_once(self.committee, cert, self.verified):
+        if not self.certified(cert):
             raise err(errors.BAD_CERTIFICATE, "end-of-bidding quorum")
         auction = self.auctions.get(statement.auction_id)
-        if auction is None or auction.phase == AuctionPhase.SETTLED:
-            return
-        if auction.phase == AuctionPhase.BIDDING:
-            auction.phase = AuctionPhase.REVEALING
+        if auction is not None:
             auction.included = statement.bids
 
     # -- share release --
@@ -317,12 +286,10 @@ class AuctionService:
         req = auth.payload
         if not isinstance(req, EndOfAuctionRequest):
             raise err(errors.BAD_AUTH, "payload is not an end-of-auction request")
-        self.apply_end_of_bidding_cert(eob_cert)
-        auction = self._get(req.auction_id)
-        if auction.phase != AuctionPhase.REVEALING or auction.included is None:
-            raise err(errors.WRONG_PHASE, "bidding not closed")
-        if eob_cert.value.auction_id != req.auction_id or auction.included != eob_cert.value.bids:
+        self.apply_end_of_bidding_cert(eob_cert)  # so the auction holds the certified set
+        if eob_cert.value.auction_id != req.auction_id:
             raise err(errors.BAD_CERTIFICATE, "end-of-bidding set mismatch")
+        auction = self._get(req.auction_id)
         if not check_authenticated(auth, expected_pk=auction.seller_pk):
             raise err(errors.NOT_SELLER, str(req.auction_id))
         if len(req.openings) != len(auction.included):
@@ -339,20 +306,23 @@ class AuctionService:
         )
 
     def apply_settlement(self, cert: Certificate, eob_cert: Certificate) -> list:
-        """Execute a certified auction result: pay the seller from the winner's
-        deposit, refund everyone else, hand the item's owner key to the winner,
-        and delete the auction object. Idempotent on redelivery."""
+        """Execute a certified auction result on the bid set that ``eob_cert``
+        certifies: pay the seller from the winner's deposit, refund everyone
+        else, hand the item's owner key to the winner, and delete the auction
+        object. Idempotent on redelivery."""
         statement = cert.value
         if not isinstance(statement, EndOfAuctionStatement):
             raise err(errors.BAD_CERTIFICATE, "not an end-of-auction certificate")
-        if not check_certificate_once(self.committee, cert, self.verified):
+        if not self.certified(cert):
             raise err(errors.BAD_CERTIFICATE, "end-of-auction quorum")
         auction_id = statement.auction_id
         if auction_id in self.settled:
             return []
         self.apply_end_of_bidding_cert(eob_cert)
+        if eob_cert.value.auction_id != auction_id:
+            raise err(errors.BAD_CERTIFICATE, "end-of-bidding set mismatch")
         auction = self.auctions.get(auction_id)
-        if auction is None or auction.included is None:
+        if auction is None:
             return []
         if len(statement.values) != len(auction.included):
             raise err(errors.BAD_CERTIFICATE, "value count mismatch")
@@ -380,7 +350,7 @@ class AuctionService:
                 effects.append(CreditEffect(target=target, update=ScalarUpdate(amount), cert=cert))
 
         del self.auctions[auction_id]
-        self.settled[auction_id] = value_digest(statement)
+        self.settled.add(auction_id)
         return effects
 
 

@@ -2,10 +2,13 @@
 and auction objects, plus the canonical state snapshot.
 
 The authority validates certificates and signs votes; domain modules decide.
-Each message type maps to one handler in a table. Effects on another UID
-(cross-shard messages in the paper) are returned addressed to the authority
-itself and travel through the (never-dropping, possibly delaying and
-duplicating) internal queue, although one ledger holds all of its accounts.
+The swap and auction services and the asset checks take ``Authority.certified``,
+this authority's verdict on a certificate, so only this module and
+``committee.py`` know how one is verified. Each message type maps to one
+handler in a table. Effects on another UID (cross-shard messages in the paper)
+are returned addressed to the authority itself and travel through the
+(never-dropping, possibly delaying and duplicating) internal queue, although
+one ledger holds all of its accounts.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ class Authority:
     """One committee member's state and handlers.
 
     ``verified`` holds the ``value_digest`` of every certificate that this
-    authority has verified; its checks go through ``check_certificate_once``,
-    so a certificate that arrives again (a lock certificate attached to each
+    authority has verified; every check goes through ``certified``, so a
+    certificate that arrives again (a lock certificate attached to each
     proposal and commit, a re-sent commit, the end-of-run sync) is not
     checked again. That is sound because two certificates share a digest only
     if they encode to the same bytes, and ``check_certificate``'s verdict
@@ -92,13 +95,16 @@ class Authority:
         self.ledger = Ledger(algebra_of)
         self.ledger.on_mutate = self._check_account
         self.verified: set[bytes] = set()
-        self.swaps = SwapService(committee, schedule=schedule, parity_leader=parity_leader,
-                                 verified=self.verified)
-        self.auctions = AuctionService(committee, tpke_public=tpke_public, tpke_share=tpke_share,
-                                       verified=self.verified)
+        self.swaps = SwapService(self.certified, schedule=schedule, parity_leader=parity_leader)
+        self.auctions = AuctionService(self.certified, tpke_public, tpke_share)
         self._notes: list[tuple] = []
 
     # -- helpers --
+
+    def certified(self, cert: Certificate) -> bool:
+        """This authority's verdict on ``cert``: ``check_certificate``'s over its
+        committee, computed once per certificate."""
+        return check_certificate_once(self.committee, cert, self.verified)
 
     def _check_account(self, uid: AccountId, account) -> None:
         if not account.alg.is_valid(account.state):
@@ -139,8 +145,7 @@ class Authority:
 
     def _on_confirm(self, src, payload: ConfirmMsg, now):
         cert = payload.cert
-        if not (isinstance(cert.value, Request)
-                and check_certificate_once(self.committee, cert, self.verified)):
+        if not (isinstance(cert.value, Request) and self.certified(cert)):
             raise err(errors.BAD_CERTIFICATE, "confirmation")
         self._accept_cert(cert, "request")
         effects = self.ledger.handle_confirmation(cert)
@@ -189,9 +194,7 @@ class Authority:
         return [(src, self._vote(assets.handle_certify(self.ledger, payload.auth)))]
 
     def _on_transmute(self, src, payload: TransmuteMsg, now):
-        bindings = assets.handle_transmute(
-            self.ledger, self.committee, payload.request, self.verified
-        )
+        bindings = assets.handle_transmute(self.ledger, self.certified, payload.request)
         items = tuple(
             (binding, make_vote(self.index, self.signer, binding)) for binding in bindings
         )
@@ -314,7 +317,7 @@ class Authority:
             lines.append(f"seller: {auction.seller}")
             lines.append(f"item: {auction.item}")
             lines.append(f"rule: {auction.rule.name}")
-            lines.append(f"phase: {auction.phase.name}")
+            lines.append(f"phase: {'BIDDING' if auction.included is None else 'REVEALING'}")
             lines.append(f"bids: {len(auction.bids)}")
         for uid in sorted(self.ledger.tombstones):
             lines.append(f"[tombstone {uid}] {self.ledger.tombstones[uid].hex()[:16]}")

@@ -444,7 +444,6 @@ def transmute(env, committee: Committee, wallet: Wallet, fexec: str, params: byt
 @dataclass
 class AuctionContext:
     auction_id: Optional[AccountId] = None
-    item: Optional[AccountId] = None
     bid_certs: list[Certificate] = field(default_factory=list)
     expected_bidders: int = 0
     outcome: dict[str, Any] = field(default_factory=dict)
@@ -495,7 +494,6 @@ def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
         log.note("auction_create_failed", str(uid))
         return
     ctx.auction_id = auction_id
-    ctx.item = item
 
     yield from wait_until(env, lambda: len(ctx.bid_certs) >= ctx.expected_bidders, 200, bid_wait)
 

@@ -267,6 +267,23 @@ class RunResult:
             digest.update(name.encode() + self.synced_snapshots[name].encode())
         return digest
 
+    def outcomes(self) -> dict[str, Any]:
+        """Each action's result and each client context's outcome, by key."""
+        return {**self.results, **{key: getattr(ctx, "outcome", None)
+                                   for key, ctx in self.contexts.items()}}
+
+    def outputs_digest(self):
+        """sha256 over every authority's snapshot, the results, the outcomes and
+        every client's driver log, each in name order."""
+        digest = hashlib.sha256()
+        for name in sorted(self.sim.authorities):
+            digest.update(self.sim.authorities[name].snapshot().encode())
+        digest.update(repr(sorted(self.results.items())).encode())
+        digest.update(repr(sorted(self.outcomes().items())).encode())
+        for name in sorted(self.logs):
+            digest.update(name.encode() + repr(self.logs[name].events).encode())
+        return digest
+
 
 @dataclass
 class ScenarioReport:
@@ -574,11 +591,9 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
 
     audits = audit.run_standard_audits(sim, committee, initial_total,
                                        synced_snapshots=run.synced_snapshots)
-    outcomes = {**run.results, **{key: getattr(ctx, "outcome", None)
-                                  for key, ctx in run.contexts.items()}}
     report = ScenarioReport(
         name=spec["name"], seed=seed, end_time=sim.now, quiesced=not sim.budget_exceeded,
         delivered=sim.stats["delivered"], dropped=sim.stats["dropped"], audits=audits,
-        outcomes=outcomes,
+        outcomes=run.outcomes(),
     )
     return run, report

@@ -10,9 +10,11 @@ type.  The exact rules (documented bit-exactly in docs/encoding.md):
   UTF-8; a str that has no UTF-8 form, such as a lone surrogate, does not encode).
 - bool: one byte, 0x00 or 0x01.
 - Optional[T]: one presence byte (0x00 absent / 0x01 present), then payload.
-- homogeneous sequences (tuple[T, ...] or list[T]): 4-byte little-endian
-  count, then elements.
+- homogeneous sequences tuple[T, ...]: 4-byte little-endian count, then
+  elements.
 - fixed tuples tuple[A, B, ...]: elements in order, no prefix.
+- a sequence or fixed tuple encodes only a ``tuple``: a list or bytes with the
+  same items would share its bytes but not compare equal to it.
 - IntEnum: single byte; a field encodes only a member of its own enum.
 - dataclasses: fields in declaration order, no per-field tags.
 - fields annotated ``AnyWire``: one tag byte identifying the concrete class
@@ -124,11 +126,10 @@ def _dec_str(r: _Reader) -> str:
         raise EncodingError(f"bad UTF-8 string: {exc}") from None
 
 
-def _length(value: Any) -> int:
-    try:
-        return len(value)
-    except TypeError:
-        raise EncodingError(f"expected a sequence, got {value!r}") from None
+def _tuple_length(value: Any) -> int:
+    if not isinstance(value, tuple):
+        raise EncodingError(f"expected a tuple, got {value!r}")
+    return len(value)
 
 
 def _enc_bool(value: Any, out: bytearray) -> None:
@@ -191,20 +192,15 @@ def _codec(tp: Any) -> tuple[Callable, Callable]:
         codecs = [_codec(a) for a in args]
 
         def encode_fixed(value: Any, out: bytearray) -> None:
-            if _length(value) != len(codecs):
+            if _tuple_length(value) != len(codecs):
                 raise EncodingError("fixed tuple arity mismatch")
             for (enc_item, _), item in zip(codecs, value):
                 enc_item(item, out)
 
         pair = (encode_fixed, lambda r: tuple(dec_item(r) for _, dec_item in codecs))
-    elif origin in (tuple, list):
+    elif origin is tuple:
         dec = _codec(args[0])[1]
-
-        def decode_sequence(r: _Reader) -> Any:
-            items = [dec(r) for _ in range(r.count())]
-            return tuple(items) if origin is tuple else items
-
-        pair = (_sequence_encoder(args[0]), decode_sequence)
+        pair = (_sequence_encoder(args[0]), lambda r: tuple([dec(r) for _ in range(r.count())]))
     elif isinstance(tp, type) and issubclass(tp, IntEnum):
 
         def encode_enum(value: Any, out: bytearray) -> None:
@@ -265,7 +261,7 @@ def _generated(name: str, body: list[str], env: dict) -> Callable:
     """Compile ``def name(value, out)`` with ``body`` once with ``exec``, as
     ``dataclasses`` builds ``__init__``; ``env`` holds its globals."""
     env.update(EncodingError=EncodingError, _enc_int=_enc_int, _enc_bytes=_enc_bytes,
-               _length=_length, _pack_int=_INT.pack, _pack_len=_LEN.pack)
+               _tuple_length=_tuple_length, _pack_int=_INT.pack, _pack_len=_LEN.pack)
     source = f"def {name}(value, out):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, f"<{name}>", "exec"), env)
     return env[name]
@@ -295,10 +291,10 @@ def _dataclass_encoder(tp: type, hints: dict) -> Callable:
 
 
 def _sequence_encoder(item: Any) -> Callable:
-    """The encoder of a sequence of ``item``: its count, then each item."""
+    """The encoder of a tuple of ``item``: its count, then each item."""
     env: dict = {}
     body = [
-        "n = _length(value)",
+        "n = _tuple_length(value)",
         "if n > 0xFFFFFFFF:",
         "    raise EncodingError('sequence too long')",
         "out += _pack_len(n)",

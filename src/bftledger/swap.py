@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional
+from typing import Callable, Optional
 
 from . import errors
 from .accounts import AccountId, Request, RequestKind, UnlockEffect
-from .committee import Authenticated, Certificate, check_authenticated, check_certificate_once
+from .committee import Authenticated, Certificate, check_authenticated
 from .errors import err
 
 
@@ -144,18 +144,17 @@ def is_safe_pre_commit(proposed, locked, p, disabled: frozenset = frozenset()) -
 
 
 class SwapService:
+    """One authority's instances; ``certified`` is its verdict on a certificate."""
+
     def __init__(
         self,
-        committee,
+        certified: Callable[[Certificate], bool],
         schedule: RoundSchedule = RoundSchedule(),
         parity_leader: bool = False,
-        verified: Optional[set[bytes]] = None,
     ):
-        self.committee = committee
+        self.certified = certified
         self.schedule = schedule
         self.parity_leader = parity_leader
-        # The owner's set, for check_certificate_once; a service built alone keeps its own.
-        self.verified = set() if verified is None else verified
         self.instances: dict[AccountId, SwapInstance] = {}
         self.tombstones: set[AccountId] = set()
 
@@ -175,8 +174,7 @@ class SwapService:
         if not isinstance(request, Request) or request.kind != RequestKind.LOCK:
             return False
         op = request.op
-        return (op.swid == swid and op.role == role
-                and check_certificate_once(self.committee, cert, self.verified))
+        return op.swid == swid and op.role == role and self.certified(cert)
 
     def handle_proposal(
         self,
@@ -225,7 +223,7 @@ class SwapService:
         instance = self.instances.get(proposal.swid)
         if instance is None:
             raise err(errors.UNKNOWN_INSTANCE, str(proposal.swid))
-        if not check_certificate_once(self.committee, cert, self.verified):
+        if not self.certified(cert):
             raise err(errors.BAD_CERTIFICATE, "pre-commit vote check failed")
         if not is_safe_pre_commit(*instance.rule_view(), (proposal.round, proposal.decision)):
             raise err(errors.UNSAFE, f"pre-commit round {proposal.round}")
@@ -250,7 +248,7 @@ class SwapService:
         """
         if not isinstance(cert.value, CommitStatement):
             raise err(errors.BAD_CERTIFICATE, "not a commit certificate")
-        if not check_certificate_once(self.committee, cert, self.verified):
+        if not self.certified(cert):
             raise err(errors.BAD_CERTIFICATE, "commit vote check failed")
         proposal = cert.value.proposal
         swid = proposal.swid

@@ -263,6 +263,28 @@ PINNED_SYNCED = {
     "transmute_assets": "52d12b8328315743d199a74a9f679c81ea1bbe0c471d0bd5639cdfec6a063acf",
 }
 
+# sha256 over every authority's final snapshot, the results, the outcomes and
+# every client's driver log, per shipped scenario: ``RunResult.outputs_digest``,
+# as printed by scripts/run_all_scenarios.py. Only these pins cover what the
+# trace and the synced snapshots leave out, such as live instances and auctions.
+PINNED_OUTPUTS = {
+    "algebra_updates": "c425e06b09b097e53b28e557ad5a7306f05d2903f2e79fe30b5c9b005d06ce6a",
+    "auction_first_price": "dddb1729103ae8d76830b51f8a6a29ca6b21a63ec40189d5ee4b3335e065aab3",
+    "auction_second_price": "0ff4abc44bf665fa7046ff90ebc0253dfc09c4486eaae364b401443d01cfa381",
+    "auction_stalling_seller": "515701f4b7b56acc8cc1f5755bcdbcf4df495aeea0974b20e81f5b2ddb78e35b",
+    "partition_heal": "b4e24b6e3e1d5789b51894837ee76c33221919a446a2501956fd9cfaf6ffb5f7",
+    "swap_abort": "e9e0a9b414ae45ab676f1e2b0f075284af348c33272953f2afd208c65428f587",
+    "swap_abort_both_locked": "09f2c915912c1628db501e19ddbb1c88909814a20ea285aee14b0fb4e772ebda",
+    "swap_byzantine": "43d9520f3edb532b1d3282f01e7af21f517801f2a663f0a6e2b2a06cf1738d95",
+    "swap_confirm": "6b92b8f717067bb242c186eb91fa648973576abf904caa5b6d8ba0bf3bca1d81",
+    "swap_contested": "55f62f7c32daa3af27c96107646e55af889606c817078dfa0d9048bff9e43af2",
+    "swap_crash_fault": "0624db6ec9a126a60a7a774766c89fde4084156d5f0984ec047c165ab0f19441",
+    "swap_flip_flop": "7bb5ad192a5e88599b72b90619aac38e10701903199e4bbff5fd503d47abb71c",
+    "swap_liveness_parity": "dee07983c9fcf085e5b7f9238b2f3be6be016501bb0260b9f2ba496f4c264056",
+    "transfers": "962bdd2835441e21dc0e733589eaff7aea576c98e4d03bfc7762dff476c138c4",
+    "transmute_assets": "1a1364ee59a1ead9052e2531d1738ce86e2cf9ef9e719b8535c9a4cdc0386145",
+}
+
 # Every standard audit passes on every shipped scenario.
 PINNED_AUDITS = [
     (name, True)
@@ -275,11 +297,11 @@ PINNED_AUDITS = [
 
 
 def test_acceptance_5_conservation_every_scenario():
-    """Conservation holds everywhere; traces, synced snapshots and audit
-    results match the pins."""
+    """Conservation holds everywhere; traces, synced snapshots, outputs and
+    audit results match the pins."""
     failures = []
     names = sorted(fname[: -len(".json")] for fname in os.listdir(SCENARIOS))
-    assert names == sorted(PINNED_TRACES) == sorted(PINNED_SYNCED)
+    assert names == sorted(PINNED_TRACES) == sorted(PINNED_SYNCED) == sorted(PINNED_OUTPUTS)
     for name in names:
         run, report = run_scenario(shipped(name))
         conservation = next(a for a in report.audits if a.name == "conservation")
@@ -291,6 +313,9 @@ def test_acceptance_5_conservation_every_scenario():
         synced = run.synced_digest().hexdigest()
         if synced != PINNED_SYNCED[name]:
             failures.append((name, f"synced sha256 {synced}"))
+        outputs = run.outputs_digest().hexdigest()
+        if outputs != PINNED_OUTPUTS[name]:
+            failures.append((name, f"outputs sha256 {outputs}"))
         audits = [(a.name, a.passed) for a in report.audits]
         if audits != PINNED_AUDITS:
             failures.append((name, audits))
@@ -300,7 +325,7 @@ def test_acceptance_5_conservation_every_scenario():
         run.sim.sync_deliver()
         if [a.snapshot() for a in honest] != before:
             failures.append((name, "a second sync pass changed an authority"))
-    report_line(5, "conservation, pinned traces, syncs and audits across shipped scenarios",
+    report_line(5, "conservation, pinned traces, syncs, outputs and audits across shipped scenarios",
                 not failures, str(failures))
 
 
@@ -329,8 +354,8 @@ def test_acceptance_6_asset_replay_determinism():
         fexec="relabel", params=params, spends=(spend,), inputs=(asset,),
         outputs=derive_outputs(spend.payload, 1),
     )
-    first = handle_transmute(ledger, harness.committee, request)
-    replays = [handle_transmute(ledger, harness.committee, request) for _ in range(3)]
+    first = handle_transmute(ledger, harness.certified, request)
+    replays = [handle_transmute(ledger, harness.certified, request) for _ in range(3)]
     first_bytes = [serialize.encode(b) for b in first]
     ok = all([serialize.encode(b) for b in replay] == first_bytes for replay in replays)
     report_line(6, "asset replay determinism", ok, f"{len(replays)} replays byte-identical")
@@ -414,7 +439,7 @@ def run_settlement_engine(harness, values, deposits, rule, dummy_cipher):
     bidder_ids = [AccountId(10 + i) for i in range(len(values))]
     bidder_keys = [harness.keypair() for _ in values]
 
-    service = AuctionService(harness.committee)
+    service = AuctionService(harness.certified)
     creation = harness.certify(execute_request(seller, 0, ChangeKey(seller_key.public_key)))
     service.init_auction(InitAuctionEffect(
         target=auction_id, seller=seller, seller_pk=seller_key.public_key,

@@ -56,7 +56,7 @@ def test_certify_binding(harness):
     ledger = make_ledger()
     owner = setup_asset_account(harness, ledger, A1)
     cert = certified_binding(harness, ledger, A1, owner, b"artwork")
-    assert verify_asset(harness.committee, cert)
+    assert verify_asset(harness.certified, cert)
     assert cert.value == AssetBinding(id=A1, n=0, data=b"artwork")
 
 
@@ -90,8 +90,8 @@ def test_two_bindings_at_successive_sequences(harness):
     cert = harness.certify(execute_request(A1, 0, ChangeKey(owner.public_key)))
     ledger.handle_confirmation(cert)
     second = certified_binding(harness, ledger, A1, owner, b"two")
-    assert verify_asset(harness.committee, first)
-    assert verify_asset(harness.committee, second)
+    assert verify_asset(harness.certified, first)
+    assert verify_asset(harness.certified, second)
     assert first.value.n == 0 and second.value.n == 1
 
 
@@ -100,7 +100,7 @@ def test_verify_asset_rejects_forgery(harness):
     owner = setup_asset_account(harness, ledger, A1)
     cert = certified_binding(harness, ledger, A1, owner, b"art")
     forged = Certificate(value=AssetBinding(id=A1, n=0, data=b"fake"), votes=cert.votes)
-    assert not verify_asset(harness.committee, forged)
+    assert not verify_asset(harness.certified, forged)
 
 
 def test_identity_transmute(harness):
@@ -108,7 +108,7 @@ def test_identity_transmute(harness):
     owner = setup_asset_account(harness, ledger, A1)
     asset = certified_binding(harness, ledger, A1, owner, b"payload")
     req = build_transmute(harness, ledger, [owner], [A1], "identity", b"", [asset], 1)
-    bindings = handle_transmute(ledger, harness.committee, req)
+    bindings = handle_transmute(ledger, harness.certified, req)
     assert bindings == [AssetBinding(id=A1.child(0).child(0), n=0, data=b"payload")]
     assert A1 not in ledger.accounts
     assert A1 in ledger.tombstones
@@ -119,8 +119,8 @@ def test_asset_verifies_after_its_account_deactivates(harness):
     owner = setup_asset_account(harness, ledger, A1)
     asset = certified_binding(harness, ledger, A1, owner, b"payload")
     req = build_transmute(harness, ledger, [owner], [A1], "identity", b"", [asset], 1)
-    handle_transmute(ledger, harness.committee, req)
-    assert verify_asset(harness.committee, asset)  # historical certificates stay valid
+    handle_transmute(ledger, harness.certified, req)
+    assert verify_asset(harness.certified, asset)  # historical certificates stay valid
 
 
 def test_transmute_replay_identical(harness):
@@ -129,8 +129,8 @@ def test_transmute_replay_identical(harness):
     owner = setup_asset_account(harness, ledger, A1)
     asset = certified_binding(harness, ledger, A1, owner, b"payload")
     req = build_transmute(harness, ledger, [owner], [A1], "relabel", b"\x01", [asset], 1)
-    first = handle_transmute(ledger, harness.committee, req)
-    replay = handle_transmute(ledger, harness.committee, req)
+    first = handle_transmute(ledger, harness.certified, req)
+    replay = handle_transmute(ledger, harness.certified, req)
     assert [serialize.encode(b) for b in first] == [serialize.encode(b) for b in replay]
 
 
@@ -144,7 +144,7 @@ def test_transmute_undefined_keeps_inputs_active(harness):
         harness, ledger, [owner1, owner2], [A1, A2], "sum_u64", b"", [a1, a2], 1
     )
     with pytest.raises(ProtocolError) as exc:
-        handle_transmute(ledger, harness.committee, req)
+        handle_transmute(ledger, harness.certified, req)
     assert exc.value.code == errors.UNDEFINED_EXECUTION
     assert A1 in ledger.accounts and A2 in ledger.accounts  # nothing deactivated
 
@@ -158,7 +158,7 @@ def test_transmute_two_inputs(harness):
     req = build_transmute(
         harness, ledger, [owner1, owner2], [A1, A2], "sum_u64", b"", [a1, a2], 1
     )
-    (binding,) = handle_transmute(ledger, harness.committee, req)
+    (binding,) = handle_transmute(ledger, harness.certified, req)
     assert binding.data == (12).to_bytes(8, "little")
     assert A1 not in ledger.accounts and A2 not in ledger.accounts
 
@@ -173,7 +173,7 @@ def test_transmute_commitment_mismatch(harness):
         inputs=req.inputs, outputs=req.outputs,
     )
     with pytest.raises(ProtocolError) as exc:
-        handle_transmute(ledger, harness.committee, tampered)
+        handle_transmute(ledger, harness.certified, tampered)
     assert exc.value.code == errors.COMMITMENT_MISMATCH
 
 
@@ -184,9 +184,9 @@ def test_transmute_double_spend_blocked(harness):
     asset = certified_binding(harness, ledger, A1, owner, b"data")
     first = build_transmute(harness, ledger, [owner], [A1], "identity", b"", [asset], 1)
     other = build_transmute(harness, ledger, [owner], [A1], "relabel", b"\x02", [asset], 1)
-    handle_transmute(ledger, harness.committee, first)
+    handle_transmute(ledger, harness.certified, first)
     with pytest.raises(ProtocolError) as exc:
-        handle_transmute(ledger, harness.committee, other)
+        handle_transmute(ledger, harness.certified, other)
     assert exc.value.code == errors.INPUT_INACTIVE
 
 
@@ -197,7 +197,7 @@ def test_transmute_inactive_input(harness):
     req = build_transmute(harness, ledger, [owner], [A1], "identity", b"", [asset], 1)
     ledger.deactivate(A1, b"elsewhere")
     with pytest.raises(ProtocolError) as exc:
-        handle_transmute(ledger, harness.committee, req)
+        handle_transmute(ledger, harness.certified, req)
     assert exc.value.code == errors.INPUT_INACTIVE
 
 
@@ -242,7 +242,7 @@ def test_storage_free_after_transmute(harness):
     payload = b"substantial artwork payload" * 4
     asset = certified_binding(harness, ledger, A1, owner, payload)
     req = build_transmute(harness, ledger, [owner], [A1], "identity", b"", [asset], 1)
-    handle_transmute(ledger, harness.committee, req)
+    handle_transmute(ledger, harness.certified, req)
     assert A1 in ledger.tombstones
     assert len(ledger.tombstones[A1]) == 32  # a digest, not the payload
     for account in ledger.accounts.values():

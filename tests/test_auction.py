@@ -5,21 +5,25 @@ import random
 import pytest
 
 from bftledger import errors, tpke
-from bftledger.accounts import AccountId, Transfer, execute_request
+from bftledger.accounts import AccountId, CreditEffect, Transfer, execute_request
 from bftledger.auction import (
     AuctionService,
     BidOpening,
     CreateAuction,
     EndOfAuctionRequest,
+    EndOfAuctionStatement,
     EndOfBiddingRequest,
+    EndOfBiddingStatement,
     InitAuctionEffect,
     PriceRule,
     SubmitBidRequest,
     auction_aad,
     settle_outcome,
 )
+from bftledger.authority import Authority
 from bftledger.committee import authenticate
 from bftledger.errors import ProtocolError
+from bftledger.messages import EndOfBiddingMsg, SettleAuctionMsg, SubmitBidMsg
 
 SELLER = AccountId(0)
 ITEM = AccountId(1)
@@ -98,7 +102,7 @@ def tpke_system():
 def make_service(harness, tpke_system, rule=PriceRule.SECOND_PRICE, share_index=0):
     seller_key = harness.keypair()
     service = AuctionService(
-        harness.committee,
+        harness.certified,
         tpke_public=tpke_system.public,
         tpke_share=tpke_system.shares[share_index],
     )
@@ -328,3 +332,85 @@ def test_empty_auction_settles_without_sale(harness, tpke_system):
     assert statement.values == ()
     assert effects == []
     assert AUCTION in service.settled
+
+
+def test_certified_bid_set_replaces_the_voted_one(harness, tpke_system):
+    """An authority that voted for one closed bid set settles with the set that
+    the end-of-bidding certificate names, as one that never voted does, and
+    never with an end-of-bidding certificate of another auction."""
+    rng = random.Random(9)
+    voted, other = (make_service(harness, tpke_system, share_index=i)[0] for i in range(2))
+    seller_key = harness.keypair()
+    for service in (voted, other):
+        service.auctions[AUCTION].seller_pk = seller_key.public_key
+    statements = []
+    for uid in BIDDERS[:3]:
+        auth, _key = make_bid(harness, tpke_system, uid, 5, 10, rng)
+        statements.append(voted.handle_submit_bid(auth))
+        other.handle_submit_bid(auth)
+    bid0, bid1, bid2 = (harness.certify(s) for s in statements)
+    eob = EndOfBiddingRequest(auction_id=AUCTION, bids=(bid0, bid1))
+    voted.handle_end_of_bidding(authenticate(eob, seller_key.public_key, seller_key))
+    eob_cert = harness.certify(EndOfBiddingStatement(AUCTION, (statements[0], statements[2])))
+    eoa_cert = harness.certify(EndOfAuctionStatement(AUCTION, (5, 3)))
+    elsewhere = harness.certify(EndOfBiddingStatement(AccountId(9), ()))
+    with pytest.raises(ProtocolError) as exc:  # nor with another auction's certificate
+        voted.apply_settlement(eoa_cert, elsewhere)
+    assert exc.value.code == errors.BAD_CERTIFICATE
+    effects = voted.apply_settlement(eoa_cert, eob_cert)
+    assert effects == other.apply_settlement(eoa_cert, eob_cert)
+    credited = {e.target for e in effects if isinstance(e, CreditEffect)}
+    assert credited == {SELLER, BIDDERS[0], BIDDERS[2]}
+
+
+# -- through Authority.handle -------------------------------------------------------
+
+
+def make_authority(harness):
+    """An authority holding a second-price auction with one bid of 7 on a deposit of 10."""
+    authority = Authority(0, harness.signers[0], harness.committee)
+    seller_key = harness.keypair()
+    creation = harness.certify(
+        execute_request(SELLER, 0, CreateAuction(AUCTION, ITEM, PriceRule.SECOND_PRICE)))
+    authority.handle(authority.name, InitAuctionEffect(
+        target=AUCTION, seller=SELLER, seller_pk=seller_key.public_key,
+        item=ITEM, rule=PriceRule.SECOND_PRICE, cert=creation,
+    ), 0)
+    return authority, seller_key
+
+
+def submit_bid(harness, tpke_system, authority):
+    auth, _key = make_bid(harness, tpke_system, BIDDERS[0], 7, 10, random.Random(8))
+    ((_dest, reply),), _notes = authority.handle("bidder", SubmitBidMsg(auth), 0)
+    return harness.certify(reply.value)
+
+
+def test_forged_end_of_auction_settles_nothing(harness, tpke_system, forgery):
+    authority, _seller_key = make_authority(harness)
+    bid = submit_bid(harness, tpke_system, authority)
+    eob_cert = harness.certify(EndOfBiddingStatement(AUCTION, (bid.value,)))
+    statement = EndOfAuctionStatement(AUCTION, (7,))
+    forged = harness.forge(statement, forgery, EndOfAuctionStatement(AUCTION, (8,)))
+    outputs, _notes = authority.handle("seller", SettleAuctionMsg(forged, eob_cert), 0)
+    assert [(dest, getattr(p, "code", None)) for dest, p in outputs] == [
+        ("seller", errors.BAD_CERTIFICATE)]
+    assert AUCTION in authority.auctions.auctions and AUCTION not in authority.auctions.settled
+    outputs, _notes = authority.handle("seller", SettleAuctionMsg(harness.certify(statement), eob_cert), 0)
+    assert any(isinstance(p, CreditEffect) for _dest, p in outputs)
+    assert AUCTION in authority.auctions.settled
+
+
+def test_snapshot_of_a_live_auction(harness, tpke_system):
+    """While bidding, after closing, and once settled."""
+    authority, seller_key = make_authority(harness)
+    bid = submit_bid(harness, tpke_system, authority)
+    header = "# authority 0 snapshot v1\n\n"
+    block = "[auction 0:0]\nseller: 0\nitem: 1\nrule: SECOND_PRICE\nphase: {}\nbids: 1\n"
+    assert authority.snapshot() == header + block.format("BIDDING")
+    eob = EndOfBiddingRequest(auction_id=AUCTION, bids=(bid,))
+    authority.handle("seller", EndOfBiddingMsg(authenticate(eob, seller_key.public_key, seller_key)), 0)
+    assert authority.snapshot() == header + block.format("REVEALING")
+    eob_cert = harness.certify(EndOfBiddingStatement(AUCTION, (bid.value,)))
+    eoa_cert = harness.certify(EndOfAuctionStatement(AUCTION, (7,)))
+    authority.handle("seller", SettleAuctionMsg(eoa_cert, eob_cert), 0)
+    assert authority.snapshot() == header + "[auction-settled 0:0]\n"

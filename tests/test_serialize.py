@@ -65,6 +65,18 @@ def test_transfer_layout_hand_computed():
     assert serialize.encode(Transfer(AccountId(1), 5)) == expected
 
 
+@pytest.mark.parametrize("path", [[1], b"\x01"], ids=["list", "bytes"])
+def test_sequence_field_encodes_only_a_tuple(path):
+    """A list or bytes with the tuple's items encoded to the tuple form's bytes,
+    though the values are not equal; so one signature covered both."""
+    assert serialize.encode(Transfer(AccountId(0, (1,)), 5))
+    assert Transfer(AccountId(0, path), 5) != Transfer(AccountId(0, (1,)), 5)
+    with pytest.raises(serialize.EncodingError, match="expected a tuple"):
+        serialize.encode(Transfer(AccountId(0, path), 5))
+    with pytest.raises(serialize.EncodingError, match="expected a tuple"):
+        serialize.encode_as(tuple[int, int], [1, 2])
+
+
 def test_list_layout_starts_with_count():
     encoded = serialize.encode_as(tuple[int, ...], (7, 9))
     assert encoded[:4] == (2).to_bytes(4, "little")
@@ -267,9 +279,10 @@ def test_codec_fails_only_with_encoding_error(tp, value):
 
 # -- generated encoders against the closure-based reference ---------------------------
 # The reference is the closure-based encoder that the generated ones replaced,
-# verbatim apart from its names and its decoders, which are left out. It
-# accepted an int or a bool for an enum field and raised UnicodeEncodeError for
-# a lone surrogate; the properties below draw neither for it.
+# verbatim apart from its names, its decoders, which are left out, and the
+# tuple rule: a sequence or fixed tuple takes only a tuple, and list[T] is gone.
+# It accepted an int or a bool for an enum field and raised UnicodeEncodeError
+# for a lone surrogate; the properties below draw neither for it.
 
 _REF_CODECS: dict[Any, Callable] = {}
 
@@ -316,6 +329,11 @@ _REF_CODECS.update({int: _ref_enc_int, bytes: _ref_enc_bytes, str: _ref_enc_str,
                     bool: _ref_enc_bool, AnyWire: _ref_enc_any})
 
 
+def _ref_require_tuple(value: Any) -> None:
+    if not isinstance(value, tuple):
+        raise EncodingError(f"expected a tuple, got {value!r}")
+
+
 def _ref_codec(tp: Any) -> Callable:
     enc = _REF_CODECS.get(tp)
     if enc is not None:
@@ -337,16 +355,18 @@ def _ref_codec(tp: Any) -> Callable:
         codecs = [_ref_codec(a) for a in args]
 
         def encode_fixed(value: Any, out: bytearray) -> None:
+            _ref_require_tuple(value)
             if len(value) != len(codecs):
                 raise EncodingError("fixed tuple arity mismatch")
             for enc_item, item in zip(codecs, value):
                 enc_item(item, out)
 
         pair = encode_fixed
-    elif origin in (tuple, list):
+    elif origin is tuple:
         enc = _ref_codec(args[0])
 
         def encode_sequence(value: Any, out: bytearray) -> None:
+            _ref_require_tuple(value)
             if len(value) > LEN_MAX:
                 raise EncodingError("sequence too long")
             out += _LEN.pack(len(value))
@@ -409,9 +429,10 @@ def _build(tp: type, kwargs: dict):
 @functools.lru_cache(maxsize=None)
 def values_of(tp: Any, depth: int = 0, enum_ints: bool = False) -> st.SearchStrategy:
     """Values for a field annotated ``tp``, right or wrong; every wire class built
-    through its constructor, so only its invariants limit what is drawn. An
-    enum field holds a member, or with ``enum_ints`` also an int or a bool,
-    which the reference encoder wrongly accepts."""
+    through its constructor, so only its invariants limit what is drawn. A
+    tuple field sometimes holds a list. An enum field holds a member, or with
+    ``enum_ints`` also an int or a bool, which the reference encoder wrongly
+    accepts."""
     def of(tp, depth=depth):
         return values_of(tp, depth, enum_ints)
 
@@ -428,10 +449,11 @@ def values_of(tp: Any, depth: int = 0, enum_ints: bool = False) -> st.SearchStra
         (inner,) = (a for a in args if a is not type(None))
         return st.one_of(st.none(), of(inner))
     if origin is tuple and not (len(args) == 2 and args[1] is Ellipsis):
-        return st.tuples(*(of(a) for a in args))
-    if origin in (tuple, list):
+        items = st.tuples(*(of(a) for a in args))
+        return _or_rarely(items, items.map(list))
+    if origin is tuple:
         items = st.lists(of(args[0]), max_size=2)
-        return items.map(tuple) if origin is tuple else items
+        return _or_rarely(items.map(tuple), items)
     if isinstance(tp, type) and issubclass(tp, IntEnum):
         members = st.sampled_from(tp)
         return st.one_of(members, st.integers(0, 9), st.booleans()) if enum_ints else members

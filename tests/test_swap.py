@@ -1,11 +1,15 @@
 """One-shot swap consensus: safety rules, round availability, handlers."""
 
+import dataclasses
+
 import pytest
 
 from bftledger import errors
-from bftledger.accounts import AccountId, LockInto, lock_request
+from bftledger.accounts import AccountId, LockInto, UnlockEffect, lock_request
+from bftledger.authority import Authority
 from bftledger.committee import authenticate
 from bftledger.errors import ProtocolError
+from bftledger.messages import CommitMsg, PreCommitMsg, ProposalMsg, VoteReply
 from bftledger.swap import (
     CommitStatement,
     DecisionValue,
@@ -137,7 +141,7 @@ def creation_cert(harness):
 
 
 def make_service(harness, parity=False):
-    service = SwapService(harness.committee, parity_leader=parity)
+    service = SwapService(harness.certified, parity_leader=parity)
     service.init_instance(
         InitInstanceEffect(target=SWID, id1=ID1, n1=1, id2=ID2, n2=0, cert=creation_cert(harness)),
         now=0,
@@ -254,7 +258,7 @@ def test_pre_commit_below_locked_round_unsafe(harness):
 
 
 def test_pre_commit_unknown_instance(harness):
-    service = SwapService(harness.committee)
+    service = SwapService(harness.certified)
     cert = harness.certify(PreCommitStatement(proposal(0, ABORT)))
     with pytest.raises(ProtocolError) as exc:
         service.handle_pre_commit(cert)
@@ -364,7 +368,7 @@ def test_service_accepts_exactly_what_the_rules_accept(harness):
     precommits = {pv: harness.certify(PreCommitStatement(proposal(*pv))) for pv in pairs}
 
     def service_at(proposed, locked):
-        service = SwapService(harness.committee)
+        service = SwapService(harness.certified)
         service.init_instance(
             InitInstanceEffect(target=SWID, id1=ID1, n1=1, id2=ID2, n2=0, cert=creation), now=0
         )
@@ -413,4 +417,87 @@ def test_commit_confirm_on_live_instance_ignores_foreign_lock_cert(harness):
     assert SWID not in service.instances
     assert sorted((e.target, e.n, e.new_pk) for e in effects) == sorted(
         [(ID1, 1, owner2.public_key), (ID2, 0, owner1.public_key)]
+    )
+
+
+# -- the authority's certificate and signature checks -----------------------------
+# Each test sends a forged message through ``Authority.handle`` and then the
+# genuine one, so a check that is gone shows as an accepted forgery.
+
+
+def make_authority(harness):
+    authority = Authority(0, harness.signers[0], harness.committee)
+    effect = InitInstanceEffect(target=SWID, id1=ID1, n1=1, id2=ID2, n2=0, cert=creation_cert(harness))
+    authority.handle(authority.name, effect, 0)
+    return authority
+
+
+def replies(authority, message, now=0):
+    """(destination, reply class, error code or None) for each output."""
+    outputs, _notes = authority.handle("client", message, now)
+    return [(dest, type(p).__name__, getattr(p, "code", None)) for dest, p in outputs]
+
+
+def test_forged_pre_commit_leaves_instance_unlocked(harness, forgery):
+    authority = make_authority(harness)
+    statement = PreCommitStatement(proposal(0, ABORT))
+    forged = harness.forge(statement, forgery, PreCommitStatement(proposal(1, ABORT)))
+    assert replies(authority, PreCommitMsg(forged)) == [
+        ("client", "ErrorReply", errors.BAD_CERTIFICATE)]
+    assert authority.swaps.instances[SWID].locked is None
+    assert replies(authority, PreCommitMsg(harness.certify(statement))) == [
+        ("client", "VoteReply", None)]
+    assert authority.swaps.instances[SWID].locked_proposal == proposal(0, ABORT)
+
+
+def test_forged_commit_unlocks_nothing(harness, forgery):
+    authority = make_authority(harness)
+    owner1 = harness.keypair()
+    l1 = lock_cert(harness, 1, owner1.public_key)
+    statement = CommitStatement(proposal(0, ABORT))
+    forged = harness.forge(statement, forgery, CommitStatement(proposal(1, ABORT)))
+    outputs, _notes = authority.handle("client", CommitMsg(forged, l1, None), 0)
+    assert not any(isinstance(p, UnlockEffect) for _dest, p in outputs)
+    assert [(dest, getattr(p, "code", None)) for dest, p in outputs] == [
+        ("client", errors.BAD_CERTIFICATE)]
+    assert SWID in authority.swaps.instances
+    outputs, _notes = authority.handle("client", CommitMsg(harness.certify(statement), l1, None), 0)
+    assert [(dest, type(p)) for dest, p in outputs][0] == (authority.name, UnlockEffect)
+
+
+def test_proposal_with_flipped_owner_signature_gets_no_vote(harness):
+    authority = make_authority(harness)
+    owner1 = harness.keypair()
+    l1 = lock_cert(harness, 1, owner1.public_key)
+    auth = authenticate(proposal(0, ABORT), owner1.public_key, owner1)
+    flipped = dataclasses.replace(auth, sig=bytes([auth.sig[0] ^ 1]) + auth.sig[1:])
+    assert replies(authority, ProposalMsg(flipped, l1, None)) == [
+        ("client", "ErrorReply", errors.BAD_AUTH)]
+    assert authority.swaps.instances[SWID].proposed is None
+    outputs, _notes = authority.handle("client", ProposalMsg(auth, l1, None), 0)
+    assert [type(p) for _dest, p in outputs] == [VoteReply]
+
+
+def test_snapshot_of_a_live_instance(harness):
+    """Both locks, a proposal, and a lock at a lower round."""
+    authority = make_authority(harness)
+    owner1, owner2 = harness.keypair(), harness.keypair()
+    l1 = lock_cert(harness, 1, owner1.public_key)
+    l2 = lock_cert(harness, 2, owner2.public_key)
+    first = authenticate(proposal(0, CONFIRM), owner1.public_key, owner1)
+    assert replies(authority, ProposalMsg(first, l1, l2)) == [("client", "VoteReply", None)]
+    precommit = harness.certify(PreCommitStatement(proposal(0, CONFIRM)))
+    assert replies(authority, PreCommitMsg(precommit)) == [("client", "VoteReply", None)]
+    second = authenticate(proposal(1, CONFIRM), owner2.public_key, owner2)
+    assert replies(authority, ProposalMsg(second, None, None), now=1000) == [
+        ("client", "VoteReply", None)]
+    assert authority.snapshot() == (
+        "# authority 0 snapshot v1\n"
+        "\n"
+        "[instance 2:0]\n"
+        "accounts: 0 @1 / 1 @0\n"
+        f"pk1: {owner1.public_key.hex()}\n"
+        f"pk2: {owner2.public_key.hex()}\n"
+        "proposed: 1:CONFIRM\n"
+        "locked: 0:CONFIRM\n"
     )
