@@ -22,6 +22,7 @@ def main() -> int:
     print(f"{summary.line()} in {time.time() - started:.1f}s")
     print(f"trace sha256: {summary.trace_sha256}")
     print(f"synced sha256: {summary.synced_sha256}")
+    print(f"outputs sha256: {summary.outputs_sha256}")
     for seed, name, violations in summary.failed_audits:
         print(f"  seed {seed} {name}: {violations}")
     return 0 if not summary.failed_audits else 1

@@ -164,7 +164,7 @@ class AccountState:
     next_sequence: int = 0
     pending: Optional[Request] = None
     confirmed: list[Certificate] = field(default_factory=list)
-    received: dict[bytes, Certificate] = field(default_factory=dict)
+    received: set[bytes] = field(default_factory=set)  # value digests of applied certificates
     parked: Optional[Certificate] = None
 
     @property
@@ -210,7 +210,7 @@ def _receive(account: AccountState, cert: Certificate) -> bool:
     digest = value_digest(cert.value)
     if digest in account.received:
         return False
-    account.received[digest] = cert
+    account.received.add(digest)
     return True
 
 
@@ -368,7 +368,7 @@ class Ledger:
             if eff not in queue:
                 queue.append(eff)
             return
-        account.received[digest] = eff.cert
+        account.received.add(digest)
         account.state = account.alg.apply(account.state, account.alg.money_update(-eff.amount))
         self.on_mutate(eff.target, account)
 

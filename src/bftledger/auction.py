@@ -163,7 +163,6 @@ class AuctionService:
         self.tpke_share = tpke_share
         self.auctions: dict[AccountId, AuctionState] = {}
         self.settled: set[AccountId] = set()
-        self._share_cache: dict[bytes, tpke.DecryptionShare] = {}
 
     def init_auction(self, eff: InitAuctionEffect) -> None:
         if eff.target in self.auctions or eff.target in self.settled:
@@ -261,22 +260,15 @@ class AuctionService:
     def release_shares(self, cert: Certificate) -> tuple[tpke.DecryptionShare, ...]:
         """This authority's decryption share for every included bid.
 
-        Requires a valid end-of-bidding certificate; shares are deterministic
-        and cached, so repeat queries return identical values.
+        Requires a valid end-of-bidding certificate. Each query decrypts
+        afresh; ``tpke.share_decrypt`` is deterministic, so repeat queries
+        return identical values.
         """
         if self.tpke_share is None or self.tpke_public is None:
             raise err(errors.CONFIG_ERROR, "no threshold key share installed")
         self.apply_end_of_bidding_cert(cert)
-        statement = cert.value
-        shares = []
-        for bid in statement.bids:
-            key = value_digest(bid.ciphertext)
-            share = self._share_cache.get(key)
-            if share is None:
-                share = tpke.share_decrypt(self.tpke_public, self.tpke_share, bid.ciphertext)
-                self._share_cache[key] = share
-            shares.append(share)
-        return tuple(shares)
+        return tuple(tpke.share_decrypt(self.tpke_public, self.tpke_share, bid.ciphertext)
+                     for bid in cert.value.bids)
 
     # -- end of auction + settlement --
 

@@ -1,14 +1,15 @@
 """Client-side protocol drivers: wallets, certified operations, swap round
 leadership, asset exchanges, and auction participants.
 
-Drivers are generator coroutines for the simulator. They broadcast requests,
-collect votes by statement digest until a quorum certificate forms, and
-retry with refreshed views until they succeed or their deadline passes.
-Every request/reply exchange runs through ``collect``, and every wait for
-another participant through ``wait_until``.
-Participants in one swap or auction share an off-protocol bulletin (the
-off-chain channel of the protocol): lock certificates, commit certificates,
-and bid certificates travel through it.
+Drivers are generator coroutines for the simulator. Each takes its client's
+``Client`` record first. They broadcast requests, collect votes by statement
+digest until a quorum certificate forms, and retry with refreshed views until
+they succeed or their deadline passes. Every request/reply exchange runs
+through ``collect``, and every wait for another participant through
+``wait_until``. Participants in one swap or auction share an off-protocol
+bulletin (the off-chain channel of the protocol): a swap's holds only its
+creation, lock and commit certificates; an auction's, its id and bid
+certificates.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .auction import (
 )
 from .assets import AssetCertifyRequest, Spend, TransmuteRequest, derive_outputs, spend_commitment
 from .committee import (
+    Authenticated,
     Certificate,
     Committee,
     aggregate_certificate,
@@ -71,6 +73,8 @@ from .swap import CommitStatement, DecisionValue, PreCommitStatement, Proposal, 
 
 @dataclass
 class WalletEntry:
+    """One account a client owns; its sequence number is tracked locally."""
+
     signer: Signer
     next_sequence: int = 0
 
@@ -78,18 +82,9 @@ class WalletEntry:
     def pk(self) -> bytes:
         return self.signer.public_key
 
-
-@dataclass
-class Wallet:
-    """Client-side ownership records; sequence numbers are tracked locally."""
-
-    entries: dict[AccountId, WalletEntry] = field(default_factory=dict)
-
-    def add(self, uid: AccountId, signer: Signer, next_sequence: int = 0) -> None:
-        self.entries[uid] = WalletEntry(signer=signer, next_sequence=next_sequence)
-
-    def __getitem__(self, uid: AccountId) -> WalletEntry:
-        return self.entries[uid]
+    def sign(self, payload: Any) -> Authenticated:
+        """`payload` signed with this account's owner key."""
+        return authenticate(payload, self.pk, self.signer)
 
 
 @dataclass
@@ -100,14 +95,27 @@ class DriverLog:
         self.events.append(event)
 
 
-def collect(env, message, timeout: int, take: Callable[[Any], Any], retries: int):
+@dataclass
+class Client:
+    """What every driver of one client uses: its simulator endpoint, the
+    committee, the wallet it signs from, its per-attempt reply timeout and its log."""
+
+    env: Any
+    committee: Committee
+    wallet: dict[AccountId, WalletEntry]
+    timeout: int
+    log: DriverLog
+
+
+def collect(c: Client, message, take: Callable[[Any], Any], retries: int):
     """Broadcast `message` and pass each reply envelope to `take`, then None
-    once the attempt's `timeout` runs out; rebroadcast up to `retries` times.
+    once the attempt's timeout runs out; rebroadcast up to `retries` times.
 
     Returns the first value other than None that `take` returns, or None."""
+    env = c.env
     for _attempt in range(retries):
         env.broadcast(message)
-        deadline = env.now + timeout
+        deadline = env.now + c.timeout
         while env.now < deadline:
             envelope = yield env.recv(timeout=deadline - env.now)
             if envelope is None:
@@ -121,16 +129,15 @@ def collect(env, message, timeout: int, take: Callable[[Any], Any], retries: int
     return None
 
 
-def wait_until(env, ready: Callable[[], bool], step: int, limit: int):
+def wait_until(c: Client, ready: Callable[[], bool], step: int, limit: int):
     """Sleep `step` ticks at a time until ready() or `limit` ticks have passed."""
     waited = 0
     while not ready() and waited < limit:
-        yield env.sleep(step)
+        yield c.env.sleep(step)
         waited += step
 
 
-def gather_votes(env, committee: Committee, message, accept: Callable[[Any], bool],
-                 timeout: int, log: DriverLog, retries: int = 8):
+def gather_votes(c: Client, message, accept: Callable[[Any], bool], retries: int = 8):
     """Broadcast and collect votes until 2f+1 agree on one statement.
 
     Returns a Certificate or None. Votes accumulate across retries; authority
@@ -143,82 +150,73 @@ def gather_votes(env, committee: Committee, message, accept: Callable[[Any], boo
         if isinstance(payload, VoteReply) and accept(payload.value):
             bucket = votes.setdefault(value_digest(payload.value), {})
             bucket[payload.vote.signer] = payload.vote
-            if len(bucket) >= committee.quorum:
+            if len(bucket) >= c.committee.quorum:
                 try:
-                    return aggregate_certificate(committee, payload.value, bucket.values())
+                    return aggregate_certificate(c.committee, payload.value, bucket.values())
                 except ProtocolError:
                     bucket.clear()  # junk votes; start this bucket over
         elif isinstance(payload, ErrorReply):
-            log.note("error", envelope.src, payload.code, payload.detail)
+            c.log.note("error", envelope.src, payload.code, payload.detail)
         return None
 
-    return (yield from collect(env, message, timeout, take, retries))
+    return (yield from collect(c, message, take, retries))
 
 
-def broadcast_until_acked(env, committee: Committee, message, timeout: int):
+def broadcast_until_acked(c: Client, message):
     """Deliver a certificate-bearing message until 2f+1 authorities acknowledge."""
     acked: set[str] = set()
 
     def take(envelope):
         if envelope is not None and isinstance(envelope.payload, AckReply):
             acked.add(envelope.src)
-        return True if len(acked) >= committee.quorum else None
+        return True if len(acked) >= c.committee.quorum else None
 
-    return (yield from collect(env, message, timeout, take, 8)) is not None
+    return (yield from collect(c, message, take, 8)) is not None
 
 
-def request_votes(env, committee: Committee, entry: WalletEntry, request: Request,
-                  timeout: int, log: DriverLog):
+def request_votes(c: Client, request: Request):
     """Sign an account request with its owner's key and certify it."""
-    auth = authenticate(request, entry.pk, entry.signer)
-    return (yield from gather_votes(
-        env, committee, HandleRequestMsg(auth), lambda v: v == request, timeout, log,
-    ))
+    auth = c.wallet[request.id].sign(request)
+    return (yield from gather_votes(c, HandleRequestMsg(auth), lambda v: v == request))
 
 
-def certified_operation(env, committee: Committee, wallet: Wallet, uid: AccountId,
-                        op, timeout: int, log: DriverLog):
+def certified_operation(c: Client, uid: AccountId, op):
     """Run one account operation end to end: vote quorum, then confirmation."""
-    entry = wallet[uid]
-    request = execute_request(uid, entry.next_sequence, op)
-    cert = yield from request_votes(env, committee, entry, request, timeout, log)
-    if cert is None:
-        return None
-    ok = yield from broadcast_until_acked(env, committee, ConfirmMsg(cert), timeout)
-    if not ok:
+    entry = c.wallet[uid]
+    cert = yield from request_votes(c, execute_request(uid, entry.next_sequence, op))
+    if cert is None or not (yield from broadcast_until_acked(c, ConfirmMsg(cert))):
         return None
     entry.next_sequence += 1
     return cert
 
 
-def query_views(env, committee: Committee, swid: AccountId, timeout: int):
+def query_views(c: Client, swid: AccountId):
     """One round of instance queries; returns the InstanceViewReply list."""
     views: dict[str, InstanceViewReply] = {}
 
     def take(envelope):
         if envelope is not None and isinstance(envelope.payload, InstanceViewReply):
             views[envelope.src] = envelope.payload
-        return True if len(views) >= committee.quorum else None
+        return True if len(views) >= c.committee.quorum else None
 
-    yield from collect(env, QueryInstanceMsg(swid), timeout, take, 1)
+    yield from collect(c, QueryInstanceMsg(swid), take, 1)
     return list(views.values())
 
 
-def drive_round(env, committee: Committee, swid: AccountId, leader_signer: Signer,
-                desired: DecisionValue, lock1: Optional[Certificate],
-                lock2: Optional[Certificate], deadline: int, delta: int,
-                schedule: RoundSchedule, timeout: int, log: DriverLog,
-                flip_flop: bool = False):
+def drive_round(c: Client, swid: AccountId, leader_signer: Signer, desired: DecisionValue,
+                lock1: Optional[Certificate], lock2: Optional[Certificate], deadline: int,
+                delta: int, schedule: RoundSchedule, flip_flop: bool = False):
     """Lead consensus rounds until a commit certificate exists.
 
     Honest leaders adopt any locked pre-commit they observe (its decision wins
     even over their own preference); a flip-flopping adversary instead keeps
     proposing alternating decisions at fresh rounds.
     """
+    env, committee, log = c.env, c.committee, c.log
     attempt = 0
     while env.now < deadline:
         attempt += 1
-        views = yield from query_views(env, committee, swid, timeout)
+        views = yield from query_views(c, swid)
         if len(views) < committee.quorum:
             continue  # a round view needs 2f+1 responses
         live = [v for v in views if v.exists]
@@ -243,8 +241,7 @@ def drive_round(env, committee: Committee, swid: AccountId, leader_signer: Signe
                 log.note("conflict_observed", str(swid), locked_p.decision.name)
                 desired = locked_p.decision
             commit = yield from gather_votes(
-                env, committee, PreCommitMsg(best_locked),
-                lambda v: v == CommitStatement(locked_p), timeout, log, retries=2,
+                c, PreCommitMsg(best_locked), lambda v: v == CommitStatement(locked_p), retries=2,
             )
             if commit is not None:
                 return ("committed", commit)
@@ -261,14 +258,13 @@ def drive_round(env, committee: Committee, swid: AccountId, leader_signer: Signe
         auth = authenticate(proposal, leader_signer.public_key, leader_signer)
         log.note("proposal_signed", str(swid), k, decision.name, leader_signer.public_key)
         pre = yield from gather_votes(
-            env, committee, ProposalMsg(auth, lock1, lock2),
-            lambda v: v == PreCommitStatement(proposal), timeout, log, retries=2,
+            c, ProposalMsg(auth, lock1, lock2), lambda v: v == PreCommitStatement(proposal),
+            retries=2,
         )
         if pre is None:
             continue
         commit = yield from gather_votes(
-            env, committee, PreCommitMsg(pre),
-            lambda v: v == CommitStatement(proposal), timeout, log, retries=2,
+            c, PreCommitMsg(pre), lambda v: v == CommitStatement(proposal), retries=2,
         )
         if commit is not None:
             return ("committed", commit)
@@ -280,58 +276,57 @@ def drive_round(env, committee: Committee, swid: AccountId, leader_signer: Signe
 
 @dataclass
 class SwapContext:
-    """Off-chain coordination state shared by one swap's participants."""
+    """The bulletin one swap's participants share: its certificates, and each
+    participant's outcome."""
 
-    id1: AccountId
-    n1: int
-    id2: AccountId
-    n2: int
-    swid: Optional[AccountId] = None
-    creation_cert: Optional[Certificate] = None
+    creation: Optional[Certificate] = None  # its op is the StartConsensusInstance
     locks: dict[int, Certificate] = field(default_factory=dict)
     commit: Optional[Certificate] = None
     outcome: dict[str, Any] = field(default_factory=dict)
 
 
-def broker_script(env, committee: Committee, wallet: Wallet, broker_id: AccountId,
-                  ctx: SwapContext, timeout: int, log: DriverLog):
-    """Create the consensus instance and publish its creation certificate."""
-    entry = wallet[broker_id]
-    swid = broker_id.child(entry.next_sequence)
-    op = StartConsensusInstance(swid, ctx.id1, ctx.n1, ctx.id2, ctx.n2)
-    cert = yield from certified_operation(env, committee, wallet, broker_id, op, timeout, log)
+def broker_script(c: Client, broker_id: AccountId, id1: AccountId, id2: AccountId,
+                  ctx: SwapContext):
+    """Create the consensus instance and publish its creation certificate.
+
+    Each owner locks at its next sequence number once the instance exists,
+    so a broker that is one of the owners counts its own creation op."""
+    n1, n2 = (c.wallet[uid].next_sequence + (uid == broker_id) for uid in (id1, id2))
+    swid = broker_id.child(c.wallet[broker_id].next_sequence)
+    op = StartConsensusInstance(swid, id1, n1, id2, n2)
+    cert = yield from certified_operation(c, broker_id, op)
     if cert is None:
-        log.note("broker_failed", str(swid))
+        c.log.note("broker_failed", str(swid))
         ctx.outcome["broker"] = "failed"
         return
-    ctx.swid = swid
-    ctx.creation_cert = cert
+    ctx.creation = cert
     ctx.outcome["broker"] = "created"
-    log.note("instance_created", str(swid))
+    c.log.note("instance_created", str(swid))
 
 
-def swap_owner_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
-                      role: int, ctx: SwapContext, handover: Signer,
-                      timeout: int, delta: int, schedule: RoundSchedule,
-                      log: DriverLog, *, behavior: str, drives: bool,
-                      desired: Optional[DecisionValue], lock_wait: int, deadline: int):
+def swap_owner_script(c: Client, uid: AccountId, role: int, ctx: SwapContext,
+                      handover: Signer, delta: int, schedule: RoundSchedule, *,
+                      behavior: str, drives: bool, desired: Optional[DecisionValue],
+                      lock_wait: int, deadline: int):
     """One owner's whole swap: lock, exchange certificates, lead, finalize.
 
     `behavior` is "honest", "flip_flop" (lead with alternating decisions) or
     "no_lock" (neither lock nor lead, only finalize)."""
-    yield from wait_until(env, lambda: ctx.swid is not None, 50, deadline - env.now)
-    if ctx.swid is None:
+    log = c.log
+    yield from wait_until(c, lambda: ctx.creation is not None, 50, deadline - c.env.now)
+    if ctx.creation is None:
         log.note("no_instance", str(uid))
         ctx.outcome[f"owner{role}"] = "no_instance"
         return
-    swid = ctx.swid
+    start = ctx.creation.value.op
+    swid = start.swid
 
     locking = behavior != "no_lock"
     if locking:
         # The lock pins this account's sequence number until the commit unlocks it.
-        entry = wallet[uid]
-        request = lock_request(uid, entry.next_sequence, LockInto(swid, role, handover.public_key))
-        lock = yield from request_votes(env, committee, entry, request, timeout, log)
+        request = lock_request(uid, c.wallet[uid].next_sequence,
+                               LockInto(swid, role, handover.public_key))
+        lock = yield from request_votes(c, request)
         if lock is None:
             log.note("lock_failed", str(uid))
             ctx.outcome[f"owner{role}"] = "lock_failed"
@@ -339,7 +334,7 @@ def swap_owner_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
         ctx.locks[role] = lock
         log.note("locked", str(uid), role)
 
-    yield from wait_until(env, lambda: len(ctx.locks) == 2, 100, lock_wait)
+    yield from wait_until(c, lambda: len(ctx.locks) == 2, 100, lock_wait)
     lock1 = ctx.locks.get(1)
     lock2 = ctx.locks.get(2)
 
@@ -348,57 +343,52 @@ def swap_owner_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
 
     if drives and locking:
         status, commit = yield from drive_round(
-            env, committee, swid, handover, desired, lock1, lock2,
-            deadline, delta, schedule, timeout, log, flip_flop=behavior == "flip_flop",
+            c, swid, handover, desired, lock1, lock2, deadline, delta, schedule,
+            flip_flop=behavior == "flip_flop",
         )
         log.note("drive", str(uid), status)
         if commit is not None:
             ctx.commit = commit
-    yield from wait_until(env, lambda: ctx.commit is not None, 100, lock_wait * 2)
+    yield from wait_until(c, lambda: ctx.commit is not None, 100, lock_wait * 2)
     if ctx.commit is None:
         ctx.outcome.setdefault(f"owner{role}", "stalled")
         return
     ok = yield from broadcast_until_acked(
-        env, committee, CommitMsg(ctx.commit, ctx.locks.get(1), ctx.locks.get(2)), timeout
+        c, CommitMsg(ctx.commit, ctx.locks.get(1), ctx.locks.get(2))
     )
     decision = ctx.commit.value.proposal.decision
     ctx.outcome[f"owner{role}"] = decision.name if ok else "finalize_failed"
     if decision == DecisionValue.CONFIRM:
         # This owner now controls the counterparty account with the key it handed over.
-        other = ctx.id2 if role == 1 else ctx.id1
-        other_n = (ctx.n2 if role == 1 else ctx.n1) + 1
-        wallet.add(other, handover, next_sequence=other_n)
+        other, other_n = (start.id2, start.n2) if role == 1 else (start.id1, start.n1)
+        c.wallet[other] = WalletEntry(handover, other_n + 1)
     elif locking:
-        wallet[uid].next_sequence += 1  # the abort unlock consumed the lock's slot
+        c.wallet[uid].next_sequence += 1  # the abort unlock consumed the lock's slot
     log.note("finalized", str(uid), decision.name)
 
 
 # -- asset choreography -----------------------------------------------------------
 
 
-def certify_asset(env, committee: Committee, wallet: Wallet, uid: AccountId,
-                  data: bytes, timeout: int, log: DriverLog):
-    entry = wallet[uid]
-    req = AssetCertifyRequest(id=uid, n=entry.next_sequence, data=data)
-    auth = authenticate(req, entry.pk, entry.signer)
+def certify_asset(c: Client, uid: AccountId, data: bytes):
+    entry = c.wallet[uid]
+    auth = entry.sign(AssetCertifyRequest(id=uid, n=entry.next_sequence, data=data))
     return (yield from gather_votes(
-        env, committee, CertifyAssetMsg(auth),
+        c, CertifyAssetMsg(auth),
         lambda v: getattr(v, "id", None) == uid and getattr(v, "data", None) == data,
-        timeout, log,
     ))
 
 
-def transmute(env, committee: Committee, wallet: Wallet, fexec: str, params: bytes,
-              input_ids: list[AccountId], input_assets: list[Certificate],
-              out_count: int, timeout: int, log: DriverLog):
+def transmute(c: Client, fexec: str, params: bytes, input_ids: list[AccountId],
+              input_assets: list[Certificate], out_count: int):
     """Spend the input assets through an execution function; returns the
     output asset certificates (or None on failure)."""
     commitment = spend_commitment(params)
+    committee, wallet = c.committee, c.wallet
     spends = []
     for uid in input_ids:
         entry = wallet[uid]
-        request = execute_request(uid, entry.next_sequence, Spend(commitment))
-        spends.append(authenticate(request, entry.pk, entry.signer))
+        spends.append(entry.sign(execute_request(uid, entry.next_sequence, Spend(commitment))))
     outputs = derive_outputs(spends[0].payload, out_count)
     req = TransmuteRequest(
         fexec=fexec, params=params, spends=tuple(spends),
@@ -428,10 +418,10 @@ def transmute(env, committee: Committee, wallet: Wallet, fexec: str, params: byt
                 values[digest] = binding
                 votes.setdefault(digest, {})[vote.signer] = vote
         elif isinstance(payload, ErrorReply):
-            log.note("error", envelope.src, payload.code, payload.detail)
+            c.log.note("error", envelope.src, payload.code, payload.detail)
         return None
 
-    certs = yield from collect(env, TransmuteMsg(req), timeout, take, 8)
+    certs = yield from collect(c, TransmuteMsg(req), take, 8)
     if certs is not None:
         for uid in input_ids:
             wallet[uid].next_sequence += 1
@@ -449,60 +439,50 @@ class AuctionContext:
     outcome: dict[str, Any] = field(default_factory=dict)
 
 
-def bidder_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
-                  bid: int, deposit: int, ctx: AuctionContext,
-                  tpke_public: tpke.TpkePublic, rng, timeout: int, log: DriverLog):
-    yield from wait_until(env, lambda: ctx.auction_id is not None, 50, 60_000)
+def bidder_script(c: Client, uid: AccountId, bid: int, deposit: int, ctx: AuctionContext,
+                  tpke_public: tpke.TpkePublic, rng):
+    yield from wait_until(c, lambda: ctx.auction_id is not None, 50, 60_000)
     if ctx.auction_id is None:
-        log.note("no_auction", str(uid))
+        c.log.note("no_auction", str(uid))
         return
     auction_id = ctx.auction_id
-    entry = wallet[uid]
-    proof = yield from certified_operation(
-        env, committee, wallet, uid, Transfer(dest=auction_id, value=deposit), timeout, log
-    )
+    entry = c.wallet[uid]
+    proof = yield from certified_operation(c, uid, Transfer(dest=auction_id, value=deposit))
     if proof is None:
-        log.note("deposit_failed", str(uid))
+        c.log.note("deposit_failed", str(uid))
         return
     ciphertext = tpke.encrypt(tpke_public, bid, rng=rng, aad=auction_aad(auction_id))
-    req = SubmitBidRequest(
+    auth = entry.sign(SubmitBidRequest(
         auction_id=auction_id, bidder=uid, bidder_pk=entry.pk,
         ciphertext=ciphertext, deposit=deposit, deposit_proof=proof,
-    )
-    auth = authenticate(req, entry.pk, entry.signer)
+    ))
     cert = yield from gather_votes(
-        env, committee, SubmitBidMsg(auth),
-        lambda v: getattr(v, "bidder", None) == uid, timeout, log,
+        c, SubmitBidMsg(auth), lambda v: getattr(v, "bidder", None) == uid,
     )
     if cert is None:
-        log.note("bid_failed", str(uid))
+        c.log.note("bid_failed", str(uid))
         return
     ctx.bid_certs.append(cert)  # handed to the seller off-chain
-    log.note("bid_submitted", str(uid), bid, deposit)
+    c.log.note("bid_submitted", str(uid), bid, deposit)
 
 
-def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
-                  item: AccountId, rule, ctx: AuctionContext,
-                  tpke_public: tpke.TpkePublic, timeout: int, log: DriverLog,
-                  *, behavior: str, bid_wait: int):
-    entry = wallet[uid]
+def seller_script(c: Client, uid: AccountId, item: AccountId, rule, ctx: AuctionContext,
+                  tpke_public: tpke.TpkePublic, *, behavior: str, bid_wait: int):
+    committee, log = c.committee, c.log
+    entry = c.wallet[uid]
     auction_id = uid.child(entry.next_sequence)
-    created = yield from certified_operation(
-        env, committee, wallet, uid, CreateAuction(auction_id, item, rule), timeout, log
-    )
+    created = yield from certified_operation(c, uid, CreateAuction(auction_id, item, rule))
     if created is None:
         log.note("auction_create_failed", str(uid))
         return
     ctx.auction_id = auction_id
 
-    yield from wait_until(env, lambda: len(ctx.bid_certs) >= ctx.expected_bidders, 200, bid_wait)
+    yield from wait_until(c, lambda: len(ctx.bid_certs) >= ctx.expected_bidders, 200, bid_wait)
 
-    eob_req = EndOfBiddingRequest(auction_id=auction_id, bids=tuple(ctx.bid_certs))
-    auth = authenticate(eob_req, entry.pk, entry.signer)
+    auth = entry.sign(EndOfBiddingRequest(auction_id=auction_id, bids=tuple(ctx.bid_certs)))
     eob_cert = yield from gather_votes(
-        env, committee, EndOfBiddingMsg(auth),
+        c, EndOfBiddingMsg(auth),
         lambda v: getattr(v, "auction_id", None) == auction_id and hasattr(v, "bids"),
-        timeout, log,
     )
     if eob_cert is None:
         log.note("end_of_bidding_failed", str(uid))
@@ -523,7 +503,7 @@ def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
             shares_by_auth[envelope.src] = envelope.payload
         return True if len(shares_by_auth) == committee.n else None
 
-    yield from collect(env, SharesQueryMsg(eob_cert), timeout, take, 6)
+    yield from collect(c, SharesQueryMsg(eob_cert), take, 6)
     if len(shares_by_auth) < tpke_public.threshold:
         ctx.outcome["seller"] = "no_shares"
         return
@@ -543,20 +523,16 @@ def seller_script(env, committee: Committee, wallet: Wallet, uid: AccountId,
             value += 1
         openings.append(BidOpening(value=value, shares=tuple(good)))
 
-    eoa_req = EndOfAuctionRequest(auction_id=auction_id, openings=tuple(openings))
-    auth = authenticate(eoa_req, entry.pk, entry.signer)
+    auth = entry.sign(EndOfAuctionRequest(auction_id=auction_id, openings=tuple(openings)))
     eoa_cert = yield from gather_votes(
-        env, committee, EndOfAuctionMsg(auth, eob_cert),
+        c, EndOfAuctionMsg(auth, eob_cert),
         lambda v: getattr(v, "auction_id", None) == auction_id and hasattr(v, "values"),
-        timeout, log,
     )
     if eoa_cert is None:
         ctx.outcome["seller"] = "end_of_auction_rejected"
         log.note("end_of_auction_failed", str(uid))
         return
-    ok = yield from broadcast_until_acked(
-        env, committee, SettleAuctionMsg(eoa_cert, eob_cert), timeout
-    )
+    ok = yield from broadcast_until_acked(c, SettleAuctionMsg(eoa_cert, eob_cert))
     ctx.outcome["seller"] = "settled" if ok else "settle_unacked"
     ctx.outcome["values"] = [o.value for o in openings]
     log.note("settled", str(uid), ok)

@@ -71,6 +71,7 @@ class FuzzSummary:
     failed_audits: list  # (seed, audit name, violations) per failed audit, in seed order
     trace_sha256: str  # over every schedule's trace.bin bytes, in seed order
     synced_sha256: str  # over every schedule's synced snapshots, in seed then authority order
+    outputs_sha256: str  # over every schedule's RunResult.outputs_digest(), in seed order
 
     def line(self) -> str:
         status = "PASS" if not self.failed_audits else "FAIL"
@@ -86,11 +87,13 @@ def run_fuzz(runs: int = 200, base_seed: int = 0) -> FuzzSummary:
     failed = []
     traces = hashlib.sha256()
     synced = hashlib.sha256()
+    outputs = hashlib.sha256()
     for i in range(runs):
         seed = base_seed + i
         run, report = run_scenario(fuzz_swap_config(seed))
         traces.update(run.sim.trace.to_bytes())
         run.synced_digest(synced)
+        outputs.update(run.outputs_digest().digest())
         failed += [(seed, a.name, a.violations) for a in report.audits if not a.passed]
         if run.contexts["swap0"].commit is not None:
             committed += 1
@@ -99,4 +102,5 @@ def run_fuzz(runs: int = 200, base_seed: int = 0) -> FuzzSummary:
     return FuzzSummary(
         runs=runs, committed=committed, stalled=stalled, failed_audits=failed,
         trace_sha256=traces.hexdigest(), synced_sha256=synced.hexdigest(),
+        outputs_sha256=outputs.hexdigest(),
     )

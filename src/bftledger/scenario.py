@@ -29,9 +29,9 @@ from .accounts import AccountId, ApplyUpdate, ChangeKey, OpenAccount, Transfer
 from .auction import PriceRule
 from .authority import ArbitrarySigner, Authority
 from .committee import Committee, value_digest
-from .drivers import (AuctionContext, DriverLog, SwapContext, Wallet, bidder_script,
-                      broker_script, certified_operation, certify_asset, seller_script,
-                      swap_owner_script, transmute)
+from .drivers import (AuctionContext, Client, DriverLog, SwapContext, WalletEntry,
+                      bidder_script, broker_script, certified_operation, certify_asset,
+                      seller_script, swap_owner_script, transmute)
 from .errors import err
 from .keys import mac_keypair
 from .sim import SECOND, NetConfig, Simulator
@@ -242,7 +242,7 @@ class RunResult:
     rng: random.Random
     sim: Simulator
     committee: Committee
-    wallet: Wallet
+    wallet: dict[AccountId, WalletEntry]
     account_ids: dict[str, AccountId]
     timeout: int
     delta: int
@@ -254,9 +254,12 @@ class RunResult:
     results: dict[str, Any] = field(default_factory=dict)
     synced_snapshots: dict[str, str] = field(default_factory=dict)
 
-    def client(self, name: str, script_factory, start: float) -> None:
-        self.logs[name] = DriverLog()
-        self.sim.add_client(name, script_factory)
+    def client(self, name: str, script, start: float) -> None:
+        """Add a client that runs ``script(c)`` from ``start`` seconds, ``c`` its Client."""
+        log = self.logs[name] = DriverLog()
+        self.sim.add_client(
+            name, lambda env: script(Client(env, self.committee, self.wallet, self.timeout, log))
+        )
         self.sim.start_client_at(name, _ticks(start))
 
     def synced_digest(self, into=None):
@@ -344,11 +347,9 @@ def _operation(prepare):
     def build(run: RunResult, action: dict, key: str, start: float) -> None:
         uid, make_operation, done = prepare(run, action)
 
-        def script(env):
+        def script(c):
             operation = make_operation()
-            cert = yield from certified_operation(
-                env, run.committee, run.wallet, uid, operation, run.timeout, run.logs[env.name]
-            )
+            cert = yield from certified_operation(c, uid, operation)
             run.results[key] = done(operation) if cert else "failed"
 
         run.client(f"client:{key}", script, start)
@@ -369,7 +370,7 @@ def _open_account(run: RunResult, action: dict):
         return OpenAccount(owner.child(run.wallet[owner].next_sequence), signer.public_key)
 
     def done(operation: OpenAccount) -> str:
-        run.wallet.add(operation.child, signer)
+        run.wallet[operation.child] = WalletEntry(signer)
         if action["name"]:
             run.account_ids[action["name"]] = operation.child
         return str(operation.child)
@@ -395,28 +396,20 @@ def _apply(run: RunResult, action: dict):
 
 def _swap(run: RunResult, action: dict, key: str, start: float) -> None:
     ids = {1: run.account_ids[action["owner1"]], 2: run.account_ids[action["owner2"]]}
-    ctx = run.contexts[key] = SwapContext(id1=ids[1], n1=0, id2=ids[2], n2=0)
+    ctx = run.contexts[key] = SwapContext()
     handover = {1: mac_keypair(run.rng), 2: mac_keypair(run.rng)}
     broker_id = ids[action["broker"]]
     deadline = run.sim.budget if action["deadline_seconds"] is None else action["deadline_seconds"]
 
-    def broker(env):
-        # The owners lock after the instance is created, so when the broker
-        # is one of them its own creation op bumps its sequence.
-        ctx.n1 = run.wallet[ids[1]].next_sequence + (1 if ids[1] == broker_id else 0)
-        ctx.n2 = run.wallet[ids[2]].next_sequence + (1 if ids[2] == broker_id else 0)
-        yield from broker_script(env, run.committee, run.wallet, broker_id, ctx, run.timeout,
-                                 run.logs[env.name])
-
-    run.client(f"client:{key}.broker", broker, start)
+    run.client(f"client:{key}.broker", lambda c: broker_script(c, broker_id, ids[1], ids[2], ctx),
+               start)
     for role in (1, 2):
         if action[f"owner{role}_behavior"] == "absent":
             continue
 
-        def owner(env, role=role):
-            yield from swap_owner_script(
-                env, run.committee, run.wallet, ids[role], role, ctx, handover[role],
-                run.timeout, run.delta, run.schedule, run.logs[env.name],
+        def owner(c, role=role):
+            return swap_owner_script(
+                c, ids[role], role, ctx, handover[role], run.delta, run.schedule,
                 behavior=action[f"owner{role}_behavior"],
                 drives=role in action["drivers"],
                 desired=action[f"owner{role}_desired"],
@@ -431,29 +424,24 @@ def _auction(run: RunResult, action: dict, key: str, start: float) -> None:
     seller_id, item_id = run.account_ids[action["seller"]], run.account_ids[action["item"]]
     ctx = run.contexts[key] = AuctionContext(expected_bidders=len(action["bidders"]))
 
-    def seller(env):
-        yield from seller_script(
-            env, run.committee, run.wallet, seller_id, item_id, action["rule"], ctx,
-            run.tpke_system.public, run.timeout, run.logs[env.name],
-            behavior=action["seller_behavior"],
-            bid_wait=action["bid_wait_seconds"],
+    def seller(c):
+        return seller_script(
+            c, seller_id, item_id, action["rule"], ctx, run.tpke_system.public,
+            behavior=action["seller_behavior"], bid_wait=action["bid_wait_seconds"],
         )
 
     run.client(f"client:{key}.seller", seller, start)
     for b_idx, bidder in enumerate(action["bidders"]):
-        def bid(env, uid=run.account_ids[bidder["name"]], bidder=bidder):
-            yield from bidder_script(
-                env, run.committee, run.wallet, uid, bidder["bid"], bidder["deposit"], ctx,
-                run.tpke_system.public, run.sim.rng, run.timeout, run.logs[env.name],
-            )
+        def bid(c, uid=run.account_ids[bidder["name"]], bidder=bidder):
+            return bidder_script(c, uid, bidder["bid"], bidder["deposit"], ctx,
+                                 run.tpke_system.public, run.sim.rng)
 
         delay = 0.05 * (b_idx + 1) if bidder["delay"] is None else bidder["delay"]
         run.client(f"client:{key}.bidder{b_idx}", bid, start + delay)
 
 
 def _transmute(run: RunResult, action: dict, key: str, start: float) -> None:
-    def script(env):
-        log = run.logs[env.name]
+    def script(c):
         # Resolved when the client runs: an input may name a child account
         # that an earlier open_account registered, or has not certified yet.
         if any(name not in run.account_ids for name in action["inputs"]):
@@ -462,17 +450,14 @@ def _transmute(run: RunResult, action: dict, key: str, start: float) -> None:
         input_ids = [run.account_ids[name] for name in action["inputs"]]
         asset_certs = []
         for uid, payload in zip(input_ids, action["data"]):
-            cert = yield from certify_asset(env, run.committee, run.wallet, uid, payload,
-                                            run.timeout, log)
+            cert = yield from certify_asset(c, uid, payload)
             if cert is None:
                 run.results[key] = "certify_failed"
                 return
             asset_certs.append(cert)
         for _ in range(action["repeat"]):
-            outputs = yield from transmute(
-                env, run.committee, run.wallet, action["fexec"], action["params"], input_ids,
-                asset_certs, action["outputs"], run.timeout, log,
-            )
+            outputs = yield from transmute(c, action["fexec"], action["params"], input_ids,
+                                           asset_certs, action["outputs"])
             if outputs is None:
                 run.results[key] = "failed"
                 return
@@ -543,10 +528,10 @@ def run_scenario(config: dict, seed: Optional[int] = None) -> tuple[RunResult, S
     account_ids = _AccountNames((acct["name"], AccountId(i)) for i, acct in enumerate(accounts))
     root_algebra = {i: acct["algebra"] for i, acct in enumerate(accounts)}
     owner_signers = [mac_keypair(rng) for _ in accounts]
-    wallet = Wallet()
+    wallet = {}
     for acct in accounts:
         owner = account_ids[acct["name"] if acct["owner"] is None else acct["owner"]]
-        wallet.add(account_ids[acct["name"]], owner_signers[owner.root])
+        wallet[account_ids[acct["name"]]] = WalletEntry(owner_signers[owner.root])
 
     def algebra_of(uid: AccountId) -> str:
         return root_algebra.get(uid.root, "balance")

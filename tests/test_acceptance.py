@@ -58,19 +58,22 @@ def shipped(name):
 # -- 1. agreement fuzz -------------------------------------------------------------
 
 
-# sha256 over the 200 schedules' trace.bin bytes in seed order, and over their
+# sha256 over the 200 schedules' trace.bin bytes in seed order, over their
 # synced snapshots (each authority's name and consistency snapshot after the
-# end-of-run sync, which runs after the trace is written). A change that alters
+# end-of-run sync, which runs after the trace is written), and over their
+# outputs (``RunResult.outputs_digest``: every authority's final snapshot, the
+# results, the outcomes and every client's driver log). A change that alters
 # what the schedules do must re-pin them and say so in CHANGES.md:
 # ``python scripts/fuzz_swaps.py`` prints the current values.
 FUZZ_TRACE_SHA256 = "dc060e9a0ce58ef0951988208510a5e30d7027bf48966677fd7989ee755de896"
 FUZZ_SYNCED_SHA256 = "57e48798c385fab7ccd71f5d2348b1661dec5b2bb4291cce8f5a6cb3a3ccfbac"
+FUZZ_OUTPUTS_SHA256 = "52c9544c95c96f5624b98c1fd8df64dde2b5f0ace0f21dffff0fff5ee84af420"
 
 
 def test_acceptance_1_agreement_fuzz():
     """>= 200 randomized adversarial swap schedules, zero failed audits (so zero
-    conflicting commits), < 60 s, and the schedules' traces and synced snapshots
-    are the pinned ones."""
+    conflicting commits), < 60 s, and the schedules' traces, synced snapshots
+    and outputs are the pinned ones."""
     from bftledger.fuzz import run_fuzz
 
     started = time.time()
@@ -81,10 +84,12 @@ def test_acceptance_1_agreement_fuzz():
         and elapsed < 60
         and summary.trace_sha256 == FUZZ_TRACE_SHA256
         and summary.synced_sha256 == FUZZ_SYNCED_SHA256
+        and summary.outputs_sha256 == FUZZ_OUTPUTS_SHA256
     )
     report_line(1, "agreement fuzz", ok,
                 f"{summary.line()}, trace sha256 {summary.trace_sha256[:16]}, "
-                f"synced sha256 {summary.synced_sha256[:16]}, {elapsed:.1f}s")
+                f"synced sha256 {summary.synced_sha256[:16]}, "
+                f"outputs sha256 {summary.outputs_sha256[:16]}, {elapsed:.1f}s")
 
 
 # -- 2. bounded model check ---------------------------------------------------------
@@ -129,13 +134,14 @@ def test_acceptance_3_swap_end_to_end():
 
     run, report = run_scenario(shipped("swap_confirm"))
     ctx = run.contexts["swap0"]
+    start = ctx.creation.value.op  # the StartConsensusInstance: each side's (id, n)
     ok &= ctx.commit is not None and ctx.commit.value.proposal.decision == DecisionValue.CONFIRM
     handover1 = run.wallet[run.account_ids["alice"]].pk  # post-swap wallet keys
     handover2 = run.wallet[run.account_ids["bob"]].pk
     for authority in run.sim.honest_authorities():
         alice = authority.ledger.accounts[run.account_ids["alice"]]
         bob = authority.ledger.accounts[run.account_ids["bob"]]
-        ok &= alice.next_sequence == ctx.n1 + 1 and bob.next_sequence == ctx.n2 + 1
+        ok &= alice.next_sequence == start.n1 + 1 and bob.next_sequence == start.n2 + 1
         ok &= alice.pk == handover1 and bob.pk == handover2
         ok &= alice.pending is None and bob.pending is None
     ok &= len({a.snapshot_accounts() for a in run.sim.honest_authorities()}) == 1
@@ -149,11 +155,12 @@ def test_acceptance_3_swap_end_to_end():
     config["faults"] = {"outages": {"3": [[0.05, 3000.0]]}}
     run, report = run_scenario(config)
     ctx = run.contexts["swap0"]
+    start = ctx.creation.value.op
     ok &= ctx.commit is not None and ctx.commit.value.proposal.decision == DecisionValue.ABORT
     for authority in run.sim.honest_authorities():
         alice = authority.ledger.accounts[run.account_ids["alice"]]
         bob = authority.ledger.accounts[run.account_ids["bob"]]
-        ok &= alice.next_sequence == ctx.n1 + 1 and bob.next_sequence == ctx.n2 + 1
+        ok &= alice.next_sequence == start.n1 + 1 and bob.next_sequence == start.n2 + 1
         ok &= alice.pending is None and bob.pending is None
         ok &= alice.pk == run.wallet[run.account_ids["alice"]].pk  # keys unchanged
     ok &= len(set(run.synced_snapshots.values())) == 1

@@ -56,7 +56,7 @@ def test_init_account_defaults(harness):
     acct = led.init_account(ALICE, harness.keypair().public_key)
     assert acct.next_sequence == 0
     assert acct.balance == 0
-    assert acct.confirmed == [] and acct.received == {}
+    assert acct.confirmed == [] and acct.received == set()
 
 
 def test_init_account_faucet_balance(harness):

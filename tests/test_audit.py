@@ -132,12 +132,11 @@ def test_clean_world_audits_pass():
 
     def client(env):
         from bftledger.accounts import Transfer
-        from bftledger.drivers import Wallet, certified_operation, DriverLog
+        from bftledger.drivers import Client, DriverLog, WalletEntry, certified_operation
 
-        wallet = Wallet()
-        wallet.add(alice, owner)
+        wallet = {alice: WalletEntry(owner)}
         yield from certified_operation(
-            env, committee, wallet, alice, Transfer(bob, 15), 1000, log=DriverLog()
+            Client(env, committee, wallet, 1000, DriverLog()), alice, Transfer(bob, 15)
         )
 
     sim.add_client("client:x", client)

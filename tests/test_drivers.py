@@ -5,7 +5,7 @@ import pytest
 from bftledger.accounts import AccountId, LockInto, StartConsensusInstance, execute_request, lock_request
 from bftledger.authority import Authority
 from bftledger.committee import aggregate_certificate, authenticate
-from bftledger.drivers import DriverLog, broadcast_until_acked, drive_round, gather_votes
+from bftledger.drivers import Client, DriverLog, broadcast_until_acked, drive_round, gather_votes
 from bftledger.messages import CommitMsg, HandleRequestMsg, PreCommitMsg, ProposalMsg, VoteReply
 from bftledger.sim import NetConfig, Simulator
 from bftledger.swap import (
@@ -19,6 +19,11 @@ from bftledger.swap import (
 
 ALICE, BOB, BROKER = AccountId(0), AccountId(1), AccountId(2)
 SWID = BROKER.child(0)
+
+
+def make_client(env, harness, timeout, log=None):
+    """A driver's Client over the harness committee, with an empty wallet."""
+    return Client(env, harness.committee, {}, timeout, log or DriverLog())
 
 
 @pytest.fixture
@@ -58,9 +63,8 @@ def test_driver_adopts_observed_locked_decision(world):
 
     def leader(env):
         status, commit = yield from drive_round(
-            env, harness.committee, SWID, owner1, DecisionValue.CONFIRM,
-            lock1, lock2, deadline=100_000, delta=100,
-            schedule=RoundSchedule(), timeout=1000, log=log,
+            make_client(env, harness, 1000, log), SWID, owner1, DecisionValue.CONFIRM,
+            lock1, lock2, deadline=100_000, delta=100, schedule=RoundSchedule(),
         )
         outcome["status"] = status
         outcome["commit"] = commit
@@ -87,8 +91,8 @@ def test_gather_votes_tolerates_junk(world):
         proposal = Proposal(SWID, 0, DecisionValue.CONFIRM)
         auth = authenticate(proposal, owner1.public_key, owner1)
         cert = yield from gather_votes(
-            env, harness.committee, ProposalMsg(auth, lock1, lock2),
-            lambda v: v == PreCommitStatement(proposal), timeout=1500, log=DriverLog(),
+            make_client(env, harness, 1500), ProposalMsg(auth, lock1, lock2),
+            lambda v: v == PreCommitStatement(proposal),
         )
         result["cert"] = cert
 
@@ -108,9 +112,8 @@ def test_drive_round_reports_deleted_instance(world):
 
     def leader(env):
         status, cert = yield from drive_round(
-            env, harness.committee, SWID, owner1, DecisionValue.CONFIRM,
-            lock1, lock2, deadline=20_000, delta=100,
-            schedule=RoundSchedule(), timeout=1000, log=DriverLog(),
+            make_client(env, harness, 1000), SWID, owner1, DecisionValue.CONFIRM,
+            lock1, lock2, deadline=20_000, delta=100, schedule=RoundSchedule(),
         )
         outcome["status"] = status
 
@@ -143,7 +146,7 @@ def test_broadcast_until_acked_gives_up_without_quorum(world):
     commit = harness.certify(CommitStatement(Proposal(SWID, 0, DecisionValue.ABORT)))
     message = CommitMsg(commit, lock1, lock2)
     ok, sent = run_counting_broadcasts(
-        sim, lambda env: broadcast_until_acked(env, harness.committee, message, 500)
+        sim, lambda env: broadcast_until_acked(make_client(env, harness, 500), message)
     )
     assert ok is False
     assert sent == [message] * 8
@@ -156,8 +159,8 @@ def test_gather_votes_gives_up_after_its_retries(world):
     message = ProposalMsg(authenticate(proposal, owner1.public_key, owner1), lock1, lock2)
     cert, sent = run_counting_broadcasts(
         sim, lambda env: gather_votes(
-            env, harness.committee, message, lambda v: v == PreCommitStatement(proposal),
-            timeout=500, log=DriverLog(), retries=2,
+            make_client(env, harness, 500), message, lambda v: v == PreCommitStatement(proposal),
+            retries=2,
         ),
     )
     assert cert is None

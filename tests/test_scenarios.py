@@ -42,14 +42,15 @@ def test_swap_confirm_end_to_end():
     run, report = run_scenario(shipped("swap_confirm"))
     assert_audits(report)
     ctx = run.contexts["swap0"]
+    start = ctx.creation.value.op  # the StartConsensusInstance: each side's (id, n)
     assert ctx.commit is not None
     assert ctx.commit.value.proposal.decision == DecisionValue.CONFIRM
     for authority in run.sim.honest_authorities():
         alice = authority.ledger.accounts[run.account_ids["alice"]]
         bob = authority.ledger.accounts[run.account_ids["bob"]]
         # instance creation consumed alice seq 0; locks were at 1 (alice), 0 (bob)
-        assert alice.next_sequence == ctx.n1 + 1
-        assert bob.next_sequence == ctx.n2 + 1
+        assert alice.next_sequence == start.n1 + 1
+        assert bob.next_sequence == start.n2 + 1
         assert alice.pending is None and bob.pending is None
         # owner keys were exchanged: each side now holds the other's handover key
         assert alice.pk == run.wallet[run.account_ids["alice"]].pk
@@ -69,13 +70,14 @@ def test_swap_abort_when_counterparty_declines():
     run, report = run_scenario(shipped("swap_abort"))
     assert_audits(report)
     ctx = run.contexts["swap0"]
+    start = ctx.creation.value.op
     assert ctx.commit is not None
     assert ctx.commit.value.proposal.decision == DecisionValue.ABORT
     for authority in run.sim.honest_authorities():
         alice = authority.ledger.accounts[run.account_ids["alice"]]
         bob = authority.ledger.accounts[run.account_ids["bob"]]
         assert alice.pending is None
-        assert alice.next_sequence == ctx.n1 + 1  # unlock consumed the lock's slot
+        assert alice.next_sequence == start.n1 + 1  # unlock consumed the lock's slot
         assert bob.next_sequence == 0  # bob never locked, untouched
         # wallets track the on-chain sequence numbers exactly
         assert run.wallet[run.account_ids["alice"]].next_sequence == alice.next_sequence
@@ -86,6 +88,7 @@ def test_swap_abort_both_locked_restores_accounts():
     run, report = run_scenario(shipped("swap_abort_both_locked"))
     assert_audits(report)
     ctx = run.contexts["swap0"]
+    start = ctx.creation.value.op
     assert ctx.commit.value.proposal.decision == DecisionValue.ABORT
     # both owners resume normal operation at the next sequence number
     assert run.results["post_abort_transfer"] == "ok"
@@ -93,8 +96,8 @@ def test_swap_abort_both_locked_restores_accounts():
         alice = authority.ledger.accounts[run.account_ids["alice"]]
         bob = authority.ledger.accounts[run.account_ids["bob"]]
         assert alice.pending is None and bob.pending is None
-        assert alice.next_sequence == ctx.n1 + 2  # abort unlock + follow-up transfer
-        assert bob.next_sequence == ctx.n2 + 1
+        assert alice.next_sequence == start.n1 + 2  # abort unlock + follow-up transfer
+        assert bob.next_sequence == start.n2 + 1
         assert alice.balance == 96 and bob.balance == 54
         # keys unchanged on abort
         assert alice.pk == run.wallet[run.account_ids["alice"]].pk
@@ -113,6 +116,31 @@ def test_contested_swap_single_decision_wins():
     assert ctx.outcome.get("owner2") == decision
     assert not any(v == "stalled" for v in ctx.outcome.values())
     assert_honest_drivers_never_equivocate(run)
+
+
+def test_swap_brokered_by_owner2():
+    """With owner2 as broker the creation op takes bob's sequence 0, so bob
+    locks at 1 and alice at 0. The swap confirms and each account ends one
+    past its lock, at every honest authority and in the new owner's wallet."""
+    config = shipped("swap_confirm")
+    config["actions"][0]["broker"] = "owner2"
+    run, report = run_scenario(config)
+    assert_audits(report)
+    ctx = run.contexts["swap0"]
+    start = ctx.creation.value.op
+    assert start.swid == run.account_ids["bob"].child(0)
+    assert (start.n1, start.n2) == (0, 1)
+    assert ctx.commit.value.proposal.decision == DecisionValue.CONFIRM
+    assert ctx.outcome == {"broker": "created", "owner1": "CONFIRM", "owner2": "CONFIRM"}
+    for authority in run.sim.honest_authorities():
+        alice = authority.ledger.accounts[run.account_ids["alice"]]
+        bob = authority.ledger.accounts[run.account_ids["bob"]]
+        assert alice.next_sequence == start.n1 + 1
+        assert bob.next_sequence == start.n2 + 1
+        assert alice.pending is None and bob.pending is None
+        for name, acct in (("alice", alice), ("bob", bob)):
+            entry = run.wallet[run.account_ids[name]]
+            assert (entry.pk, entry.next_sequence) == (acct.pk, acct.next_sequence)
 
 
 def test_swap_survives_crash_fault():
