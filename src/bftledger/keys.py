@@ -12,10 +12,20 @@ Two interchangeable schemes sit behind one interface:
 
 Public keys are self-describing byte strings (scheme prefix + material), so
 verification needs no registry.
+
+The MAC is HMAC-SHA256 (RFC 2104) computed from each key's inner and outer
+``sha256`` states, which ``_pads`` hashes once per key: a call copies both
+states and feeds them the digest. That is cheaper than ``hmac.digest``, and
+than copying a cached ``hmac.new`` object, whose ``copy`` builds a Python
+wrapper on every call. The states live in a least-recently-used cache of
+``PAD_CACHE_SIZE`` keys. It is bounded because ``verify`` takes its key from
+the message it checks, so an unbounded cache would grow with every key a
+sender makes up.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -32,9 +42,33 @@ _ED_PREFIX = b"e"
 
 DIGEST_LEN = 32
 
+PAD_CACHE_SIZE = 256
+_BLOCK = 64  # the sha256 block size
+_IPAD = bytes(b ^ 0x36 for b in range(256))  # translate tables: XOR each byte
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
 
 def digest32(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+@functools.lru_cache(maxsize=PAD_CACHE_SIZE)
+def _pads(key: bytes):
+    """The sha256 states after absorbing the key XOR ipad and XOR opad."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
+def _mac(key: bytes, digest: bytes) -> bytes:
+    """HMAC-SHA256 of ``digest`` under ``key``."""
+    inner, outer = _pads(key)
+    inner = inner.copy()
+    inner.update(digest)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 class Signer(Protocol):
@@ -52,7 +86,7 @@ class MacSigner:
         return _MAC_PREFIX + self.secret
 
     def sign(self, digest: bytes) -> bytes:
-        return hmac.digest(self.secret, digest, "sha256")
+        return _mac(self.secret, digest)
 
 
 class Ed25519Signer:
@@ -79,8 +113,7 @@ def verify(public_key: bytes, digest: bytes, sig: bytes) -> bool:
         return False
     scheme, material = public_key[:1], public_key[1:]
     if scheme == _MAC_PREFIX:
-        want = hmac.digest(material, digest, "sha256")
-        return hmac.compare_digest(want, sig)
+        return hmac.compare_digest(_mac(material, digest), sig)
     if scheme == _ED_PREFIX:
         try:
             Ed25519PublicKey.from_public_bytes(material).verify(sig, digest)

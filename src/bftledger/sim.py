@@ -14,6 +14,13 @@ duplicated, and reordered: handlers must be idempotent.
 Authorities are reactive handlers. Clients are generator coroutines that
 yield Sleep/Recv commands and send fire-and-forget messages through their
 environment.
+
+The order of RNG draws is part of the trace contract. ``post`` draws the
+delay, then the duplicate coin, then (for client/authority traffic from a
+sender in service) the drop coin, then a duplicate's extra delay.
+``_deliver`` draws one withheld-vote coin for every output an authority
+addresses elsewhere, even when that authority withholds with probability
+0.0. Skipping or reordering any draw changes every trace that follows it.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ class NetConfig:
     xshard_dup: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
     src: str
     dest: str
@@ -54,12 +61,12 @@ class Envelope:
     payload: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sleep:
     until: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Recv:
     deadline: int  # absolute tick
 
@@ -136,46 +143,46 @@ class Simulator:
 
     # -- scheduling --
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _schedule(self, time: int, item: Any) -> None:
-        heapq.heappush(self._heap, (time, self._next_seq(), item))
+        self._seq += 1
+        heapq.heappush(self._heap, (time, self._seq, item))
 
     def _crashed(self, name: str, t: int) -> bool:
         crash = self.crash_at.get(name)
         return crash is not None and t >= crash
 
     def _out_of_service(self, name: str, t: int) -> bool:
-        return self._crashed(name, t) or any(
-            start <= t < end for start, end in self.outages.get(name, ())
-        )
+        if self._crashed(name, t):
+            return True
+        windows = self.outages.get(name)
+        return bool(windows) and any(start <= t < end for start, end in windows)
 
     def post(self, src: str, dest: str, payload: Any) -> None:
-        """Submit a message to the network."""
-        seq = self._next_seq()
-        internal = src == dest and dest in self.authorities
-        if internal:
-            delay = self.rng.randint(self.net.xshard_min, self.net.xshard_max)
-            dup = self.rng.random() < self.net.xshard_dup
-            drops = 0.0
+        """Submit a message to the network.
+
+        Delays are drawn with ``randrange(a, b + 1)``, which is what
+        ``randint(a, b)`` calls, so the draws are the same."""
+        rng, net, now = self.rng, self.net, self.now
+        seq = self._seq = self._seq + 1
+        if src == dest and dest in self.authorities:
+            delay = rng.randrange(net.xshard_min, net.xshard_max + 1)
+            dup = rng.random() < net.xshard_dup
         else:
-            if self.now < self.net.gst:
-                delay = self.rng.randint(self.net.min_delay, self.net.max_delay)
-                drops = self.net.drop
+            if now < net.gst:
+                delay = rng.randrange(net.min_delay, net.max_delay + 1)
+                drops = net.drop
             else:
-                delay = self.rng.randint(self.net.min_delay, self.net.gst_bound)
+                delay = rng.randrange(net.min_delay, net.gst_bound + 1)
                 drops = 0.0
-            dup = self.rng.random() < self.net.dup
-            if self._out_of_service(src, self.now) or self.rng.random() < drops:
+            dup = rng.random() < net.dup
+            if self._out_of_service(src, now) or rng.random() < drops:
                 self.stats["dropped"] += 1
                 return
-        envelope = Envelope(src=src, dest=dest, seq=seq, payload=payload)
-        self._schedule(self.now + delay, ("deliver", envelope))
+        item = ("deliver", Envelope(src, dest, seq, payload))
+        self._schedule(now + delay, item)
         if dup:
-            extra = self.rng.randint(self.net.min_delay, self.net.max_delay)
-            self._schedule(self.now + delay + extra, ("deliver", envelope))
+            extra = rng.randrange(net.min_delay, net.max_delay + 1)
+            self._schedule(now + delay + extra, item)
 
     # -- client plumbing --
 
@@ -223,38 +230,43 @@ class Simulator:
     # -- main loop --
 
     def _deliver(self, envelope: Envelope) -> None:
-        if envelope.dest in self.authorities:
-            internal = envelope.src == envelope.dest
+        dest, now = envelope.dest, self.now
+        authority = self.authorities.get(dest)
+        if authority is not None:
             # A partitioned authority keeps processing its own cross-shard
             # queue; a crashed one processes nothing.
-            if self._crashed(envelope.dest, self.now):
+            if self._crashed(dest, now):
                 return
-            if not internal and self._out_of_service(envelope.dest, self.now):
+            if envelope.src != dest and self._out_of_service(dest, now):
                 return
-            authority = self.authorities[envelope.dest]
-            outputs, notes = authority.handle(envelope.src, envelope.payload, self.now)
-            digest = value_digest(envelope.payload)
-            self.trace.record(self.now, envelope, digest, notes)
-            if isinstance(envelope.payload, CERTIFIED_MESSAGES):
-                self.certified.setdefault(digest, envelope.payload)
+            payload = envelope.payload
+            outputs, notes = authority.handle(envelope.src, payload, now)
+            digest = value_digest(payload)
+            self.trace.record(now, envelope, digest, notes)
+            if isinstance(payload, CERTIFIED_MESSAGES):
+                self.certified.setdefault(digest, payload)
             self.stats["delivered"] += 1
-            for dest, payload in outputs:
-                if dest != authority.name and self.rng.random() < self.withhold.get(authority.name, 0.0):
+            withhold = self.withhold.get(dest, 0.0)
+            draw = self.rng.random
+            for out_dest, out in outputs:
+                # The draw happens at probability 0.0 too: see the module docstring.
+                if out_dest != dest and draw() < withhold:
                     self.stats["dropped"] += 1
                     continue
-                self.post(authority.name, dest, payload)
-        elif envelope.dest in self.clients:
-            self.trace.record(self.now, envelope, value_digest(envelope.payload))
+                self.post(dest, out_dest, out)
+        elif dest in self.clients:
+            self.trace.record(now, envelope, value_digest(envelope.payload))
             self.stats["delivered"] += 1
             self._deliver_to_client(envelope)
 
     def run(self) -> None:
-        while self._heap:
-            time, _seq, item = self._heap[0]
-            if time > self.budget:
+        heap, heappop, budget = self._heap, heapq.heappop, self.budget
+        while heap:
+            time, _seq, item = heap[0]
+            if time > budget:
                 self.budget_exceeded = True
                 break
-            heapq.heappop(self._heap)
+            heappop(heap)
             self.now = max(self.now, time)
             kind = item[0]
             if kind == "deliver":

@@ -42,7 +42,8 @@ class TraceWriter:
                 digest=digest,
             )
         )
-        self.notes.extend((envelope.dest, note) for note in notes)
+        if notes:
+            self.notes.extend((envelope.dest, note) for note in notes)
 
     def to_bytes(self) -> bytes:
         out = bytearray()

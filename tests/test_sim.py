@@ -1,5 +1,7 @@
 """Simulator semantics: determinism, network faults, client coroutines."""
 
+import hashlib
+
 from bftledger.sim import SECOND, ClientEnv, NetConfig, Simulator
 from bftledger.messages import AckReply
 
@@ -218,3 +220,57 @@ def test_sync_deliver_one_pass_in_first_delivery_order():
                          (stub.name, ("settled", message))]
         assert stub.seen == expected
     assert stubs[1].seen == stubs[2].seen == []
+
+
+class RelayStub:
+    """Answers a message from elsewhere with a self-addressed effect and a
+    reply to its sender; an effect comes back as an audit note."""
+
+    honest = True
+
+    def __init__(self, index):
+        self.name = f"auth:{index}"
+
+    def handle(self, src, payload, now):
+        if src == self.name:
+            return [], [("effect", payload.status)]
+        return [(self.name, AckReply("effect:" + payload.status)), (src, AckReply("ok"))], []
+
+
+def faulty_run():
+    """A stub run that makes every kind of random draw: pre-GST drops and
+    duplicates, cross-shard delays and duplicates, and the withheld-vote draw
+    for an authority that withholds and for ones that do not; it also meets
+    an outage window and a crash."""
+    net = NetConfig(drop=0.2, dup=0.2, gst=3 * SECOND, xshard_dup=0.3)
+    sim = Simulator(seed=23, net=net, budget=60 * SECOND)
+    for i in range(4):
+        sim.add_authority(RelayStub(i))
+    sim.crash_at["auth:3"] = 2 * SECOND
+    sim.outages["auth:2"] = [(SECOND // 2, 3 * SECOND // 2)]
+    sim.withhold["auth:1"] = 0.5
+
+    def script(env: ClientEnv):
+        for round_ in range(12):
+            env.broadcast(AckReply(f"{env.name}/{round_}"))
+            deadline = env.now + 400
+            while env.now < deadline:
+                if (yield env.recv(timeout=deadline - env.now)) is None:
+                    break
+
+    for name in ("client:a", "client:b"):
+        sim.add_client(name, script)
+    sim.start_client_at("client:a", 0)
+    sim.start_client_at("client:b", 150)
+    sim.run()
+    return sim
+
+
+def test_faulty_run_trace_is_pinned():
+    # Pinned before the simulator's per-message path was rewritten: the RNG
+    # draw order, the 0.0 withhold draw included, is part of the trace.
+    sim = faulty_run()
+    assert sim.stats == {"delivered": 257, "dropped": 30}
+    assert len(sim.trace.notes) == 101
+    assert hashlib.sha256(sim.trace.to_bytes()).hexdigest() == (
+        "4deeba78d803f38d0457861511d52e20decd8cc291619c6d65baf15d893cc39a")
