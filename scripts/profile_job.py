@@ -13,7 +13,10 @@ the Python call stack. It prints:
 - by source file: the share of samples with the file anywhere on the stack
   (inclusive) and with it at the top (self);
 - the same by function, the ``TOP`` largest by self share;
-- the self share of dataclass-generated ``__init__`` methods, by class.
+- the self share of dataclass-generated ``__init__`` methods, by class;
+- the share of the jobs' CPU time spent in cyclic garbage collection, timed
+  through ``gc.callbacks``. The sampler charges that time to whatever frame
+  allocated when a collection started, so this line says how much of it there is.
 
 Time in C code (hashing, ``heapq``, ``dict``) counts as self time of the
 Python function that called it. The workload module is imported, never
@@ -23,6 +26,7 @@ changed, and the job is the one the benchmark times.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import signal
 import sys
@@ -80,6 +84,22 @@ class Sampler:
         self.incl_file.update({where(code) for code in codes})
 
 
+class GcClock:
+    """CPU time spent in cyclic garbage collection, as a ``gc.callbacks`` entry."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.collections = 0
+        self._started = 0.0
+
+    def __call__(self, phase: str, _info: dict) -> None:
+        if phase == "start":
+            self._started = time.process_time()
+        else:
+            self.seconds += time.process_time() - self._started
+            self.collections += 1
+
+
 def table(title: str, rows: list[tuple[str, float, float]]) -> None:
     print(f"\n{title}")
     print(f"{'incl %':>7} {'self %':>7}  name")
@@ -98,7 +118,9 @@ def main(argv=None) -> int:
     workload.job(inputs)  # warm-up, not sampled
 
     sampler = Sampler()
+    gc_clock = GcClock()
     previous = signal.signal(signal.SIGPROF, sampler)
+    gc.callbacks.append(gc_clock)
     started = time.process_time()
     signal.setitimer(signal.ITIMER_PROF, PERIOD_S, PERIOD_S)
     try:
@@ -106,6 +128,7 @@ def main(argv=None) -> int:
             workload.job(inputs)
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
+        gc.callbacks.remove(gc_clock)
         signal.signal(signal.SIGPROF, previous)
     cpu = time.process_time() - started
 
@@ -134,6 +157,8 @@ def main(argv=None) -> int:
     for name, count in inits:
         print(f"{count * pct:7.1f}  {name}")
     print(f"{sum(c for _, c in inits) * pct:7.1f}  total")
+    print(f"\ncyclic GC: {gc_clock.seconds:.3f} s of {cpu:.2f} s CPU "
+          f"({gc_clock.seconds / cpu * 100:.1f}%), {gc_clock.collections} collections")
     return 0
 
 

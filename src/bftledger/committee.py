@@ -14,34 +14,41 @@ from typing import Any, Iterable
 from . import errors, serialize
 from .errors import err
 from .keys import Signer, digest32, verify
+from .serialize import forget_kept, keep, kept_digest
 
 
 DigestInfo = namedtuple("DigestInfo", "hits misses maxsize currsize")
-_epoch = _hits = _misses = 0
+_hits = _misses = 0
 
 
 def value_digest(value: Any) -> bytes:
     """Digest of a wire value's canonical (tagged) encoding.
 
-    Kept on the (frozen) value once computed, never looked up by equality:
-    ``Transfer(d, True) == Transfer(d, 1)``, but only the second encodes.
-    As for ``lru_cache``, ``cache_info()`` counts hits (read back) and misses
-    (computed); ``cache_clear()`` makes every stored digest stale.
+    Kept on the (frozen) value once computed, with the encoding itself
+    (``serialize.keep``), never looked up by equality:
+    ``Transfer(d, True) == Transfer(d, 1)``, but only the second encodes. A
+    container that holds the value then appends those bytes instead of
+    encoding it again, so each certificate, statement and payload is encoded
+    once. As for ``lru_cache``, ``cache_info()`` counts hits (read back) and
+    misses (computed); ``cache_clear()`` makes every kept digest and its bytes
+    stale.
     """
     global _hits, _misses
-    stored = getattr(value, "_digest", None)
-    if stored is not None and stored[0] == _epoch:
+    d = kept_digest(value)
+    if d is not None:
         _hits += 1
-        return stored[1]
+        return d
     _misses += 1
-    d = digest32(serialize.encode(value))
-    object.__setattr__(value, "_digest", (_epoch, d))
+    data = serialize.encode(value)
+    d = digest32(data)
+    keep(value, d, data)
     return d
 
 
 def _clear_digests() -> None:
-    global _epoch, _hits, _misses
-    _epoch, _hits, _misses = _epoch + 1, 0, 0
+    global _hits, _misses
+    forget_kept()
+    _hits, _misses = 0, 0
 
 
 value_digest.cache_info = lambda: DigestInfo(_hits, _misses, None, _misses)

@@ -24,12 +24,18 @@ The wire registry is populated once, in a fixed order, by ``wire.py``.
 Encoding and decoding fail only with ``EncodingError``. Each dataclass and
 each homogeneous sequence type gets one generated encoder, compiled on first
 use (see ``_generated``).
+
+A value may carry kept bytes: ``keep`` stores its digest and its own tagged
+encoding on it, and a container's encoder appends them (less the tag for a
+concrete field) instead of encoding that child again. They are the same bytes,
+since wire values are frozen. This module alone knows how they are kept.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
+import sys
 import types
 from enum import IntEnum
 from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
@@ -49,6 +55,11 @@ _INT = struct.Struct("<q")
 
 _REGISTRY: list[type] = []
 _TAG_OF: dict[type, int] = {}
+
+# Kept bytes live on a value as ``_kept = (epoch, digest, data)``; they count
+# only while ``epoch`` is the current ``_epoch``, so ``forget_kept`` makes every
+# one stale at once.
+_epoch = 0
 
 
 def register_wire(cls: type) -> type:
@@ -138,7 +149,32 @@ def _enc_bool(value: Any, out: bytearray) -> None:
     out.append(value)
 
 
+def keep(value: Any, digest: bytes, data: bytes) -> None:
+    """Keep ``digest`` and ``data``, ``encode(value)``, on the frozen ``value``."""
+    object.__setattr__(value, "_kept", (_epoch, digest, data))
+
+
+def kept_digest(value: Any) -> bytes | None:
+    """The digest kept on ``value`` in the current epoch, or None."""
+    kept = getattr(value, "_kept", None)
+    return kept[1] if kept is not None and kept[0] == _epoch else None
+
+
+def forget_kept() -> None:
+    """Make every kept digest and its bytes stale."""
+    global _epoch
+    _epoch += 1
+
+
 def _enc_any(value: Any, out: bytearray) -> None:
+    kept = getattr(value, "_kept", None)
+    if kept is not None and kept[0] == _epoch:
+        out += kept[2]
+        return
+    _enc_tagged(value, out)
+
+
+def _enc_tagged(value: Any, out: bytearray) -> None:
     cls = type(value)
     tag = _TAG_OF.get(cls)
     if tag is None:
@@ -164,30 +200,32 @@ _CODECS: dict[Any, tuple[Callable, Callable]] = {
 }
 
 
+def _optional_of(tp: Any) -> Any:
+    """The type that a value of the optional ``tp`` has when it is present."""
+    args = get_args(tp)
+    non_none = tuple(a for a in args if a is not type(None))
+    if len(non_none) == len(args):
+        raise EncodingError(f"bare unions are not encodable, use AnyWire: {tp}")
+    return non_none[0] if len(non_none) == 1 else Union[non_none]
+
+
 def _codec(tp: Any) -> tuple[Callable, Callable]:
     """The (encoder, decoder) pair for wire type ``tp``, built once from its hints.
 
-    This is the only place that inspects a type. What it returns checks
-    values and moves bytes, nothing else: a dataclass's or a homogeneous
-    sequence's encoder is one generated function, every other encoder and
-    every decoder a closure.
+    Types are inspected only here and in ``_encode_v``, while the codec is
+    built. What it returns checks values and moves bytes, nothing else: a
+    dataclass's, an optional's or a homogeneous sequence's encoder is one
+    generated function, every other encoder and every decoder a closure.
     """
     pair = _CODECS.get(tp)
     if pair is not None:
         return pair
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union or origin is types.UnionType:
-        non_none = tuple(a for a in args if a is not type(None))
-        if len(non_none) == len(args):
-            raise EncodingError(f"bare unions are not encodable, use AnyWire: {tp}")
-        enc, dec = _codec(non_none[0] if len(non_none) == 1 else Union[non_none])
-
-        def encode_optional(value: Any, out: bytearray) -> None:
-            out.append(value is not None)
-            if value is not None:
-                enc(value, out)
-
-        pair = (encode_optional, lambda r: dec(r) if r.flag("presence") else None)
+        dec = _codec(_optional_of(tp))[1]
+        env: dict = {}
+        pair = (_generated("encode_optional", ["v = value", *_encode_v(tp, env)], env),
+                lambda r: dec(r) if r.flag("presence") else None)
     elif origin is tuple and not (len(args) == 2 and args[1] is Ellipsis):
         codecs = [_codec(a) for a in args]
 
@@ -261,20 +299,35 @@ def _generated(name: str, body: list[str], env: dict) -> Callable:
     """Compile ``def name(value, out)`` with ``body`` once with ``exec``, as
     ``dataclasses`` builds ``__init__``; ``env`` holds its globals."""
     env.update(EncodingError=EncodingError, _enc_int=_enc_int, _enc_bytes=_enc_bytes,
-               _tuple_length=_tuple_length, _pack_int=_INT.pack, _pack_len=_LEN.pack)
+               _tuple_length=_tuple_length, _pack_int=_INT.pack, _pack_len=_LEN.pack,
+               _serialize=sys.modules[__name__])
     source = f"def {name}(value, out):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, f"<{name}>", "exec"), env)
     return env[name]
 
 
 def _encode_v(tp: Any, env: dict) -> list[str]:
-    """Statements that encode ``v`` of wire type ``tp``: inline for an int or
-    bytes, else a call to ``tp``'s own encoder, bound in ``env``."""
+    """Statements that encode ``v`` of wire type ``tp``: inline for an int,
+    bytes or an optional; else a call to ``tp``'s own encoder, bound in
+    ``env``, which a registered class skips for its current kept bytes."""
     if tp in _INLINE:
         return list(_INLINE[tp])
+    if get_origin(tp) in (Union, types.UnionType):
+        inner = _encode_v(_optional_of(tp), env)
+        return ["if v is None:", "    out.append(0)", "else:", "    out.append(1)",
+                *(f"    {line}" for line in inner)]
     name = f"enc_{len(env)}"
     env[name] = _codec(tp)[0]
-    return [f"{name}(v, out)"]
+    if tp not in _TAG_OF:
+        return [f"{name}(v, out)"]
+    env[f"cls_{name}"] = tp
+    return [  # the kept bytes without their tag: a concrete field has none
+        "k = getattr(v, '_kept', None)",
+        f"if k is not None and k[0] == _serialize._epoch and type(v) is cls_{name}:",
+        "    out += k[2][1:]",
+        "else:",
+        f"    {name}(v, out)",
+    ]
 
 
 def _dataclass_encoder(tp: type, hints: dict) -> Callable:
@@ -305,9 +358,10 @@ def _sequence_encoder(item: Any) -> Callable:
 
 
 def encode(value: Any) -> bytes:
-    """Encode a registered wire value with its leading class tag."""
+    """Encode a registered wire value with its leading class tag. Bytes kept on
+    ``value`` itself are not read, only those kept on the values it holds."""
     out = bytearray()
-    _enc_any(value, out)
+    _enc_tagged(value, out)
     return bytes(out)
 
 

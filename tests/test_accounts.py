@@ -21,8 +21,11 @@ from bftledger.accounts import (
     validate_operation,
 )
 from bftledger.algebra import ScalarUpdate
+from bftledger.authority import Authority
 from bftledger.committee import authenticate
 from bftledger.errors import ProtocolError
+from bftledger.messages import (AccountInfoReply, ConfirmMsg, HandleRequestMsg, QueryAccountMsg,
+                                VoteReply)
 from bftledger.swap import InitInstanceEffect
 
 ALICE = AccountId(0)
@@ -328,3 +331,28 @@ def test_apply_update_validation(harness):
         validate_operation(acct, ALICE, ApplyUpdate(BOB, ScalarUpdate(-2), ScalarUpdate(-2)))
     assert exc.value.code == errors.UNSAFE_REMOTE
     validate_operation(acct, ALICE, ApplyUpdate(BOB, ScalarUpdate(-2), ScalarUpdate(2)))
+
+
+def test_query_account_through_the_authority(harness):
+    authority = Authority(0, harness.signers[0], harness.committee)
+    owner = harness.keypair()
+    authority.ledger.init_account(ALICE, owner.public_key, balance=10)
+    authority.ledger.init_account(BOB, None)
+
+    def query(id):
+        outputs, _notes = authority.handle("client:q", QueryAccountMsg(id), 0)
+        return outputs
+
+    assert query(ALICE) == [("client:q", AccountInfoReply(
+        exists=True, active=True, next_sequence=0, balance=10, busy=False))]
+    assert query(BOB) == [("client:q", AccountInfoReply(True, False, 0, 0, False))]
+    assert query(AccountId(9)) == [("client:q", AccountInfoReply(False, False, 0, 0, False))]
+
+    request = execute_request(ALICE, 0, Transfer(BOB, 3))
+    auth = authenticate(request, owner.public_key, owner)
+    ((_, vote),), _notes = authority.handle("client:a", HandleRequestMsg(auth), 0)
+    assert isinstance(vote, VoteReply)
+    assert query(ALICE) == [("client:q", AccountInfoReply(True, True, 0, 10, True))]
+
+    authority.handle("client:a", ConfirmMsg(harness.certify(request)), 0)
+    assert query(ALICE) == [("client:q", AccountInfoReply(True, True, 1, 7, False))]

@@ -36,7 +36,9 @@ from bftledger.committee import (
     Vote,
     authenticate,
     check_authenticated,
+    value_digest,
 )
+from bftledger.messages import CommitMsg, VoteReply
 from bftledger.serialize import _INT, _LEN, _TAG_OF, LEN_MAX, AnyWire, EncodingError
 from bftledger.swap import CommitStatement, DecisionValue, PreCommitStatement, Proposal
 from bftledger.trace import TraceEvent
@@ -501,3 +503,66 @@ def test_every_value_that_encodes_decodes(cls, data):
     except serialize.EncodingError:
         return
     assert serialize.encode(serialize.decode(raw)) == raw
+
+
+# -- kept bytes -----------------------------------------------------------------------
+# value_digest keeps a value's encoding on it, and a container's encoder appends
+# those bytes instead of encoding the value again; they must be the same bytes.
+
+
+def _held_values(value):
+    """Every dataclass value that ``value`` holds, at any depth."""
+    if dataclasses.is_dataclass(value):
+        items = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    else:
+        items = value if isinstance(value, (tuple, list)) else ()
+    for item in items:
+        if dataclasses.is_dataclass(item):
+            yield item
+        yield from _held_values(item)
+
+
+@pytest.mark.parametrize("cls", wire.WIRE_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=20, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.data())
+def test_encoding_with_kept_bytes_matches_reference(cls, data):
+    value = data.draw(values_of(cls))
+    for held in _held_values(value):
+        if data.draw(st.booleans()):
+            try:
+                value_digest(held)
+            except EncodingError:
+                pass
+    assert _outcome(serialize.encode, value) == _outcome(_ref_encode, value)
+
+
+def _kept_sites():
+    """(container, a value it holds) for each kind of field that reads kept bytes."""
+    request = execute_request(AccountId(0, (1,)), 2, Transfer(AccountId(3), 4))
+    votes = tuple(Vote(i, bytes([i]) * 32, bytes([i + 1]) * 32) for i in range(3))
+    cert = Certificate(request, votes)
+    lock = Certificate(lock_request(AccountId(5), 0, LockInto(AccountId(6), 1, b"k")), votes)
+    statement = CommitStatement(Proposal(AccountId(6), 1, DecisionValue.CONFIRM))
+    return {
+        "concrete": (CommitMsg(cert, None, None), cert),
+        "optional": (CommitMsg(cert, lock, None), lock),
+        "any_wire": (VoteReply(statement, votes[0]), statement),
+        "sequence_item": (cert, votes[1]),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_kept_sites()))
+def test_stale_kept_bytes_are_never_emitted(site):
+    container, held = _kept_sites()[site]
+    expected = _ref_encode(container)
+    digest = value_digest(held)
+    assert digest == keys.digest32(_ref_encode(held))
+    assert serialize.encode(container) == expected
+    tag = bytes([_TAG_OF[type(held)]])
+    serialize.keep(held, digest, tag + b"tampered")
+    assert serialize.encode(container) != expected  # kept bytes are read, not re-checked
+    value_digest.cache_clear()
+    assert serialize.encode(container) == expected
+    assert value_digest(held) == digest
+    assert serialize.encode(container) == expected

@@ -1,9 +1,13 @@
 """Simulator semantics: determinism, network faults, client coroutines."""
 
+import dataclasses
 import hashlib
 
+from bftledger import serialize
+from bftledger.committee import value_digest
 from bftledger.sim import SECOND, ClientEnv, NetConfig, Simulator
 from bftledger.messages import AckReply
+from bftledger.trace import TraceEvent
 
 
 class EchoAuthority:
@@ -274,3 +278,19 @@ def test_faulty_run_trace_is_pinned():
     assert len(sim.trace.notes) == 101
     assert hashlib.sha256(sim.trace.to_bytes()).hexdigest() == (
         "4deeba78d803f38d0457861511d52e20decd8cc291619c6d65baf15d893cc39a")
+
+
+def test_trace_records_are_trace_events_by_field():
+    """The writer keeps light records; each is a TraceEvent's fields in order,
+    and the file is the records encoded as TraceEvents."""
+    sim = faulty_run()
+    events = sim.trace.events
+    assert len(events) == sim.stats["delivered"]
+    assert list(type(events[0])._fields) == [f.name for f in dataclasses.fields(TraceEvent)]
+    assert sim.trace.to_bytes() == b"".join(serialize.encode(TraceEvent(*e)) for e in events)
+    # The fields a benchmark or an audit reads by name.
+    first = events[0]
+    assert (first.time, first.src, first.dest, first.kind) == (first[0], first[2], first[3], first[4])
+    assert first.src == "client:a" and first.dest.startswith("auth:") and first.kind == "AckReply"
+    assert first.digest == value_digest(AckReply("client:a/0"))
+    assert all(a.time <= b.time for a, b in zip(events, events[1:]))
