@@ -15,8 +15,9 @@ the Python call stack. It prints:
 - the same by function, the ``TOP`` largest by self share;
 - the self share of dataclass-generated ``__init__`` methods, by class;
 - the share of the jobs' CPU time spent in cyclic garbage collection, timed
-  through ``gc.callbacks``. The sampler charges that time to whatever frame
-  allocated when a collection started, so this line says how much of it there is.
+  through ``gc.callbacks``, and the number of collections of each
+  generation. The sampler charges that time to whatever frame allocated when
+  a collection started, so this line says how much of it there is.
 
 Time in C code (hashing, ``heapq``, ``dict``) counts as self time of the
 Python function that called it. The workload module is imported, never
@@ -85,19 +86,20 @@ class Sampler:
 
 
 class GcClock:
-    """CPU time spent in cyclic garbage collection, as a ``gc.callbacks`` entry."""
+    """CPU time spent in cyclic garbage collection, and the number of
+    collections of each generation, as a ``gc.callbacks`` entry."""
 
     def __init__(self):
         self.seconds = 0.0
-        self.collections = 0
+        self.by_generation = [0, 0, 0]
         self._started = 0.0
 
-    def __call__(self, phase: str, _info: dict) -> None:
+    def __call__(self, phase: str, info: dict) -> None:
         if phase == "start":
             self._started = time.process_time()
         else:
             self.seconds += time.process_time() - self._started
-            self.collections += 1
+            self.by_generation[info["generation"]] += 1
 
 
 def table(title: str, rows: list[tuple[str, float, float]]) -> None:
@@ -157,8 +159,10 @@ def main(argv=None) -> int:
     for name, count in inits:
         print(f"{count * pct:7.1f}  {name}")
     print(f"{sum(c for _, c in inits) * pct:7.1f}  total")
+    gen0, gen1, gen2 = gc_clock.by_generation
     print(f"\ncyclic GC: {gc_clock.seconds:.3f} s of {cpu:.2f} s CPU "
-          f"({gc_clock.seconds / cpu * 100:.1f}%), {gc_clock.collections} collections")
+          f"({gc_clock.seconds / cpu * 100:.1f}%), {gen0 + gen1 + gen2} collections "
+          f"(generation 0: {gen0}, 1: {gen1}, 2: {gen2})")
     return 0
 
 

@@ -80,10 +80,7 @@ def audit_conservation(sim, committee: Committee, initial_total: int) -> AuditRe
     """Per honest authority: account money plus in-flight internal money
     equals the genesis total."""
     in_flight: dict[str, int] = {}
-    for _time, _seq, item in sim._heap:
-        if item[0] != "deliver":
-            continue
-        envelope = item[1]
+    for envelope in sim.in_flight():
         if envelope.src == envelope.dest and envelope.dest in sim.authorities:
             authority = sim.authorities[envelope.dest]
             in_flight[envelope.dest] = in_flight.get(envelope.dest, 0) + _money_delta(

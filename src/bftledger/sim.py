@@ -21,6 +21,17 @@ sender in service) the drop coin, then a duplicate's extra delay.
 ``_deliver`` draws one withheld-vote coin for every output an authority
 addresses elsewhere, even when that authority withholds with probability
 0.0. Skipping or reordering any draw changes every trace that follows it.
+
+The event heap holds ``(time, seq, item)`` entries, ordered by time and then
+by the sequence number ``_schedule`` gives each. An ``item`` is one of:
+
+- an ``Envelope`` to deliver, pushed as is (a duplicate is the same envelope
+  pushed twice);
+- ``("start", client)``, the first step of a client script;
+- ``("wake", client, token)``, the end of a client's Sleep or Recv wait.
+
+Only this module reads these entries. Other modules see the deliveries still
+pending through ``Simulator.in_flight``.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .committee import value_digest
 from .messages import CommitMsg, ConfirmMsg, SettleAuctionMsg
@@ -178,11 +189,11 @@ class Simulator:
             if self._out_of_service(src, now) or rng.random() < drops:
                 self.stats["dropped"] += 1
                 return
-        item = ("deliver", Envelope(src, dest, seq, payload))
-        self._schedule(now + delay, item)
+        envelope = Envelope(src, dest, seq, payload)
+        self._schedule(now + delay, envelope)
         if dup:
             extra = rng.randrange(net.min_delay, net.max_delay + 1)
-            self._schedule(now + delay + extra, item)
+            self._schedule(now + delay + extra, envelope)
 
     # -- client plumbing --
 
@@ -268,12 +279,11 @@ class Simulator:
                 break
             heappop(heap)
             self.now = max(self.now, time)
-            kind = item[0]
-            if kind == "deliver":
-                self._deliver(item[1])
-            elif kind == "start":
+            if item.__class__ is Envelope:
+                self._deliver(item)
+            elif item[0] == "start":
                 self._advance_client(item[1], None)
-            elif kind == "wake":
+            else:  # ("wake", name, token)
                 # A Sleep, a Recv that waits, and a delivery that ends the
                 # wait each bump the token: a match means the task still
                 # waits on the command that scheduled this wake.
@@ -284,6 +294,11 @@ class Simulator:
                     self._advance_client(name, None)
 
     # -- post-run utilities --
+
+    def in_flight(self) -> Iterator[Envelope]:
+        """Every delivery still on the heap, once per heap entry (so a
+        duplicate counts twice), in no set order."""
+        return (item for _time, _seq, item in self._heap if item.__class__ is Envelope)
 
     def honest_authorities(self) -> list:
         """Honest authorities that had not crashed by the last event."""

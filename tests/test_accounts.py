@@ -2,7 +2,7 @@
 
 import pytest
 
-from bftledger import errors
+from bftledger import errors, serialize
 from bftledger.accounts import (
     AccountId,
     ApplyUpdate,
@@ -356,3 +356,41 @@ def test_query_account_through_the_authority(harness):
 
     authority.handle("client:a", ConfirmMsg(harness.certify(request)), 0)
     assert query(ALICE) == [("client:q", AccountInfoReply(True, True, 1, 7, False))]
+
+
+def test_account_id_hash_is_cached_lazily_and_changes_nothing(harness):
+    """``AccountId`` keeps its hash on first use. Equal ids built apart find
+    each other before and after either is hashed; a hashed id encodes,
+    compares, sorts and prints as a fresh one; an id whose path is a list
+    still constructs and fails only when hashed."""
+    def make():
+        return AccountId(3, (1, 4))
+
+    first, second = make(), make()
+    assert first == second and first is not second
+    assert {first: "a"}[second] == "a" and second in {first}  # neither hashed before
+    assert hash(first) == hash(second) == hash((3, (1, 4)))  # the generated method's value
+    assert {make(): "a"}[first] == "a" and make() in {second}  # one hashed, one fresh
+    assert {first: "a"}[second] == "a" and second in {first}  # both hashed
+
+    fresh = make()
+    assert serialize.encode(first) == serialize.encode(fresh)
+    assert serialize.encode(Transfer(first, 5)) == serialize.encode(Transfer(fresh, 5))
+    assert str(first) == str(fresh) == "3:1:4" and repr(first) == repr(fresh)
+    assert not first < fresh and not fresh < first and first <= fresh
+    assert sorted([make(), AccountId(3, (1,)), first]) == [AccountId(3, (1,)), fresh, fresh]
+
+    def snapshot(id):
+        authority = Authority(0, harness.signers[0], harness.committee)
+        authority.ledger.init_account(id, None, balance=4)
+        return authority.snapshot()
+
+    hashed = make()
+    hash(hashed)
+    assert snapshot(hashed) == snapshot(make())
+    assert "[account 3:1:4]" in snapshot(hashed)
+
+    listed = AccountId(0, [1])
+    assert listed.path == [1]
+    with pytest.raises(TypeError):
+        hash(listed)
