@@ -25,15 +25,23 @@ Tables local to each call memoize every record's transitions (each distinct
 transition still goes through the rule functions once), the formable
 pre-commits of each tuple of per-record prevotes, the verdict of each tuple
 of per-record commit votes, and one successor list per (record, formable
-pre-commits). The exploration order is fixed (the proposal order, the
-formable pre-commits in set iteration order, the first authority per
-distinct record, and id order); it decides which violation the depth-first
-search reports first, and so the example path and the state count of an
-ablation.
+pre-commits). Each state carries down what its move left alone: a proposal
+move changes no commit vote, so its successor skips the agreement check (the
+parent passed it), and a pre-commit move changes no prevote, so its successor
+reuses the parent's tally. A successor whose new id is at least every other
+id is built by appending it; any other is sorted. The search allocates no
+cycles, so the cyclic collector is paused while it runs and the caller's
+setting is given back when it ends.
+
+The exploration order is fixed (the proposal order, the formable pre-commits
+in set iteration order, the first authority per distinct record, and id
+order); it decides which violation the depth-first search reports first, and
+so the example path and the state count of an ablation.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Optional
 
@@ -152,46 +160,68 @@ def check_swap_agreement(
 
     initial = tuple([intern(_FRESH)] * honest)
     seen = {initial}
+    # Two stacks popped together: a state, and its parent's tally if the state
+    # came by a pre-commit move (which leaves every prevote as it was), or None
+    # if it came by a proposal move (which leaves every commit vote as it was,
+    # so it cannot newly break agreement). The fresh state has no commit vote.
     frontier = [initial]
+    inherited = [None]
     parents: dict = {initial: None} if want_example else {}
     target = None
-
-    while frontier:
-        state = frontier.pop()
-        key = tuple(map(commits_of.__getitem__, state))
-        violated = violations.get(key)
-        if violated is None:
-            decisions = {v for (_k, v) in formable([records[rid] for rid in state], 3)}
-            violated = violations[key] = len(decisions) > 1
-        if violated:
-            target = state
-            break
-        key = tuple(map(prevotes_of.__getitem__, state))
-        tally = prevote_tallies.get(key)
-        if tally is None:
-            # The set's iteration order is the pre-commit move order.
-            precommits = tuple(formable([records[rid] for rid in state], 2))
-            tally = prevote_tallies[key] = moves_for.setdefault(precommits, (precommits, {}))
-        precommits, memo = tally
-        # Ids sort in record-key order, so equal records sit together. Authorities
-        # with identical records are interchangeable: act on the first one only.
-        for i, rid in enumerate(state):
-            if i and state[i - 1] == rid:
-                continue
-            moves = memo.get(rid)
-            if moves is None:
-                moves = memo[rid] = successors(rid, precommits)
-            others = state[:i] + state[i + 1:]
-            for kind, pv, new_rid in moves:
-                new_state = tuple(sorted(others + (new_rid,)))
-                if new_state in seen:
+    enabled = gc.isenabled()
+    gc.disable()  # the search makes no cycles; see the docstring
+    try:
+        while frontier:
+            state = frontier.pop()
+            tally = inherited.pop()
+            if tally is None:
+                key = tuple(map(prevotes_of.__getitem__, state))
+                tally = prevote_tallies.get(key)
+                if tally is None:
+                    # The set's iteration order is the pre-commit move order.
+                    precommits = tuple(formable([records[rid] for rid in state], 2))
+                    tally = prevote_tallies[key] = moves_for.setdefault(precommits,
+                                                                         (precommits, {}))
+            else:
+                key = tuple(map(commits_of.__getitem__, state))
+                violated = violations.get(key)
+                if violated is None:
+                    decisions = {v for (_k, v) in formable([records[rid] for rid in state], 3)}
+                    violated = violations[key] = len(decisions) > 1
+                if violated:
+                    target = state
+                    break
+            precommits, memo = tally
+            # Ids sort in record-key order, so equal records sit together. Authorities
+            # with identical records are interchangeable: act on the first one only.
+            for i, rid in enumerate(state):
+                if i and state[i - 1] == rid:
                     continue
-                if len(seen) >= max_states:
-                    raise err(errors.BOUNDS_TOO_LARGE, f"state budget {max_states} exhausted")
-                seen.add(new_state)
-                frontier.append(new_state)
-                if want_example:
-                    parents[new_state] = (state, (kind, pv))
+                moves = memo.get(rid)
+                if moves is None:
+                    moves = memo[rid] = successors(rid, precommits)
+                if not moves:
+                    continue
+                others = state[:i] + state[i + 1:]
+                last = others[-1] if others else -1
+                for kind, pv, new_rid in moves:
+                    if new_rid >= last:
+                        new_state = others + (new_rid,)
+                    else:
+                        new_state = tuple(sorted(others + (new_rid,)))
+                    if new_state in seen:
+                        continue
+                    if len(seen) >= max_states:
+                        raise err(errors.BOUNDS_TOO_LARGE,
+                                  f"state budget {max_states} exhausted")
+                    seen.add(new_state)
+                    frontier.append(new_state)
+                    inherited.append(None if kind == "prop" else tally)
+                    if want_example:
+                        parents[new_state] = (state, (kind, pv))
+    finally:
+        if enabled:
+            gc.enable()
 
     example = None
     if target is not None and want_example:
