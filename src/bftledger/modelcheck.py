@@ -34,9 +34,10 @@ cycles, so the cyclic collector is paused while it runs and the caller's
 setting is given back when it ends.
 
 The exploration order is fixed (the proposal order, the formable pre-commits
-in set iteration order, the first authority per distinct record, and id
-order); it decides which violation the depth-first search reports first, and
-so the example path and the state count of an ablation.
+in sorted order, the first authority per distinct record, and id order), so
+it depends on no hash or set iteration order. It decides which violation the
+depth-first search reports first, and so the example path and the state
+count of an ablation.
 """
 
 from __future__ import annotations
@@ -178,8 +179,7 @@ def check_swap_agreement(
                 key = tuple(map(prevotes_of.__getitem__, state))
                 tally = prevote_tallies.get(key)
                 if tally is None:
-                    # The set's iteration order is the pre-commit move order.
-                    precommits = tuple(formable([records[rid] for rid in state], 2))
+                    precommits = tuple(sorted(formable([records[rid] for rid in state], 2)))
                     tally = prevote_tallies[key] = moves_for.setdefault(precommits,
                                                                          (precommits, {}))
             else:
