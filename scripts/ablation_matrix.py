@@ -2,12 +2,14 @@
 """Model-check the swap consensus, then re-check with each safety rule
 ablated in turn. The baseline must be violation-free; every ablation must
 find a violation (each rule is individually load-bearing). Each row prints
-its wall time and states/s, and the last line the total.
+its wall time and states/s, and the last line the total time and the
+process's peak resident set size.
 
     python scripts/ablation_matrix.py [rounds] [byzantine]
 """
 
 import os
+import resource
 import sys
 import time
 
@@ -30,7 +32,8 @@ def main() -> int:
         print(f"{label:12s} {result.summary()}  {elapsed:.2f}s "
               f"{result.states / max(elapsed, 1e-9):,.0f} states/s")
         ok &= result.violation == (label != "baseline")
-    print(f"total {time.perf_counter() - started:.1f}s")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+    print(f"total {time.perf_counter() - started:.1f}s, peak RSS {peak_mb:.0f} MB")
     return 0 if ok else 1
 
 

@@ -1,5 +1,7 @@
 """Bounded model checker: quick bounds here; the full matrix runs in acceptance."""
 
+import gc
+
 import pytest
 
 from bftledger import errors
@@ -89,6 +91,41 @@ def test_bounds_guard():
         with pytest.raises(ProtocolError) as exc:
             check_swap_agreement(**bounds)
         assert exc.value.code == "ConfigError"
+
+
+def test_state_budget_is_exact():
+    """The budget counts every state seen, the initial one included."""
+    assert check_swap_agreement(max_round=2, byzantine=1, max_states=88_854).states == 88_854
+    with pytest.raises(ProtocolError) as exc:
+        check_swap_agreement(max_round=2, byzantine=1, max_states=88_853)
+    assert exc.value.code == "BoundsTooLarge"
+
+
+def test_check_pauses_the_collector_and_gives_it_back():
+    """The search runs with the cyclic collector paused, which is safe because it
+    makes no cycles: with the collector off, a collection right after a check
+    finds nothing. A check leaves the collector as it found it, enabled or
+    disabled, also when it raises for an exhausted state budget."""
+    assert gc.isenabled()
+    check_swap_agreement(max_round=1, byzantine=1)
+    assert gc.isenabled()
+    with pytest.raises(ProtocolError):
+        check_swap_agreement(max_round=2, byzantine=1, max_states=100)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for rule in ["", *"abcd"]:
+            result = check_swap_agreement(max_round=2, byzantine=1,
+                                          disabled_rules=frozenset(rule), want_example=True)
+            assert gc.collect() == 0, rule
+            assert not gc.isenabled(), rule
+            del result
+        with pytest.raises(ProtocolError):
+            check_swap_agreement(max_round=2, byzantine=1, max_states=100)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_byzantine_votes_strengthen_adversary():
@@ -240,14 +277,17 @@ def _record_key(record):
     )
 
 
-# Every ablation at small bounds, plus rounds <= 3 without rule a: the smallest
-# case found whose example path depends on the pre-commit order (177 states
-# tried in sorted order, 175 in the set's iteration order), so both must sort.
+# Every ablation at small bounds and at the pinned rounds <= 2 bounds; one honest
+# authority (no other record to sort a successor into) and a committee of three
+# with no byzantine slack, which violates agreement after 34 states; and rounds
+# <= 3 without rule a: the smallest case found whose example path depends on the
+# pre-commit order (177 states tried in sorted order, 175 in the set's iteration
+# order), so both must sort.
 DIFFERENTIAL_CASES = [
     (max_round, byzantine, n, rule)
     for max_round, byzantine, n in [(0, 0, 4), (0, 1, 4), (1, 0, 4), (1, 1, 4), (0, 2, 7)]
     for rule in ["", *"abcd"]
-] + [(3, 1, 4, "a")]
+] + [(2, 1, 4, rule) for rule in "abcd"] + [(2, 0, 1, ""), (2, 0, 3, ""), (3, 1, 4, "a")]
 
 
 @pytest.mark.parametrize("max_round,byzantine,n,rule", DIFFERENTIAL_CASES)
