@@ -119,6 +119,8 @@ class AuctionState:
     rule: PriceRule
     bids: dict[bytes, BidStatement] = field(default_factory=dict)  # by deposit digest
     included: Optional[tuple[BidStatement, ...]] = None  # the closed bid set; None while bidding
+    # this authority's released decryption share of each bid, by ciphertext
+    released: dict[tpke.Ciphertext, tpke.DecryptionShare] = field(default_factory=dict)
 
 
 def auction_aad(auction_id: AccountId) -> bytes:
@@ -262,13 +264,18 @@ class AuctionService:
 
         Requires a valid end-of-bidding certificate. Each query decrypts
         afresh; ``tpke.share_decrypt`` is deterministic, so repeat queries
-        return identical values.
+        return identical values. The auction keeps the shares until it is
+        settled, so that ``handle_end_of_auction`` need not verify them.
         """
         if self.tpke_share is None or self.tpke_public is None:
             raise err(errors.CONFIG_ERROR, "no threshold key share installed")
         self.apply_end_of_bidding_cert(cert)
-        return tuple(tpke.share_decrypt(self.tpke_public, self.tpke_share, bid.ciphertext)
-                     for bid in cert.value.bids)
+        ciphertexts = [bid.ciphertext for bid in cert.value.bids]
+        shares = tuple(tpke.share_decrypt(self.tpke_public, self.tpke_share, c) for c in ciphertexts)
+        auction = self.auctions.get(cert.value.auction_id)
+        if auction is not None:
+            auction.released.update(zip(ciphertexts, shares))
+        return shares
 
     # -- end of auction + settlement --
 
@@ -289,8 +296,9 @@ class AuctionService:
         if self.tpke_public is None:
             raise err(errors.CONFIG_ERROR, "no threshold public key installed")
         for bid, opening in zip(auction.included, req.openings):
-            recovered = tpke.combine(self.tpke_public, bid.ciphertext, opening.shares)
-            if recovered is None or recovered != opening.value:
+            c = bid.ciphertext
+            good = tpke.verified_shares(self.tpke_public, c, opening.shares, auction.released.get(c))
+            if not tpke.decrypts_to(self.tpke_public, c, good, opening.value):
                 raise err(errors.DECRYPTION_MISMATCH, f"bid by {bid.bidder}")
         return EndOfAuctionStatement(
             auction_id=req.auction_id,

@@ -14,7 +14,7 @@ scheme additively structured and the search cheap at these sizes.
 
 Costs are counted in 2048-bit modular products; a square costs about 3/4 of
 one. ``pow`` with a 256-bit exponent takes about 255 squares and 60 products.
-Two routines do better, with the same integers as ``pow``:
+Three routines do better, with the same integers as ``pow``:
 
 - ``_fixed_pow`` serves fixed bases: G and each verification key. A base's
   table (Brickell, Gordon, McCurley and Wilson, 1992) has 64 rows, and row i
@@ -30,24 +30,35 @@ Two routines do better, with the same integers as ``pow``:
   simultaneous exponentiation (1964). One chain of about 255 squares serves
   every base. Each base adds about 8 products for its odd powers and one
   product per sliding window of up to 4 bits, about 51 for a 256-bit exponent.
+- ``_same_base_pow`` serves several powers of one variable base, by Yao's
+  bucket method (1976) on the 4-bit digits of the tables: one chain of 252
+  squares gives base**(16**i) for every digit position i, and each exponent
+  adds one product per nonzero digit and about 30 to join its buckets.
 
 Per operation:
 
 - setup: n + 1 fixed-base powers of G.
 - encrypt: two fixed-base powers of G, and ``pow`` for pk**r.
-- share_decrypt: two ``pow`` (c1**s and c1**w) and a fixed-base power of G.
+- share_decrypt: c1**s and c1**w by ``_same_base_pow``, about 252 squares
+  and 180 products where two ``pow`` take 510 squares and 120 products, and a
+  fixed-base power of G.
 - share_verify: t1 = G**z * vk**(Q - e) from two tables, at most 128
   products. t2 = c1**z * mu**(Q - e) by ``_multi_pow``, about 255 squares and
   120 products, where two ``pow`` take 510 squares and 120 products.
 - interpolate: one ``_multi_pow`` over the k shares' mu**lambda, and one
   inverse mod P, then baby-step giant-step.
+- decrypts_to: a fixed-base power of G and two ``_multi_pow``, with no
+  inverse and no search; at n = 4 G's exponent has about 24 bits and the
+  others a few.
 
 The subgroup checks of ciphertexts and of mu are one ``pow`` each, cached per
 element.
 
 The five operations: setup, encrypt, share_decrypt, share_verify, combine.
 ``combine`` is ``verified_shares`` followed by ``interpolate``; a caller that
-has already picked its shares with ``verified_shares`` calls ``interpolate``.
+has already picked its shares with ``verified_shares`` calls ``interpolate``,
+or ``decrypts_to`` to check a claimed plaintext. ``verified_shares`` takes the
+caller's own share, if it gives it, without checking its proof.
 """
 
 from __future__ import annotations
@@ -207,6 +218,39 @@ def _multi_pow(pairs: Iterable[tuple[int, int]]) -> int:
     return acc
 
 
+def _same_base_pow(base: int, exponents: list[int]) -> list[int]:
+    """[base**e % P for e in exponents], 0 <= e < Q, by Yao's bucket method
+    (1976) on the 4-bit digits of ``_fixed_rows``: one chain of squarings gives
+    base**(16**i) for every digit position i and serves every exponent. A
+    nonzero digit j of e at i multiplies base**(16**i) into e's bucket j, and
+    e's power is the product of bucket_j**j, taken as running products from
+    j = 15 down, about 30 more products."""
+    for e in exponents:
+        _check_exponent(e)
+    buckets = [[1] * (1 << _WINDOW_BITS) for _ in exponents]
+    rest = list(exponents)
+    power = base % P
+    while True:
+        for k, e in enumerate(rest):
+            digit = e & _DIGIT_MASK
+            if digit:
+                bucket = buckets[k]
+                bucket[digit] = bucket[digit] * power % P
+            rest[k] = e >> _WINDOW_BITS
+        if not any(rest):
+            break
+        for _ in range(_WINDOW_BITS):
+            power = power * power % P
+    powers = []
+    for bucket in buckets:
+        acc = run = 1
+        for j in range(_DIGIT_MASK, 0, -1):
+            run = run * bucket[j] % P
+            acc = acc * run % P
+        powers.append(acc)
+    return powers
+
+
 def _hash_to_scalar(*parts: bytes) -> int:
     # 512 bits reduced mod the 256-bit Q: within 2**-256 of uniform. A nonce
     # drawn from a narrower range than Q would leak the share through z.
@@ -300,12 +344,10 @@ def share_decrypt(public: TpkePublic, share: TpkeShare, c: Ciphertext) -> Decryp
     """
     if not _cipher_ok(c):
         return DecryptionShare(index=share.index, mu=b"", chal=b"", resp=b"")
-    c1 = _from_bytes(c.c1)
-    mu = pow(c1, share.secret, P)
     # Deterministic nonce: same share for the same ciphertext every time.
     w = _hash_to_scalar(share.secret.to_bytes(SCALAR_BYTES, "big"), c.c1, c.c2, c.aad)
+    mu, t2 = _same_base_pow(_from_bytes(c.c1), [share.secret, w])
     t1 = _g_pow(w)
-    t2 = pow(c1, w, P)
     vk = public.vks[share.index - 1]
     e = _hash_to_scalar(
         c.c1, c.c2, c.aad, vk, _to_bytes(mu), _to_bytes(t1), _to_bytes(t2)
@@ -370,16 +412,36 @@ def _bsgs(target: int, bound: int) -> Optional[int]:
     return None
 
 
-def verified_shares(public: TpkePublic, c: Ciphertext,
-                    shares: Iterable[DecryptionShare]) -> list[DecryptionShare]:
-    """The first share that verifies for each index, in input order, up to k of them."""
+def verified_shares(public: TpkePublic, c: Ciphertext, shares: Iterable[DecryptionShare],
+                    own: Optional[DecryptionShare] = None) -> list[DecryptionShare]:
+    """The first share that verifies for each index, in input order, up to k of them.
+
+    ``own`` is the caller's own ``share_decrypt`` of c, if it has one: a share
+    equal to it is taken without checking its proof, which it would pass. Any
+    other share, at that index too, is verified."""
+    if own is not None and not own.mu:
+        own = None  # the failure symbol verifies for no ciphertext
     valid: dict[int, DecryptionShare] = {}
     for share in shares:
-        if share.index not in valid and share_verify(public, c, share):
+        if share.index not in valid and (share == own or share_verify(public, c, share)):
             valid[share.index] = share
             if len(valid) == public.threshold:
                 break
     return list(valid.values())
+
+
+def _lagrange_at_zero(indices: list[int]) -> list[tuple[int, int]]:
+    """(N_i, D_i) for each index i, with lambda_i = N_i / D_i: the integers
+    N_i = prod j and D_i = prod (j - i) over the other indices j."""
+    fractions = []
+    for i in indices:
+        num, den = 1, 1
+        for j in indices:
+            if j != i:
+                num *= j
+                den *= j - i
+        fractions.append((num, den))
+    return fractions
 
 
 def interpolate(public: TpkePublic, c: Ciphertext,
@@ -390,17 +452,41 @@ def interpolate(public: TpkePublic, c: Ciphertext,
         return None
     mus = {s.index: _from_bytes(s.mu) for s in shares}
     indices = sorted(mus)
-    powers = []
-    for i in indices:
-        lam_num, lam_den = 1, 1
-        for j in indices:
-            if j != i:
-                lam_num = (lam_num * j) % Q
-                lam_den = (lam_den * (j - i)) % Q
-        powers.append((mus[i], (lam_num * pow(lam_den, -1, Q)) % Q))
-    c1s = _multi_pow(powers)
+    c1s = _multi_pow([(mus[i], num * pow(den, -1, Q) % Q)
+                      for i, (num, den) in zip(indices, _lagrange_at_zero(indices))])
     m_elt = (_from_bytes(c.c2) * pow(c1s, -1, P)) % P
     return _bsgs(m_elt, public.message_bound)
+
+
+def decrypts_to(public: TpkePublic, c: Ciphertext,
+                shares: list[DecryptionShare], value: int) -> bool:
+    """Whether c decrypts to ``value`` under the first k shares of the output
+    of ``verified_shares``: the same verdict as ``interpolate(...) == value``,
+    without the inverse or the search. No proof is checked here.
+
+    With lambda_i = N_i / D_i, D = prod |D_i| and a_i = N_i * D / D_i, all
+    integers, it checks 0 <= value < message_bound and
+    c2**D * prod_{a_i < 0} mu_i**-a_i == G**(value * D) * prod_{a_i > 0} mu_i**a_i,
+    which is G**value == c2 / prod mu_i**lambda_i raised to the power D. Every
+    element has prime order Q and Q does not divide D, so the two agree, and
+    G**value fixes value below the bound, which is below Q. Every exponent
+    is reduced mod Q; at n = 4 all but G's have a few bits."""
+    if len(shares) < public.threshold or not 0 <= value < public.message_bound:
+        return False
+    mus = {s.index: _from_bytes(s.mu) for s in shares[:public.threshold]}
+    indices = sorted(mus)
+    fractions = _lagrange_at_zero(indices)
+    d = 1
+    for _, den in fractions:
+        d *= abs(den)
+    left, right = [(_from_bytes(c.c2), d % Q)], []
+    for i, (num, den) in zip(indices, fractions):
+        a = num * d // den
+        if a < 0:
+            left.append((mus[i], -a % Q))
+        else:
+            right.append((mus[i], a % Q))
+    return _multi_pow(left) == _g_pow(value * d % Q) * _multi_pow(right) % P
 
 
 def combine(public: TpkePublic, c: Ciphertext,

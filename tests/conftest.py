@@ -5,7 +5,7 @@ import random
 import pytest
 
 import bftledger.wire  # noqa: F401  (freeze wire tags for every test module)
-from bftledger import keys
+from bftledger import keys, tpke
 from bftledger.committee import (Certificate, Committee, aggregate_certificate, check_certificate,
                                  make_vote)
 
@@ -47,3 +47,17 @@ def harness():
 def forgery(request):
     """How ``CommitteeHarness.forge`` forges a certificate."""
     return request.param
+
+
+@pytest.fixture
+def verified_indices(monkeypatch):
+    """The index of every share that tpke.share_verify is asked about, in order."""
+    calls = []
+    real = tpke.share_verify
+
+    def counting(public, c, share):
+        calls.append(share.index)
+        return real(public, c, share)
+
+    monkeypatch.setattr(tpke, "share_verify", counting)
+    return calls

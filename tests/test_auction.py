@@ -1,5 +1,6 @@
 """Auctions: phases, bid evidence, threshold reveal, settlement vs. an oracle."""
 
+import dataclasses
 import random
 
 import pytest
@@ -246,8 +247,9 @@ def test_share_release_requires_certificate(harness, tpke_system):
     assert exc.value.code == errors.BAD_CERTIFICATE
 
 
-def full_flow(harness, tpke_system, bids, rule, misreport=False):
-    """Run one auction through every certified step against four services."""
+def close_bidding(harness, tpke_system, bids, rule):
+    """Four services holding one auction whose bid set is closed and certified:
+    the services, the seller's key, the end-of-bidding statement and its certificate."""
     rng = random.Random("flow")
     services = []
     seller_key = None
@@ -267,7 +269,17 @@ def full_flow(harness, tpke_system, bids, rule, misreport=False):
     eob_req = EndOfBiddingRequest(auction_id=AUCTION, bids=tuple(bid_certs))
     eob_auth = authenticate(eob_req, seller_key.public_key, seller_key)
     eob_statement = services[0].handle_end_of_bidding(eob_auth)
-    eob_cert = harness.certify(eob_statement)
+    return services, seller_key, eob_statement, harness.certify(eob_statement)
+
+
+def end_of_auction(service, seller_key, eob_cert, openings):
+    req = EndOfAuctionRequest(auction_id=AUCTION, openings=tuple(openings))
+    return service.handle_end_of_auction(authenticate(req, seller_key.public_key, seller_key), eob_cert)
+
+
+def full_flow(harness, tpke_system, bids, rule, misreport=False):
+    """Run one auction through every certified step against four services."""
+    services, seller_key, eob_statement, eob_cert = close_bidding(harness, tpke_system, bids, rule)
     shares_per_bid = list(zip(*[s.release_shares(eob_cert) for s in services]))
     assert services[0].release_shares(eob_cert) == services[0].release_shares(eob_cert)
     openings = []
@@ -277,9 +289,7 @@ def full_flow(harness, tpke_system, bids, rule, misreport=False):
         if misreport and i == 0:
             value += 1
         openings.append(BidOpening(value=value, shares=tuple(shares_per_bid[i][:2])))
-    eoa_req = EndOfAuctionRequest(auction_id=AUCTION, openings=tuple(openings))
-    eoa_auth = authenticate(eoa_req, seller_key.public_key, seller_key)
-    statement = services[0].handle_end_of_auction(eoa_auth, eob_cert)
+    statement = end_of_auction(services[0], seller_key, eob_cert, openings)
     eoa_cert = harness.certify(statement)
     effects = services[0].apply_settlement(eoa_cert, eob_cert)
     return services[0], statement, effects
@@ -332,6 +342,35 @@ def test_empty_auction_settles_without_sale(harness, tpke_system):
     assert statement.values == ()
     assert effects == []
     assert AUCTION in service.settled
+
+
+def test_own_released_share_is_not_verified_again(harness, tpke_system, verified_indices):
+    services, seller_key, _statement, eob_cert = close_bidding(
+        harness, tpke_system, [(5, 10), (3, 10)], PriceRule.SECOND_PRICE)
+    own, other = services[0].release_shares(eob_cert), services[1].release_shares(eob_cert)
+    openings = [BidOpening(v, (a, b)) for v, a, b in zip((5, 3), own, other)]
+    assert end_of_auction(services[0], seller_key, eob_cert, openings).values == (5, 3)
+    assert verified_indices == [2, 2]  # share 1 is this authority's own, for both bids
+    verified_indices.clear()
+    # an authority that never answered a shares query verifies every share
+    assert end_of_auction(services[2], seller_key, eob_cert, openings).values == (5, 3)
+    assert verified_indices == [1, 2, 1, 2]
+
+
+def test_other_share_at_own_index_is_verified(harness, tpke_system, verified_indices):
+    services, seller_key, _statement, eob_cert = close_bidding(
+        harness, tpke_system, [(5, 10)], PriceRule.SECOND_PRICE)
+    (own,), (other,) = services[0].release_shares(eob_cert), services[1].release_shares(eob_cert)
+    resp = ((int.from_bytes(own.resp, "big") + 1) % tpke.Q).to_bytes(tpke.SCALAR_BYTES, "big")
+    flipped = dataclasses.replace(own, resp=resp)  # the same mu: only its proof is wrong
+    with pytest.raises(ProtocolError) as exc:
+        end_of_auction(services[0], seller_key, eob_cert, [BidOpening(5, (flipped, other))])
+    assert exc.value.code == errors.DECRYPTION_MISMATCH
+    assert verified_indices == [1, 2]
+    verified_indices.clear()
+    opening = BidOpening(5, (flipped, own, other))  # the own share after it is taken unchecked
+    assert end_of_auction(services[0], seller_key, eob_cert, [opening]).values == (5,)
+    assert verified_indices == [1, 2]
 
 
 def test_certified_bid_set_replaces_the_voted_one(harness, tpke_system):

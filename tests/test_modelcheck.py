@@ -50,32 +50,40 @@ ROUNDS2_EXAMPLES = {
 }
 
 
+# Each quick check below has a state budget of about four times the states it
+# sees, so a search that runs away (one that has lost its agreement check, say)
+# fails within seconds on BoundsTooLarge instead of at the 5,000,000 default.
+BUDGET_FACTOR = 4
+
+
 def _rounds2(label: str):
     disabled = frozenset() if label == "baseline" else frozenset(label[-1])
     return check_swap_agreement(max_round=2, byzantine=1, n=4, disabled_rules=disabled,
+                                max_states=BUDGET_FACTOR * ROUNDS2_STATES[label],
                                 want_example=True)
 
 
 def test_single_round_trivially_safe():
-    result = check_swap_agreement(max_round=0, byzantine=1)
+    result = check_swap_agreement(max_round=0, byzantine=1, max_states=150)  # 36 states
     assert not result.violation
     assert result.states > 1
 
 
 def test_rounds_one_baseline_safe():
-    result = check_swap_agreement(max_round=1, byzantine=1)
+    result = check_swap_agreement(max_round=1, byzantine=1, max_states=7_000)  # 1,751 states
     assert not result.violation
 
 
 def test_rule_a_ablation_found_quickly():
     result = check_swap_agreement(max_round=1, byzantine=0, disabled_rules=frozenset("a"),
-                                  want_example=True)
+                                  max_states=420, want_example=True)  # 105 states
     assert result.violation
     assert result.example  # a concrete action path is reported
 
 
 def test_rule_b_ablation_found():
-    result = check_swap_agreement(max_round=1, byzantine=0, disabled_rules=frozenset("b"))
+    result = check_swap_agreement(max_round=1, byzantine=0, disabled_rules=frozenset("b"),
+                                  max_states=3_600)  # 888 states
     assert result.violation
 
 
@@ -107,7 +115,7 @@ def test_check_pauses_the_collector_and_gives_it_back():
     finds nothing. A check leaves the collector as it found it, enabled or
     disabled, also when it raises for an exhausted state budget."""
     assert gc.isenabled()
-    check_swap_agreement(max_round=1, byzantine=1)
+    check_swap_agreement(max_round=1, byzantine=1, max_states=7_000)
     assert gc.isenabled()
     with pytest.raises(ProtocolError):
         check_swap_agreement(max_round=2, byzantine=1, max_states=100)
@@ -115,11 +123,10 @@ def test_check_pauses_the_collector_and_gives_it_back():
     gc.disable()
     try:
         gc.collect()
-        for rule in ["", *"abcd"]:
-            result = check_swap_agreement(max_round=2, byzantine=1,
-                                          disabled_rules=frozenset(rule), want_example=True)
-            assert gc.collect() == 0, rule
-            assert not gc.isenabled(), rule
+        for label in ROUNDS2_STATES:
+            result = _rounds2(label)
+            assert gc.collect() == 0, label
+            assert not gc.isenabled(), label
             del result
         with pytest.raises(ProtocolError):
             check_swap_agreement(max_round=2, byzantine=1, max_states=100)
@@ -129,8 +136,8 @@ def test_check_pauses_the_collector_and_gives_it_back():
 
 
 def test_byzantine_votes_strengthen_adversary():
-    baseline = check_swap_agreement(max_round=1, byzantine=0)
-    with_byz = check_swap_agreement(max_round=1, byzantine=1)
+    baseline = check_swap_agreement(max_round=1, byzantine=0, max_states=18_000)  # 4,479 states
+    with_byz = check_swap_agreement(max_round=1, byzantine=1, max_states=7_000)  # 1,751 states
     assert not baseline.violation and not with_byz.violation
     # fewer honest authorities, but certificates complete with fewer honest votes
     assert with_byz.states != baseline.states
@@ -146,13 +153,13 @@ def test_rounds_two_pinned_counts_and_examples():
 
 def test_no_state_carries_across_checks():
     """Checks run in another order in one process give the pinned results."""
-    results = ablation_matrix(max_round=2, byzantine=1, n=4)
-    assert {label: r.states for label, r in results.items()} == ROUNDS2_STATES
     for label in ["without_d", "without_a", "baseline", "without_c", "without_b"]:
         result = _rounds2(label)
         assert (result.states, result.example) == (ROUNDS2_STATES[label], ROUNDS2_EXAMPLES[label])
+    results = ablation_matrix(max_round=2, byzantine=1, n=4)  # unbudgeted: it takes none
+    assert {label: r.states for label, r in results.items()} == ROUNDS2_STATES
     # A check at other bounds in between does not disturb the next one either.
-    check_swap_agreement(max_round=1, byzantine=0, disabled_rules=frozenset("a"))
+    check_swap_agreement(max_round=1, byzantine=0, disabled_rules=frozenset("a"), max_states=420)
     assert _rounds2("without_a").example == ROUNDS2_EXAMPLES["without_a"]
 
 
@@ -294,5 +301,6 @@ DIFFERENTIAL_CASES = [
 def test_matches_reference_search(max_round, byzantine, n, rule):
     bounds = dict(max_round=max_round, byzantine=byzantine, n=n, disabled_rules=frozenset(rule),
                   want_example=True)
-    new, ref = check_swap_agreement(**bounds), _reference_check(**bounds)
+    ref = _reference_check(**bounds)
+    new = check_swap_agreement(**bounds, max_states=BUDGET_FACTOR * ref.states)
     assert (new.violation, new.states, new.example) == (ref.violation, ref.states, ref.example)

@@ -518,3 +518,144 @@ def test_share_verify_and_interpolate_match_reference(three_of_five):
                     assert got == _PLAINTEXTS[which]
     assert verdicts == {"valid": {True}, "bitflip": {False}, "wrong_index": {False},
                         "other_cipher": {False}}
+
+
+# -- one squaring chain for the powers of one base ----------------------------------------
+
+# 0x1000...0001: a run of 62 zero digits; 15 * 16**62: a top digit of 15
+_SAME_BASE_EXPONENTS = (0, 1, tpke.Q - 1, 16**63 + 1, 15 * 16**62, 0xF0F0F << 200)
+
+
+@pytest.mark.parametrize("name", ["one", "p_minus_1", "g", "vk"])
+def test_same_base_pow_matches_pow_on_edges(edge_bases, name):
+    base = edge_bases[name][0]
+    for count in (0, 1, 2):
+        for exponents in itertools.product(_SAME_BASE_EXPONENTS, repeat=count):
+            assert tpke._same_base_pow(base, list(exponents)) == [
+                pow(base, e, tpke.P) for e in exponents], exponents
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(0, tpke.P - 1), st.lists(st.integers(0, tpke.Q - 1), max_size=3))
+def test_same_base_pow_matches_pow_everywhere(base, exponents):
+    assert tpke._same_base_pow(base, exponents) == [pow(base, e, tpke.P) for e in exponents]
+
+
+@pytest.mark.parametrize("e", [-1, tpke.Q, 1 << 256], ids=["minus_1", "q", "2^256"])
+def test_same_base_pow_rejects_exponent_outside_range(e):
+    with pytest.raises(ValueError):
+        tpke._same_base_pow(tpke.G, [1, e])
+
+
+def _reference_share_decrypt(public, share, c):
+    """share_decrypt with every power taken by pow."""
+    if not tpke._cipher_ok(c):
+        return tpke.DecryptionShare(index=share.index, mu=b"", chal=b"", resp=b"")
+    p, q, s = tpke.P, tpke.Q, share.secret
+    c1 = _scalar(c.c1)
+    w = tpke._hash_to_scalar(s.to_bytes(tpke.SCALAR_BYTES, "big"), c.c1, c.c2, c.aad)
+    mu, t1, t2 = pow(c1, s, p), pow(tpke.G, w, p), pow(c1, w, p)
+    e = tpke._hash_to_scalar(c.c1, c.c2, c.aad, public.vks[share.index - 1],
+                             tpke._to_bytes(mu), tpke._to_bytes(t1), tpke._to_bytes(t2))
+    return tpke.DecryptionShare(index=share.index, mu=tpke._to_bytes(mu),
+                                chal=e.to_bytes(tpke.SCALAR_BYTES, "big"),
+                                resp=((w + e * s) % q).to_bytes(tpke.SCALAR_BYTES, "big"))
+
+
+def test_share_decrypt_matches_reference(three_of_five):
+    system, ciphers, shares = three_of_five
+    for c, made in zip(ciphers, shares):
+        for holder, share in zip(system.shares, made):
+            assert share == _reference_share_decrypt(system.public, holder, c)
+    bad = tpke.Ciphertext(c1=tpke._to_bytes(tpke.P - _scalar(ciphers[0].c1)), c2=ciphers[0].c2, aad=b"")
+    assert tpke.share_decrypt(system.public, system.shares[0], bad) == _reference_share_decrypt(
+        system.public, system.shares[0], bad)
+
+
+# -- verified_shares with the caller's own share -------------------------------------------
+
+
+def test_verified_shares_takes_only_an_equal_own_share_unchecked(three_of_five, verified_indices):
+    system, ciphers, shares = three_of_five
+    public, c, (own, second, third) = system.public, ciphers[1], shares[1][:3]
+    assert tpke.verified_shares(public, c, [own, second, third], own) == [own, second, third]
+    assert verified_indices == [2, 3]
+    verified_indices.clear()
+    flipped = dataclasses.replace(own, resp=_bump(own.resp))  # same index, not equal
+    assert tpke.verified_shares(public, c, [flipped, second, own], own) == [second, own]
+    assert verified_indices == [1, 2]
+    verified_indices.clear()
+    failure = tpke.share_decrypt(public, system.shares[0], dataclasses.replace(c, c1=b"\x00" + c.c1))
+    assert tpke.verified_shares(public, c, [failure, second], failure) == [second]
+    assert verified_indices == [1, 2]
+
+
+# -- checking a claimed plaintext against the combined value -------------------------------
+
+
+def _opens(public, c, shares, value):
+    return tpke.decrypts_to(public, c, tpke.verified_shares(public, c, shares), value)
+
+
+def _agrees_with_combine(system, plaintext, subsets, rng):
+    public = system.public
+    c = tpke.encrypt(public, plaintext, rng=rng)
+    made = [tpke.share_decrypt(public, s, c) for s in system.shares]
+    claims = {0, plaintext, plaintext + 1, max(plaintext - 1, 0), public.message_bound - 1}
+    opened = 0
+    for subset in subsets(made, public.threshold):
+        recovered = tpke.combine(public, c, list(subset))
+        assert recovered == plaintext
+        good = tpke.verified_shares(public, c, list(subset))
+        for value in claims:
+            assert tpke.decrypts_to(public, c, good, value) == (recovered == value), (subset, value)
+        opened += 1
+    return opened
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 3), (7, 3)])
+def test_decrypts_to_agrees_with_combine_on_every_subset(n, k):
+    system = tpke.setup(n, k, rng=random.Random(100 + n))
+    opened = _agrees_with_combine(system, 40_321, itertools.combinations, random.Random(n))
+    assert opened == math.comb(n, k)
+
+
+def test_decrypts_to_agrees_with_combine_on_a_large_committee():
+    system = tpke.setup(13, 5, rng=random.Random(113))
+    rng = random.Random(13)
+
+    def sample(made, k):
+        return [rng.sample(made, k) for _ in range(6)] + [made[-k:]]
+
+    assert _agrees_with_combine(system, (1 << 20) - 2, sample, rng) == 7
+
+
+def test_decrypts_to_rejects_wrong_claims(three_of_five):
+    system, ciphers, shares = three_of_five
+    public, n = system.public, system.public.n
+    c, made, m = ciphers[1], shares[1], _PLAINTEXTS[1]
+    assert _opens(public, c, made, m)
+    assert not _opens(public, c, made, m + 1)
+    assert not _opens(public, c, made, -1)
+    assert not _opens(public, c, made, m - tpke.Q)  # passes the equation, fails the range
+    assert not _opens(public, c, made[:public.threshold - 1], m)
+    for kind in sorted(_CORRUPTIONS):
+        one_bad = [_CORRUPTIONS[kind](made[0], n)] + made[1:public.threshold]
+        assert not _opens(public, c, one_bad, m), kind
+    # with no proof check, a wrong mu still fails the equation
+    for first in (_flip(made[0]), shares[0][0], _CORRUPTIONS["failure"](made[0], n)):
+        assert not _opens(public, c, [first] + made[1:public.threshold], m)
+        assert not tpke.decrypts_to(public, c, [first] + made[1:public.threshold], m)
+
+
+def test_decrypts_to_rejects_the_message_bound(three_of_five):
+    # a ciphertext whose plaintext is the bound itself, which encrypt refuses
+    system, _, _ = three_of_five
+    public, bound, r = system.public, system.public.message_bound, 123_456_789
+    c = tpke.Ciphertext(c1=tpke._to_bytes(tpke._g_pow(r)), aad=b"",
+                        c2=tpke._to_bytes(tpke._g_pow(bound) * pow(_scalar(public.pk), r, tpke.P) % tpke.P))
+    made = [tpke.share_decrypt(public, s, c) for s in system.shares]
+    assert tpke.combine(public, c, made) is None
+    assert not _opens(public, c, made, bound)
+    wider = dataclasses.replace(public, message_bound=bound + 1)
+    assert _opens(wider, c, made, bound)  # so the range alone rejects it
