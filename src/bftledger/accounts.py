@@ -25,24 +25,10 @@ from .errors import err
 
 @dataclass(frozen=True, order=True)
 class AccountId:
-    """A UID: a genesis root extended by the sequence numbers that derived it.
-
-    Ids key the ledger's dicts and sets, so the hash is computed on first use
-    and kept on the frozen value as ``_hash``. It is ``hash((root, path))``,
-    what the generated method returned, so set orders do not move. It is not
-    a field: equality, order, ``repr`` and the encoding ignore it. An id with
-    an unhashable ``path`` still constructs and fails only when hashed."""
+    """A UID: a genesis root extended by the sequence numbers that derived it."""
 
     root: int
     path: tuple[int, ...] = ()
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.root, self.path))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def child(self, n: int) -> "AccountId":
         return AccountId(self.root, self.path + (n,))
