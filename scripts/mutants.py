@@ -295,6 +295,31 @@ CATALOGUE = (
         (("src/bftledger/tpke.py", "_g_pow(value * d % Q)", "_g_pow(value % Q)"),),
         ("tests/test_tpke.py::test_decrypts_to_rejects_wrong_claims",),
     ),
+    Entry(
+        "transmute-without-request-check",
+        "mutant",
+        (("src/bftledger/assets.py", "        ledger.check_request(spend_auth)\n", ""),),
+        ("tests/test_assets.py::test_transmute_rejects_a_bad_input_and_deactivates_none",),
+    ),
+    Entry(
+        "request-check-without-busy",
+        "mutant",
+        (("src/bftledger/accounts.py",
+          "        if account.pending is not None and account.pending != request:\n"
+          "            raise err(errors.ACCOUNT_BUSY, str(request.id))\n",
+          ""),),
+        ("tests/test_assets.py::test_transmute_rejects_a_bad_input_and_deactivates_none"
+         "[other_request_pending]",),
+    ),
+    Entry(
+        "spend-executes-while-funded",
+        "mutant",
+        (("src/bftledger/assets.py",
+          "    if account.balance != 0:\n"
+          "        return None  # funded after the vote: park rather than destroy the funds\n",
+          ""),),
+        ("tests/test_assets.py::test_funded_spend_parks_instead_of_destroying_money",),
+    ),
 )
 
 

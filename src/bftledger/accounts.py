@@ -261,15 +261,15 @@ class Ledger:
             raise err(errors.BAD_AUTH, str(id))
         return account
 
-    def handle_request(self, auth: Authenticated) -> Request:
-        """Validate and lock the account on a request; returns the value to vote on."""
+    def check_request(self, auth: Authenticated) -> AccountState:
+        """The account that ``auth``'s request may lock: its owner signed it, at
+        its next sequence number, with no other request pending, and the
+        operation is valid now. A re-sent pending request is validated again."""
         request = auth.payload
         if not isinstance(request, Request):
             raise err(errors.BAD_AUTH, "payload is not a request")
         account = self.owned_account(auth, request.id)
-        if account.pending == request:
-            return request  # idempotent re-vote
-        if account.pending is not None:
+        if account.pending is not None and account.pending != request:
             raise err(errors.ACCOUNT_BUSY, str(request.id))
         if account.next_sequence != request.n:
             raise err(
@@ -277,8 +277,12 @@ class Ledger:
                 f"expected {account.next_sequence}, got {request.n}",
             )
         validate_operation(account, request.id, request.op)
-        account.pending = request
-        return request
+        return account
+
+    def handle_request(self, auth: Authenticated) -> Request:
+        """Check a request and lock the account on it; returns the value to vote on."""
+        self.check_request(auth).pending = auth.payload
+        return auth.payload
 
     # -- confirmation path --
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from . import errors, serialize
 from .accounts import AccountId, AccountState, Ledger, Request, operation
-from .committee import Authenticated, Certificate, check_authenticated, value_digest
+from .committee import Authenticated, Certificate, value_digest
 from .errors import err
 from .keys import digest32
 
@@ -35,7 +35,8 @@ class Spend:
     """Account operation: permanently deactivate the account.
 
     The commitment pins the transmutation parameters so replays cannot
-    diverge. Accounts holding funds cannot be spent away.
+    diverge. Accounts holding funds cannot be spent away: a certified spend
+    parks while its account holds any.
     """
 
     commitment: bytes
@@ -160,8 +161,9 @@ def handle_transmute(ledger: Ledger, certified: Callable[[Certificate], bool],
     """Validate a transmutation, deactivate its inputs, and return the output
     bindings to vote on.
 
-    All checks run before any deactivation, so a rejected request leaves
-    every input active. Replays against already-spent inputs re-vote
+    Each spend passes ``Ledger.check_request``, as a standalone request
+    would. All checks run before any deactivation, so a rejected request
+    leaves every input active. Replays against already-spent inputs re-vote
     identically when the spend tombstones carry the same replay identity.
     """
     fexec = REGISTRY.get(req.fexec)
@@ -174,7 +176,6 @@ def handle_transmute(ledger: Ledger, certified: Callable[[Certificate], bool],
 
     commitment = spend_commitment(req.params)
     bindings: list[AssetBinding] = []
-    spend_requests: list[Request] = []
     for role, (spend_auth, asset_cert) in enumerate(zip(req.spends, req.inputs)):
         spend = spend_auth.payload
         if not isinstance(spend, Request) or not isinstance(spend.op, Spend):
@@ -184,7 +185,6 @@ def handle_transmute(ledger: Ledger, certified: Callable[[Certificate], bool],
         if not verify_asset(certified, asset_cert) or asset_cert.value.id != spend.id:
             raise err(errors.BAD_CERTIFICATE, f"input asset {role}")
         bindings.append(asset_cert.value)
-        spend_requests.append(spend)
 
     core = TransmuteCore(
         fexec=req.fexec, params=req.params, inputs=tuple(bindings), outputs=req.outputs
@@ -192,29 +192,20 @@ def handle_transmute(ledger: Ledger, certified: Callable[[Certificate], bool],
     replay_id = value_digest(core)
 
     to_deactivate: list[AccountId] = []
-    for role, (spend_auth, spend) in enumerate(zip(req.spends, spend_requests)):
-        account = ledger.accounts.get(spend.id)
-        if account is None:
-            if ledger.tombstones.get(spend.id) == replay_id:
+    for spend_auth in req.spends:
+        uid = spend_auth.payload.id
+        if uid not in ledger.accounts:
+            if ledger.tombstones.get(uid) == replay_id:
                 continue  # replay of this exact transmutation
-            raise err(errors.INPUT_INACTIVE, str(spend.id))
-        if account.pk is None:
-            raise err(errors.INACTIVE_ACCOUNT, str(spend.id))
-        if not check_authenticated(spend_auth, expected_pk=account.pk):
-            raise err(errors.BAD_AUTH, f"input {role}")
-        if spend.n != account.next_sequence:
-            raise err(errors.SEQUENCE_MISMATCH, f"input {role}")
-        if account.pending is not None and account.pending != spend:
-            raise err(errors.ACCOUNT_BUSY, str(spend.id))
-        if account.balance != 0:
-            raise err(errors.BAD_VALUE, f"input {role} still holds funds")
-        to_deactivate.append(spend.id)
+            raise err(errors.INPUT_INACTIVE, str(uid))
+        ledger.check_request(spend_auth)
+        to_deactivate.append(uid)
 
     xs = tuple(b.data for b in bindings)
     outputs = fexec.eval(req.params, xs)
     if outputs is None:
         raise err(errors.UNDEFINED_EXECUTION, f"{req.fexec} undefined on these inputs")
-    if derive_outputs(spend_requests[0], fexec.arity_out) != req.outputs:
+    if derive_outputs(req.spends[0].payload, fexec.arity_out) != req.outputs:
         raise err(errors.BAD_DERIVED_ID, "output ids do not match the derivation rule")
 
     for acct_id in to_deactivate:
@@ -234,6 +225,8 @@ def _validate_spend(account: AccountState, id: AccountId, op: Spend) -> None:
 
 
 def _execute_spend(ledger: Ledger, account: AccountState, id: AccountId, op: Spend, cert: Certificate):
+    if account.balance != 0:
+        return None  # funded after the vote: park rather than destroy the funds
     ledger.deactivate(id, value_digest(cert.value))
     return []
 

@@ -195,11 +195,7 @@ class Authority:
 
     def _on_transmute(self, src, payload: TransmuteMsg, now):
         bindings = assets.handle_transmute(self.ledger, self.certified, payload.request)
-        items = tuple(
-            (binding, make_vote(self.index, self.signer, binding)) for binding in bindings
-        )
-        for binding, _vote in items:
-            self._notes.append(("vote", binding))
+        items = tuple((binding, self._vote(binding).vote) for binding in bindings)
         return [(src, TransmuteReply(items=items))]
 
     def _on_submit_bid(self, src, payload: SubmitBidMsg, now):

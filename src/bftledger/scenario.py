@@ -216,7 +216,6 @@ _SCENARIO = _object({
     "consensus": (_object({
         "interval_seconds": (_SECONDS, 1.0), "escalation_round": (_COUNT, 8),
         "parity_leader": (_one_of((False, True)), False),
-        "delta_ms": (_COUNT, None),  # None: 4 * net.max_delay_ms
     }), {}),
     "faults": (_object({
         "arbitrary_signer": (_list(_AUTHORITY), []), "crash": (_by_authority(_SECONDS), {}),
@@ -437,8 +436,7 @@ def _auction(run: RunResult, action: dict, key: str, start: float) -> None:
             return bidder_script(c, uid, bidder["bid"], bidder["deposit"], ctx,
                                  run.tpke_system.public, run.sim.rng)
 
-        delay = 0.05 * (b_idx + 1) if bidder["delay"] is None else bidder["delay"]
-        run.client(f"client:{key}.bidder{b_idx}", bid, start + delay)
+        run.client(f"client:{key}.bidder{b_idx}", bid, start + 0.05 * (b_idx + 1))
 
 
 def _transmute(run: RunResult, action: dict, key: str, start: float) -> None:
@@ -456,12 +454,11 @@ def _transmute(run: RunResult, action: dict, key: str, start: float) -> None:
                 run.results[key] = "certify_failed"
                 return
             asset_certs.append(cert)
-        for _ in range(action["repeat"]):
-            outputs = yield from transmute(c, action["fexec"], action["params"], input_ids,
-                                           asset_certs, action["outputs"])
-            if outputs is None:
-                run.results[key] = "failed"
-                return
+        outputs = yield from transmute(c, action["fexec"], action["params"], input_ids,
+                                       asset_certs, action["outputs"])
+        if outputs is None:
+            run.results[key] = "failed"
+            return
         run.results[key] = [value_digest(c.value).hex() for c in outputs]
 
     run.client(f"client:{key}", script, start)
@@ -498,12 +495,11 @@ ACTIONS = {
         "bid_wait_seconds": (_SECONDS, 20.0),
         "bidders": (_list(_object({
             "name": _NAME, "bid": _number(0, tpke.DEFAULT_MESSAGE_BOUND - 1, int), "deposit": _INT,
-            "delay": (_DELAY, None),  # None: 0.05 s times the bidder's position from 1
         })), []),
     })),
     "transmute": (_transmute, _object({
         **_COMMON, "inputs": _list(_INPUT, 1), "data": _list(_HEX), "fexec": _TEXT,
-        "params": (_HEX, ""), "outputs": (_COUNT, 1), "repeat": (_number(1, (1 << 63) - 1, int), 1),
+        "params": (_HEX, ""), "outputs": (_COUNT, 1),
     })),
 }
 
@@ -543,7 +539,7 @@ def _run_scenario(config: dict, seed: Optional[int]) -> tuple[RunResult, Scenari
     timeout = max(500, 4 * net.max_delay)
 
     consensus = spec["consensus"]
-    delta = 4 * net.max_delay if consensus["delta_ms"] is None else consensus["delta_ms"]
+    delta = 4 * net.max_delay
     schedule = RoundSchedule(consensus["interval_seconds"], consensus["escalation_round"])
 
     # Genesis accounts: root index is list position; children inherit the class.

@@ -1,9 +1,13 @@
 """Off-chain assets: binding, verification, transmutation, replay determinism."""
 
+import dataclasses
+
 import pytest
 
 from bftledger import errors, serialize
-from bftledger.accounts import AccountId, Ledger, execute_request, validate_operation
+from bftledger.accounts import (AccountId, ChangeKey, CreditEffect, Ledger, Transfer, execute_request,
+                                validate_operation)
+from bftledger.algebra import ScalarUpdate
 from bftledger.assets import (
     AssetBinding,
     AssetCertifyRequest,
@@ -50,6 +54,12 @@ def build_transmute(harness, ledger, owners, uids, fexec, params, assets, out_co
         fexec=fexec, params=params, spends=tuple(spends),
         inputs=tuple(assets), outputs=outputs,
     )
+
+
+def credit(harness, ledger, uid, value):
+    """Land a certified credit of ``value`` on ``uid``."""
+    cert = harness.certify(execute_request(AccountId(9), 0, Transfer(uid, value)))
+    ledger.apply_credit(CreditEffect(target=uid, update=ScalarUpdate(value), cert=cert))
 
 
 def test_certify_binding(harness):
@@ -209,6 +219,104 @@ def test_standalone_spend_operation(harness):
     assert ledger.handle_confirmation(cert) == []
     assert A1 not in ledger.accounts
     assert A1 in ledger.tombstones
+
+
+def test_funded_spend_parks_instead_of_destroying_money(harness):
+    """A spend voted on while its account was empty must not deactivate the
+    funds that a credit brings before its certificate executes."""
+    ledger = make_ledger()
+    owner = setup_asset_account(harness, ledger, A1)
+    payer = harness.keypair()
+    ledger.init_account(A2, payer.public_key, balance=7)
+    spend = execute_request(A1, 0, Spend(b"\x00" * 32))
+    ledger.handle_request(authenticate(spend, owner.public_key, owner))
+    (funding,) = ledger.handle_confirmation(harness.certify(execute_request(A2, 0, Transfer(A1, 5))))
+    ledger.apply_credit(funding)
+    cert = harness.certify(spend)
+    assert ledger.handle_confirmation(cert) == []
+    assert A1 not in ledger.tombstones
+    assert ledger.accounts[A1].parked == cert and ledger.accounts[A1].balance == 5
+    assert sum(account.balance for account in ledger.accounts.values()) == 7
+
+
+def _with_second_spend(req, spend_auth):
+    return dataclasses.replace(req, spends=(req.spends[0], spend_auth))
+
+
+def _forged_signature(harness, ledger, owners, req):
+    spend = req.spends[1]
+    return _with_second_spend(req, authenticate(spend.payload, spend.pk, harness.keypair()))
+
+
+def _wrong_sequence(harness, ledger, owners, req):
+    spend = req.spends[1].payload
+    later = dataclasses.replace(spend, n=spend.n + 1)
+    return _with_second_spend(req, authenticate(later, owners[1].public_key, owners[1]))
+
+
+def _other_request_pending(harness, ledger, owners, req):
+    other = execute_request(A2, 0, ChangeKey(owners[1].public_key))
+    ledger.handle_request(authenticate(other, owners[1].public_key, owners[1]))
+    return req
+
+
+def _no_owner_key(harness, ledger, owners, req):
+    ledger.accounts[A2].pk = None
+    return req
+
+
+def _funded_input(harness, ledger, owners, req):
+    credit(harness, ledger, A2, 3)
+    return req
+
+
+@pytest.mark.parametrize("spoil, code", [
+    (_forged_signature, errors.BAD_AUTH),
+    (_wrong_sequence, errors.SEQUENCE_MISMATCH),
+    (_other_request_pending, errors.ACCOUNT_BUSY),
+    (_no_owner_key, errors.INACTIVE_ACCOUNT),
+    (_funded_input, errors.BAD_VALUE),
+], ids=["forged_signature", "wrong_sequence", "other_request_pending", "no_owner_key", "funded_input"])
+def test_transmute_rejects_a_bad_input_and_deactivates_none(harness, spoil, code):
+    """Each spend passes the ledger's request check; the second input is spoiled."""
+    ledger = make_ledger()
+    owners = [setup_asset_account(harness, ledger, uid) for uid in (A1, A2)]
+    assets = [certified_binding(harness, ledger, uid, owner, k.to_bytes(8, "little"))
+              for k, (uid, owner) in enumerate(zip((A1, A2), owners))]
+    req = build_transmute(harness, ledger, owners, [A1, A2], "sum_u64", b"", assets, 1)
+    req = spoil(harness, ledger, owners, req)
+    with pytest.raises(ProtocolError) as exc:
+        handle_transmute(ledger, harness.certified, req)
+    assert exc.value.code == code
+    assert A1 in ledger.accounts and A2 in ledger.accounts and not ledger.tombstones
+
+
+def test_resent_spend_is_refused_once_a_credit_funds_the_account(harness):
+    ledger = make_ledger()
+    owner = setup_asset_account(harness, ledger, A1)
+    spend = authenticate(execute_request(A1, 0, Spend(b"\x00" * 32)), owner.public_key, owner)
+    assert ledger.handle_request(spend) == spend.payload
+    assert ledger.handle_request(spend) == spend.payload  # re-sent while empty: voted again
+    credit(harness, ledger, A1, 3)
+    with pytest.raises(ProtocolError) as exc:
+        ledger.handle_request(spend)
+    assert exc.value.code == errors.BAD_VALUE
+    assert ledger.accounts[A1].pending == spend.payload
+
+
+def test_transmute_of_a_pending_spend_is_refused_once_funded(harness):
+    """The input's pending request is the transmute's own spend; a credit after
+    the lock still keeps the account from being deactivated."""
+    ledger = make_ledger()
+    owner = setup_asset_account(harness, ledger, A1)
+    asset = certified_binding(harness, ledger, A1, owner, b"data")
+    req = build_transmute(harness, ledger, [owner], [A1], "identity", b"", [asset], 1)
+    ledger.handle_request(req.spends[0])
+    credit(harness, ledger, A1, 3)
+    with pytest.raises(ProtocolError) as exc:
+        handle_transmute(ledger, harness.certified, req)
+    assert exc.value.code == errors.BAD_VALUE
+    assert ledger.accounts[A1].balance == 3 and A1 not in ledger.tombstones
 
 
 def test_spend_with_funds_rejected(harness):

@@ -94,12 +94,9 @@ BAD_EDITS = {
     "crash_unknown": ("swap_crash_fault", ("faults", "crash"), {"4": 0.05}),
     "crash_not_int": ("swap_crash_fault", ("faults", "crash"), {"x": 1.0}),
     "crash_not_number": ("swap_crash_fault", ("faults", "crash"), {"2": "soon"}),
-    "repeat_not_int": ("transmute_assets", ("actions", 0, "repeat"), "x"),
     "drop_not_number": ("transfers", ("net", "drop"), "x"),
     "balance_not_int": ("transfers", ("accounts", 0, "balance"), "x"),
     "faults_not_object": ("swap_crash_fault", ("faults",), []),
-    "repeat_zero": ("transmute_assets", ("actions", 0, "repeat"), 0),
-    "repeat_negative": ("transmute_assets", ("actions", 0, "repeat"), -1),
     "outage_not_pair": ("partition_heal", ("faults", "outages"), {"3": [[1, 2, 3]]}),
     "update_item_not_hex": ("algebra_updates", ("actions", 2, "u_plus", "item"), "zz"),
     "net_not_object": ("transfers", ("net",), "fast"),

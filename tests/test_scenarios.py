@@ -255,7 +255,6 @@ def test_stalling_seller_leaves_deposits_escrowed():
 
 def test_transmute_scenario_and_replay_determinism():
     config = shipped("transmute_assets")
-    config["actions"][0]["repeat"] = 1
     run1, report1 = run_scenario(config)
     assert_audits(report1)
     first = run1.results["transmute0"]
