@@ -320,6 +320,30 @@ CATALOGUE = (
           ""),),
         ("tests/test_assets.py::test_funded_spend_parks_instead_of_destroying_money",),
     ),
+    Entry(
+        "transmute-input-named-twice",
+        "mutant",
+        (("src/bftledger/assets.py",
+          "    if len(set(ids)) != len(ids):\n"
+          "        raise err(errors.BAD_VALUE, \"an input account is named twice\")\n",
+          ""),),
+        ("tests/test_assets.py::test_transmute_rejects_a_bad_input_and_deactivates_none"
+         "[input_named_twice]",),
+    ),
+    Entry(
+        "owner-finalizes-with-stale-lock-copies",
+        "mutant",
+        (("src/bftledger/drivers.py",
+          "CommitMsg(ctx.commit, ctx.locks.get(1), ctx.locks.get(2))",
+          "CommitMsg(ctx.commit, lock1, lock2)"),),
+        ("tests/test_scenarios.py::test_swap_schedule_passes_every_audit[1429313080]",),
+    ),
+    Entry(
+        "broker-counts-side-one",
+        "mutant",
+        (("src/bftledger/drivers.py", "+ (uid == broker_id)", "+ (uid == id1)"),),
+        ("tests/test_scenarios.py::test_swap_brokered_by_owner2",),
+    ),
 )
 
 

@@ -165,7 +165,12 @@ def handle_transmute(ledger: Ledger, certified: Callable[[Certificate], bool],
     would. All checks run before any deactivation, so a rejected request
     leaves every input active. Replays against already-spent inputs re-vote
     identically when the spend tombstones carry the same replay identity.
+    An account named twice would count its one asset twice, so it is refused
+    first.
     """
+    ids = [auth.payload.id for auth in req.spends if isinstance(auth.payload, Request)]
+    if len(set(ids)) != len(ids):
+        raise err(errors.BAD_VALUE, "an input account is named twice")
     fexec = REGISTRY.get(req.fexec)
     if fexec is None:
         raise err(errors.UNDEFINED_EXECUTION, f"unknown function {req.fexec!r}")

@@ -128,6 +128,16 @@ def auction_aad(auction_id: AccountId) -> bytes:
     return serialize.encode_as(AccountId, auction_id)
 
 
+def bid_statement(req: SubmitBidRequest) -> BidStatement:
+    """The statement a bid certificate is made of; bids are keyed by the
+    digest of their deposit proof's value."""
+    return BidStatement(
+        auction_id=req.auction_id, bidder=req.bidder, bidder_pk=req.bidder_pk,
+        ciphertext=req.ciphertext, deposit=req.deposit,
+        deposit_digest=value_digest(req.deposit_proof.value),
+    )
+
+
 def settle_outcome(values: tuple[int, ...], deposits: tuple[int, ...], rule: PriceRule):
     """Winner index and price, or (None, 0) when no bid is eligible.
 
@@ -207,16 +217,8 @@ class AuctionService:
             or not self.certified(proof)
         ):
             raise err(errors.BAD_EVIDENCE, "deposit proof does not match the bid")
-        digest = value_digest(proof.value)
-        statement = BidStatement(
-            auction_id=req.auction_id,
-            bidder=req.bidder,
-            bidder_pk=req.bidder_pk,
-            ciphertext=req.ciphertext,
-            deposit=req.deposit,
-            deposit_digest=digest,
-        )
-        if auction.bids.setdefault(digest, statement) != statement:
+        statement = bid_statement(req)
+        if auction.bids.setdefault(statement.deposit_digest, statement) != statement:
             raise err(errors.BAD_EVIDENCE, "deposit already backs another bid")
         return statement  # a resubmission is idempotent
 

@@ -2,14 +2,16 @@
 leadership, asset exchanges, and auction participants.
 
 Drivers are generator coroutines for the simulator. Each takes its client's
-``Client`` record first. They broadcast requests, collect votes by statement
-digest until a quorum certificate forms, and retry with refreshed views until
-they succeed or their deadline passes. Every request/reply exchange runs
-through ``collect``, and every wait for another participant through
-``wait_until``. Participants in one swap or auction share an off-protocol
-bulletin (the off-chain channel of the protocol): a swap's holds only its
-creation, lock and commit certificates; an auction's, its id and bid
-certificates.
+``Client`` record first. They broadcast requests, count votes on the one
+statement they signed until a quorum certificate forms, and retry with
+refreshed views until they succeed or their deadline passes. Every
+request/reply exchange runs through ``collect``: each vote is counted by
+``add_vote`` (in ``gather_votes`` and ``transmute``), and every other reply
+kind is gathered by ``replies``. Every wait for another participant runs
+through ``wait_until``. Participants in one swap or auction share an
+off-protocol bulletin (the off-chain channel of the protocol): a swap's
+holds only its creation, lock and commit certificates; an auction's, its id
+and bid certificates.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ from .auction import (
     CreateAuction,
     EndOfAuctionRequest,
     EndOfBiddingRequest,
+    EndOfAuctionStatement,
+    EndOfBiddingStatement,
     SubmitBidRequest,
     auction_aad,
+    bid_statement,
 )
-from .assets import AssetCertifyRequest, Spend, TransmuteRequest, derive_outputs, spend_commitment
+from .assets import (AssetBinding, AssetCertifyRequest, Spend, TransmuteRequest, derive_outputs,
+                     spend_commitment)
 from .committee import (
     Authenticated,
     Certificate,
@@ -43,7 +49,6 @@ from .committee import (
     aggregate_certificate,
     authenticate,
     check_certificate,
-    value_digest,
 )
 from .errors import ProtocolError
 from .keys import Signer
@@ -137,47 +142,64 @@ def wait_until(c: Client, ready: Callable[[], bool], step: int, limit: int):
         waited += step
 
 
-def gather_votes(c: Client, message, accept: Callable[[Any], bool], retries: int = 8):
-    """Broadcast and collect votes until 2f+1 agree on one statement.
+def add_vote(c: Client, votes: dict[int, Any], statement, vote) -> Optional[Certificate]:
+    """Count `vote` among `votes`, one per signer, on `statement`; returns the
+    certificate once 2f+1 signers have voted. If they do not aggregate (junk
+    votes), the statement's votes start over."""
+    votes[vote.signer] = vote
+    if len(votes) >= c.committee.quorum:
+        try:
+            return aggregate_certificate(c.committee, statement, votes.values())
+        except ProtocolError:
+            votes.clear()
+    return None
+
+
+def gather_votes(c: Client, message, statement, retries: int = 8):
+    """Broadcast and collect votes on `statement` until 2f+1 certify it.
 
     Returns a Certificate or None. Votes accumulate across retries; authority
     votes are idempotent so rebroadcasts can only fill in gaps.
     """
-    votes: dict[bytes, dict[int, Any]] = {}
+    votes: dict[int, Any] = {}
 
     def take(envelope):
         payload = envelope.payload if envelope is not None else None
-        if isinstance(payload, VoteReply) and accept(payload.value):
-            bucket = votes.setdefault(value_digest(payload.value), {})
-            bucket[payload.vote.signer] = payload.vote
-            if len(bucket) >= c.committee.quorum:
-                try:
-                    return aggregate_certificate(c.committee, payload.value, bucket.values())
-                except ProtocolError:
-                    bucket.clear()  # junk votes; start this bucket over
-        elif isinstance(payload, ErrorReply):
+        if isinstance(payload, VoteReply) and payload.value == statement:
+            return add_vote(c, votes, statement, payload.vote)
+        if isinstance(payload, ErrorReply):
             c.log.note("error", envelope.src, payload.code, payload.detail)
         return None
 
     return (yield from collect(c, message, take, retries))
 
 
-def broadcast_until_acked(c: Client, message):
-    """Deliver a certificate-bearing message until 2f+1 authorities acknowledge."""
-    acked: set[str] = set()
+def replies(c: Client, message, kind: type, want: int, retries: int):
+    """Broadcast `message` until `want` authorities have sent a `kind` reply,
+    or an attempt times out with 2f+1 of them; returns the replies by sender."""
+    got: dict[str, Any] = {}
 
     def take(envelope):
-        if envelope is not None and isinstance(envelope.payload, AckReply):
-            acked.add(envelope.src)
-        return True if len(acked) >= c.committee.quorum else None
+        if envelope is None:
+            return True if len(got) >= c.committee.quorum else None
+        if isinstance(envelope.payload, kind):
+            got[envelope.src] = envelope.payload
+        return True if len(got) >= want else None
 
-    return (yield from collect(c, message, take, 8)) is not None
+    yield from collect(c, message, take, retries)
+    return got
+
+
+def broadcast_until_acked(c: Client, message):
+    """Deliver a certificate-bearing message until 2f+1 authorities acknowledge."""
+    quorum = c.committee.quorum
+    return len((yield from replies(c, message, AckReply, quorum, 8))) >= quorum
 
 
 def request_votes(c: Client, request: Request):
     """Sign an account request with its owner's key and certify it."""
     auth = c.wallet[request.id].sign(request)
-    return (yield from gather_votes(c, HandleRequestMsg(auth), lambda v: v == request))
+    return (yield from gather_votes(c, HandleRequestMsg(auth), request))
 
 
 def certified_operation(c: Client, uid: AccountId, op):
@@ -188,19 +210,6 @@ def certified_operation(c: Client, uid: AccountId, op):
         return None
     entry.next_sequence += 1
     return cert
-
-
-def query_views(c: Client, swid: AccountId):
-    """One round of instance queries; returns the InstanceViewReply list."""
-    views: dict[str, InstanceViewReply] = {}
-
-    def take(envelope):
-        if envelope is not None and isinstance(envelope.payload, InstanceViewReply):
-            views[envelope.src] = envelope.payload
-        return True if len(views) >= c.committee.quorum else None
-
-    yield from collect(c, QueryInstanceMsg(swid), take, 1)
-    return list(views.values())
 
 
 def drive_round(c: Client, swid: AccountId, leader_signer: Signer, desired: DecisionValue,
@@ -216,7 +225,8 @@ def drive_round(c: Client, swid: AccountId, leader_signer: Signer, desired: Deci
     attempt = 0
     while env.now < deadline:
         attempt += 1
-        views = yield from query_views(c, swid)
+        views = (yield from replies(c, QueryInstanceMsg(swid), InstanceViewReply,
+                                    committee.quorum, 1)).values()
         if len(views) < committee.quorum:
             continue  # a round view needs 2f+1 responses
         live = [v for v in views if v.exists]
@@ -241,7 +251,7 @@ def drive_round(c: Client, swid: AccountId, leader_signer: Signer, desired: Deci
                 log.note("conflict_observed", str(swid), locked_p.decision.name)
                 desired = locked_p.decision
             commit = yield from gather_votes(
-                c, PreCommitMsg(best_locked), lambda v: v == CommitStatement(locked_p), retries=2,
+                c, PreCommitMsg(best_locked), CommitStatement(locked_p), retries=2,
             )
             if commit is not None:
                 return ("committed", commit)
@@ -258,14 +268,11 @@ def drive_round(c: Client, swid: AccountId, leader_signer: Signer, desired: Deci
         auth = authenticate(proposal, leader_signer.public_key, leader_signer)
         log.note("proposal_signed", str(swid), k, decision.name, leader_signer.public_key)
         pre = yield from gather_votes(
-            c, ProposalMsg(auth, lock1, lock2), lambda v: v == PreCommitStatement(proposal),
-            retries=2,
+            c, ProposalMsg(auth, lock1, lock2), PreCommitStatement(proposal), retries=2,
         )
         if pre is None:
             continue
-        commit = yield from gather_votes(
-            c, PreCommitMsg(pre), lambda v: v == CommitStatement(proposal), retries=2,
-        )
+        commit = yield from gather_votes(c, PreCommitMsg(pre), CommitStatement(proposal), retries=2)
         if commit is not None:
             return ("committed", commit)
     return ("stalled", None)
@@ -372,11 +379,9 @@ def swap_owner_script(c: Client, uid: AccountId, role: int, ctx: SwapContext,
 
 def certify_asset(c: Client, uid: AccountId, data: bytes):
     entry = c.wallet[uid]
-    auth = entry.sign(AssetCertifyRequest(id=uid, n=entry.next_sequence, data=data))
-    return (yield from gather_votes(
-        c, CertifyAssetMsg(auth),
-        lambda v: getattr(v, "id", None) == uid and getattr(v, "data", None) == data,
-    ))
+    binding = AssetBinding(uid, entry.next_sequence, data)
+    auth = entry.sign(AssetCertifyRequest(id=uid, n=binding.n, data=data))
+    return (yield from gather_votes(c, CertifyAssetMsg(auth), binding))
 
 
 def transmute(c: Client, fexec: str, params: bytes, input_ids: list[AccountId],
@@ -384,7 +389,7 @@ def transmute(c: Client, fexec: str, params: bytes, input_ids: list[AccountId],
     """Spend the input assets through an execution function; returns the
     output asset certificates (or None on failure)."""
     commitment = spend_commitment(params)
-    committee, wallet = c.committee, c.wallet
+    wallet = c.wallet
     spends = []
     for uid in input_ids:
         entry = wallet[uid]
@@ -394,29 +399,20 @@ def transmute(c: Client, fexec: str, params: bytes, input_ids: list[AccountId],
         fexec=fexec, params=params, spends=tuple(spends),
         inputs=tuple(input_assets), outputs=outputs,
     )
-    votes: dict[bytes, dict[int, Any]] = {}
-    values: dict[bytes, Any] = {}
-
-    def certify(out_id: AccountId) -> Optional[Certificate]:
-        done = None
-        for digest, bucket in votes.items():
-            if values[digest].id == out_id and len(bucket) >= committee.quorum:
-                try:
-                    done = aggregate_certificate(committee, values[digest], bucket.values())
-                except ProtocolError:
-                    continue
-        return done
+    votes: dict[AssetBinding, dict[int, Any]] = {}
+    # Each output's latest certificate, aggregated over every vote counted so far.
+    by_output: dict[AccountId, Certificate] = {}
 
     def take(envelope):
         if envelope is None:  # the attempt is over: is every output certified?
-            certs = [certify(out_id) for out_id in outputs]
+            certs = [by_output.get(out_id) for out_id in outputs]
             return certs if None not in certs else None
         payload = envelope.payload
         if isinstance(payload, TransmuteReply):
             for binding, vote in payload.items:
-                digest = value_digest(binding)
-                values[digest] = binding
-                votes.setdefault(digest, {})[vote.signer] = vote
+                cert = add_vote(c, votes.setdefault(binding, {}), binding, vote)
+                if cert is not None:
+                    by_output[binding.id] = cert
         elif isinstance(payload, ErrorReply):
             c.log.note("error", envelope.src, payload.code, payload.detail)
         return None
@@ -456,9 +452,7 @@ def bidder_script(c: Client, uid: AccountId, bid: int, deposit: int, ctx: Auctio
         auction_id=auction_id, bidder=uid, bidder_pk=entry.pk,
         ciphertext=ciphertext, deposit=deposit, deposit_proof=proof,
     ))
-    cert = yield from gather_votes(
-        c, SubmitBidMsg(auth), lambda v: getattr(v, "bidder", None) == uid,
-    )
+    cert = yield from gather_votes(c, SubmitBidMsg(auth), bid_statement(auth.payload))
     if cert is None:
         c.log.note("bid_failed", str(uid))
         return
@@ -479,10 +473,11 @@ def seller_script(c: Client, uid: AccountId, item: AccountId, rule, ctx: Auction
 
     yield from wait_until(c, lambda: len(ctx.bid_certs) >= ctx.expected_bidders, 200, bid_wait)
 
-    auth = entry.sign(EndOfBiddingRequest(auction_id=auction_id, bids=tuple(ctx.bid_certs)))
+    bids = tuple(ctx.bid_certs)
+    auth = entry.sign(EndOfBiddingRequest(auction_id=auction_id, bids=bids))
     eob_cert = yield from gather_votes(
         c, EndOfBiddingMsg(auth),
-        lambda v: getattr(v, "auction_id", None) == auction_id and hasattr(v, "bids"),
+        EndOfBiddingStatement(auction_id, tuple(cert.value for cert in bids)),
     )
     if eob_cert is None:
         log.note("end_of_bidding_failed", str(uid))
@@ -494,16 +489,7 @@ def seller_script(c: Client, uid: AccountId, item: AccountId, rule, ctx: Auction
         return
 
     # Collect each authority's decryption shares for every included bid.
-    shares_by_auth: dict[str, SharesReply] = {}
-
-    def take(envelope):
-        if envelope is None:  # the attempt is over: settle for a quorum
-            return True if len(shares_by_auth) >= committee.quorum else None
-        if isinstance(envelope.payload, SharesReply):
-            shares_by_auth[envelope.src] = envelope.payload
-        return True if len(shares_by_auth) == committee.n else None
-
-    yield from collect(c, SharesQueryMsg(eob_cert), take, 6)
+    shares_by_auth = yield from replies(c, SharesQueryMsg(eob_cert), SharesReply, committee.n, 6)
     if len(shares_by_auth) < tpke_public.threshold:
         ctx.outcome["seller"] = "no_shares"
         return
@@ -526,7 +512,7 @@ def seller_script(c: Client, uid: AccountId, item: AccountId, rule, ctx: Auction
     auth = entry.sign(EndOfAuctionRequest(auction_id=auction_id, openings=tuple(openings)))
     eoa_cert = yield from gather_votes(
         c, EndOfAuctionMsg(auth, eob_cert),
-        lambda v: getattr(v, "auction_id", None) == auction_id and hasattr(v, "values"),
+        EndOfAuctionStatement(auction_id, tuple(o.value for o in openings)),
     )
     if eoa_cert is None:
         ctx.outcome["seller"] = "end_of_auction_rejected"

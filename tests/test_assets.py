@@ -270,15 +270,68 @@ def _funded_input(harness, ledger, owners, req):
     return req
 
 
+def _input_named_twice(harness, ledger, owners, req):
+    # A1's one asset, counted twice, would certify twice its value.
+    return dataclasses.replace(req, spends=req.spends[:1] * 2, inputs=req.inputs[:1] * 2)
+
+
+def _unknown_function(harness, ledger, owners, req):
+    return dataclasses.replace(req, fexec="no_such_function")
+
+
+def _one_spend_short(harness, ledger, owners, req):
+    return dataclasses.replace(req, spends=req.spends[:1])
+
+
+def _one_input_short(harness, ledger, owners, req):
+    return dataclasses.replace(req, inputs=req.inputs[:1])
+
+
+def _extra_output(harness, ledger, owners, req):
+    return dataclasses.replace(req, outputs=derive_outputs(req.spends[0].payload, 2))
+
+
+def _not_a_spend(harness, ledger, owners, req):
+    other = execute_request(A2, 0, ChangeKey(owners[1].public_key))
+    return _with_second_spend(req, authenticate(other, owners[1].public_key, owners[1]))
+
+
+def _forged_input_asset(harness, ledger, owners, req):
+    cert = req.inputs[1]
+    forged = Certificate(value=dataclasses.replace(cert.value, data=b"\xff" * 8), votes=cert.votes)
+    return dataclasses.replace(req, inputs=(req.inputs[0], forged))
+
+
+def _input_asset_of_another_account(harness, ledger, owners, req):
+    return dataclasses.replace(req, inputs=req.inputs[:1] * 2)
+
+
+def _outputs_not_derived(harness, ledger, owners, req):
+    return dataclasses.replace(req, outputs=derive_outputs(req.spends[1].payload, 1))
+
+
 @pytest.mark.parametrize("spoil, code", [
     (_forged_signature, errors.BAD_AUTH),
     (_wrong_sequence, errors.SEQUENCE_MISMATCH),
     (_other_request_pending, errors.ACCOUNT_BUSY),
     (_no_owner_key, errors.INACTIVE_ACCOUNT),
     (_funded_input, errors.BAD_VALUE),
-], ids=["forged_signature", "wrong_sequence", "other_request_pending", "no_owner_key", "funded_input"])
+    (_input_named_twice, errors.BAD_VALUE),
+    (_unknown_function, errors.UNDEFINED_EXECUTION),
+    (_one_spend_short, errors.BAD_VALUE),
+    (_one_input_short, errors.BAD_VALUE),
+    (_extra_output, errors.BAD_VALUE),
+    (_not_a_spend, errors.BAD_VALUE),
+    (_forged_input_asset, errors.BAD_CERTIFICATE),
+    (_input_asset_of_another_account, errors.BAD_CERTIFICATE),
+    (_outputs_not_derived, errors.BAD_DERIVED_ID),
+], ids=["forged_signature", "wrong_sequence", "other_request_pending", "no_owner_key",
+        "funded_input", "input_named_twice", "unknown_function", "one_spend_short",
+        "one_input_short", "extra_output", "not_a_spend", "forged_input_asset",
+        "input_asset_of_another_account", "outputs_not_derived"])
 def test_transmute_rejects_a_bad_input_and_deactivates_none(harness, spoil, code):
-    """Each spend passes the ledger's request check; the second input is spoiled."""
+    """Each spend passes the ledger's request check, and the request must fit
+    its function; the spoil breaks one rule, mostly on the second input."""
     ledger = make_ledger()
     owners = [setup_asset_account(harness, ledger, uid) for uid in (A1, A2)]
     assets = [certified_binding(harness, ledger, uid, owner, k.to_bytes(8, "little"))

@@ -5,8 +5,10 @@ import pytest
 from bftledger.accounts import AccountId, LockInto, StartConsensusInstance, execute_request, lock_request
 from bftledger.authority import Authority
 from bftledger.committee import aggregate_certificate, authenticate
-from bftledger.drivers import Client, DriverLog, broadcast_until_acked, drive_round, gather_votes
-from bftledger.messages import CommitMsg, HandleRequestMsg, PreCommitMsg, ProposalMsg, VoteReply
+from bftledger.drivers import (Client, DriverLog, broadcast_until_acked, drive_round, gather_votes,
+                               replies)
+from bftledger.messages import (CommitMsg, HandleRequestMsg, InstanceViewReply, PreCommitMsg,
+                                ProposalMsg, QueryInstanceMsg, VoteReply)
 from bftledger.sim import NetConfig, Simulator
 from bftledger.swap import (
     CommitStatement,
@@ -92,7 +94,7 @@ def test_gather_votes_tolerates_junk(world):
         auth = authenticate(proposal, owner1.public_key, owner1)
         cert = yield from gather_votes(
             make_client(env, harness, 1500), ProposalMsg(auth, lock1, lock2),
-            lambda v: v == PreCommitStatement(proposal),
+            PreCommitStatement(proposal),
         )
         result["cert"] = cert
 
@@ -159,9 +161,42 @@ def test_gather_votes_gives_up_after_its_retries(world):
     message = ProposalMsg(authenticate(proposal, owner1.public_key, owner1), lock1, lock2)
     cert, sent = run_counting_broadcasts(
         sim, lambda env: gather_votes(
-            make_client(env, harness, 500), message, lambda v: v == PreCommitStatement(proposal),
-            retries=2,
+            make_client(env, harness, 500), message, PreCommitStatement(proposal), retries=2,
         ),
     )
     assert cert is None
     assert sent == [message] * 2
+
+
+def test_gather_votes_counts_only_the_statement_it_asked_for(world):
+    """Every authority votes the proposal's pre-commit statement (no error
+    reply is logged); a driver that asks for its commit statement instead
+    certifies nothing and gives up."""
+    sim, harness, owner1, owner2, lock1, lock2 = world
+    proposal = Proposal(SWID, 0, DecisionValue.CONFIRM)
+    message = ProposalMsg(authenticate(proposal, owner1.public_key, owner1), lock1, lock2)
+    log = DriverLog()
+    cert, sent = run_counting_broadcasts(
+        sim, lambda env: gather_votes(
+            make_client(env, harness, 500, log), message, CommitStatement(proposal), retries=3,
+        ),
+    )
+    assert cert is None and log.events == []
+    assert sent == [message] * 3
+
+
+@pytest.mark.parametrize("crashed, sends", [(("auth:3",), 1), (("auth:2", "auth:3"), 4)])
+def test_replies_from_every_authority_settle_for_a_quorum(world, crashed, sends):
+    """Asked for all n replies, the gatherer returns at the first timed-out
+    attempt that holds 2f+1 of them; below 2f+1 it uses every try."""
+    sim, harness, *_ = world
+    for name in crashed:
+        sim.crash_at[name] = 0
+    message = QueryInstanceMsg(SWID)
+    got, sent = run_counting_broadcasts(
+        sim, lambda env: replies(make_client(env, harness, 500), message, InstanceViewReply,
+                                 harness.committee.n, 4),
+    )
+    assert sorted(got) == sorted({f"auth:{i}" for i in range(4)} - set(crashed))
+    assert all(isinstance(reply, InstanceViewReply) for reply in got.values())
+    assert sent == [message] * sends
