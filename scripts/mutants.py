@@ -244,11 +244,12 @@ CATALOGUE = (
              " value_digest"),
             ("src/bftledger/authority.py", "        self.verified: set[bytes] = set()\n", ""),
             ("src/bftledger/authority.py",
-             "        return check_certificate_once(self.committee, cert, self.verified)",
-             "        return check_certificate(self.committee, cert)"),
+             "                and check_certificate_once(self.committee, cert, self.verified))",
+             "                and check_certificate(self.committee, cert))"),
         ),
         ("tests/test_committee.py::test_verified_set_never_changes_a_verdict",
-         "tests/test_committee.py::test_each_authority_verifies_for_itself"),
+         "tests/test_committee.py::test_each_authority_verifies_for_itself",
+         "tests/test_committee.py::test_every_certificate_path_refuses_a_bad_certificate"),
     ),
     # -- mutants ----------------------------------------------------------------------
     Entry(
@@ -337,6 +338,41 @@ CATALOGUE = (
           "CommitMsg(ctx.commit, ctx.locks.get(1), ctx.locks.get(2))",
           "CommitMsg(ctx.commit, lock1, lock2)"),),
         ("tests/test_scenarios.py::test_swap_schedule_passes_every_audit[1429313080]",),
+    ),
+    Entry(
+        "certified-ignores-kind",
+        "mutant",
+        (("src/bftledger/authority.py",
+          "isinstance(cert, Certificate) and type(cert.value) is kind\n",
+          "isinstance(cert, Certificate)\n"),),
+        ("tests/test_committee.py::test_every_certificate_path_refuses_a_bad_certificate",),
+    ),
+    Entry(
+        "bid-cert-of-another-auction",
+        "mutant",
+        (("src/bftledger/auction.py",
+          "self.certified(cert, BidStatement) and cert.value.auction_id == req.auction_id",
+          "self.certified(cert, BidStatement)"),),
+        ("tests/test_committee.py::test_every_certificate_path_refuses_a_bad_certificate",),
+    ),
+    Entry(
+        "end-of-auction-on-another-bid-set",
+        "mutant",
+        (("src/bftledger/auction.py",
+          "        if eob_cert.value.auction_id != req.auction_id:\n"
+          "            raise err(errors.BAD_CERTIFICATE, \"end-of-bidding set mismatch\")\n",
+          ""),),
+        ("tests/test_committee.py::test_every_certificate_path_refuses_a_bad_certificate"
+         "[EndOfAuctionMsg-of_another_auction]",),
+    ),
+    Entry(
+        "settlement-value-count-unchecked",
+        "mutant",
+        (("src/bftledger/auction.py",
+          "        if len(statement.values) != len(auction.included):\n"
+          "            raise err(errors.BAD_CERTIFICATE, \"value count mismatch\")\n",
+          ""),),
+        ("tests/test_auction.py::test_settlement_with_a_value_per_bid_only",),
     ),
     Entry(
         "broker-counts-side-one",

@@ -294,8 +294,6 @@ class Ledger:
         parked and retried when a credit arrives.
         """
         request = cert.value
-        if not isinstance(request, Request):
-            raise err(errors.BAD_CERTIFICATE, "certified value is not a request")
         if request.kind != RequestKind.EXECUTE:
             raise err(errors.LOCK_NOT_ALLOWED, str(request.id))
         account = self.accounts.get(request.id)

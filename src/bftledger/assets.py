@@ -123,15 +123,10 @@ REGISTRY: dict[str, ExecutionFunction] = {
 }
 
 
-def verify_asset(certified: Callable[[Certificate], bool], cert: Certificate) -> bool:
-    """Shape check plus ``certified``, the verdict on the certificate's quorum;
-    old certificates stay verifiable."""
-    if not isinstance(cert, Certificate) or not isinstance(cert.value, AssetBinding):
-        return False
-    binding = cert.value
-    if binding.n < 0 or binding.id.root < 0:
-        return False
-    return certified(cert)
+def verify_asset(certified: Callable[[Certificate, type], bool], cert: Certificate) -> bool:
+    """``certified``, the verdict on a certificate of an ``AssetBinding``, plus
+    a shape check; old certificates stay verifiable."""
+    return certified(cert, AssetBinding) and cert.value.n >= 0 and cert.value.id.root >= 0
 
 
 def derive_outputs(first_spend: Request, count: int) -> tuple[AccountId, ...]:
@@ -156,7 +151,7 @@ def handle_certify(ledger: Ledger, auth: Authenticated) -> AssetBinding:
     return AssetBinding(id=req.id, n=req.n, data=req.data)
 
 
-def handle_transmute(ledger: Ledger, certified: Callable[[Certificate], bool],
+def handle_transmute(ledger: Ledger, certified: Callable[[Certificate, type], bool],
                      req: TransmuteRequest) -> list[AssetBinding]:
     """Validate a transmutation, deactivate its inputs, and return the output
     bindings to vote on.

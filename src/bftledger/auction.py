@@ -165,9 +165,10 @@ class AuctionService:
     """One authority's auction objects: bid sets and settlement. An auction is
     bidding until it holds a closed bid set, which the seller's end-of-bidding
     request proposes and its certificate fixes. Every certificate handed in is
-    checked with ``certified``, the authority's verdict on a certificate."""
+    checked with ``certified(cert, kind)``, the authority's verdict on a
+    certificate of a ``kind`` value."""
 
-    def __init__(self, certified: Callable[[Certificate], bool],
+    def __init__(self, certified: Callable[[Certificate, type], bool],
                  tpke_public: Optional[tpke.TpkePublic] = None,
                  tpke_share: Optional[tpke.TpkeShare] = None):
         self.certified = certified
@@ -207,15 +208,8 @@ class AuctionService:
         if req.ciphertext.aad != auction_aad(req.auction_id):
             raise err(errors.BAD_EVIDENCE, "ciphertext not bound to this auction")
         proof = req.deposit_proof
-        escrow = proof.value
-        if (
-            not isinstance(escrow, Request)
-            or not isinstance(escrow.op, Transfer)
-            or escrow.id != req.bidder
-            or escrow.op.dest != req.auction_id
-            or escrow.op.value != req.deposit
-            or not self.certified(proof)
-        ):
+        if not (self.certified(proof, Request) and proof.value.id == req.bidder
+                and proof.value.op == Transfer(req.auction_id, req.deposit)):
             raise err(errors.BAD_EVIDENCE, "deposit proof does not match the bid")
         statement = bid_statement(req)
         if auction.bids.setdefault(statement.deposit_digest, statement) != statement:
@@ -233,12 +227,9 @@ class AuctionService:
             raise err(errors.NOT_SELLER, str(req.auction_id))
         included: dict[bytes, BidStatement] = {}  # a repeated listing counts once
         for cert in req.bids:
-            statement = cert.value
-            if not isinstance(statement, BidStatement) or statement.auction_id != req.auction_id:
-                raise err(errors.BAD_BID_CERT, "wrong statement")
-            if not self.certified(cert):
-                raise err(errors.BAD_BID_CERT, "bad quorum")
-            included.setdefault(value_digest(statement), statement)
+            if not (self.certified(cert, BidStatement) and cert.value.auction_id == req.auction_id):
+                raise err(errors.BAD_BID_CERT, "bid certificate")
+            included.setdefault(value_digest(cert.value), cert.value)
         statement = EndOfBiddingStatement(auction_id=req.auction_id, bids=tuple(included.values()))
         if auction.included is None:
             auction.included = statement.bids
@@ -250,14 +241,11 @@ class AuctionService:
         """Close the auction on its certified bid set (idempotent), which
         replaces a set this authority only voted for: an equivocating seller
         can get votes for two sets, but 2f+1 authorities certify at most one."""
-        statement = cert.value
-        if not isinstance(statement, EndOfBiddingStatement):
-            raise err(errors.BAD_CERTIFICATE, "not an end-of-bidding certificate")
-        if not self.certified(cert):
-            raise err(errors.BAD_CERTIFICATE, "end-of-bidding quorum")
-        auction = self.auctions.get(statement.auction_id)
+        if not self.certified(cert, EndOfBiddingStatement):
+            raise err(errors.BAD_CERTIFICATE, "end-of-bidding certificate")
+        auction = self.auctions.get(cert.value.auction_id)
         if auction is not None:
-            auction.included = statement.bids
+            auction.included = cert.value.bids
 
     # -- share release --
 
@@ -312,11 +300,9 @@ class AuctionService:
         certifies: pay the seller from the winner's deposit, refund everyone
         else, hand the item's owner key to the winner, and delete the auction
         object. Idempotent on redelivery."""
+        if not self.certified(cert, EndOfAuctionStatement):
+            raise err(errors.BAD_CERTIFICATE, "end-of-auction certificate")
         statement = cert.value
-        if not isinstance(statement, EndOfAuctionStatement):
-            raise err(errors.BAD_CERTIFICATE, "not an end-of-auction certificate")
-        if not self.certified(cert):
-            raise err(errors.BAD_CERTIFICATE, "end-of-auction quorum")
         auction_id = statement.auction_id
         if auction_id in self.settled:
             return []

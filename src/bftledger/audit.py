@@ -76,7 +76,7 @@ def _money_delta(authority, effect) -> int:
     return 0
 
 
-def audit_conservation(sim, committee: Committee, initial_total: int) -> AuditResult:
+def audit_conservation(sim, initial_total: int) -> AuditResult:
     """Per honest authority: account money plus in-flight internal money
     equals the genesis total."""
     in_flight: dict[str, int] = {}
@@ -244,7 +244,7 @@ def run_standard_audits(sim, committee: Committee, initial_total: int,
                         synced_snapshots: Optional[dict[str, str]] = None) -> list[AuditResult]:
     results = [
         audit_agreement(sim, committee),
-        audit_conservation(sim, committee, initial_total),
+        audit_conservation(sim, initial_total),
         audit_sequences(sim),
         audit_no_double_sign(sim),
         audit_swap_monotonicity(sim),

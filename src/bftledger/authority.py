@@ -3,12 +3,13 @@ and auction objects, plus the canonical state snapshot.
 
 The authority validates certificates and signs votes; domain modules decide.
 The swap and auction services and the asset checks take ``Authority.certified``,
-this authority's verdict on a certificate, so only this module and
-``committee.py`` know how one is verified. Each message type maps to one
-handler in a table. Effects on another UID (cross-shard messages in the paper)
-are returned addressed to the authority itself and travel through the
-(never-dropping, possibly delaying and duplicating) internal queue, although
-one ledger holds all of its accounts.
+this authority's verdict on a certificate of an expected kind, so only this
+module and ``committee.py`` know how one is verified, and no service tests a
+certificate's kind itself. Each message type maps to one handler in a table.
+Effects on another UID (cross-shard messages in the paper) are returned
+addressed to the authority itself and travel through the (never-dropping,
+possibly delaying and duplicating) internal queue, although one ledger holds
+all of its accounts.
 """
 
 from __future__ import annotations
@@ -101,10 +102,12 @@ class Authority:
 
     # -- helpers --
 
-    def certified(self, cert: Certificate) -> bool:
-        """This authority's verdict on ``cert``: ``check_certificate``'s over its
-        committee, computed once per certificate."""
-        return check_certificate_once(self.committee, cert, self.verified)
+    def certified(self, cert: Any, kind: type) -> bool:
+        """This authority's verdict on ``cert`` as a certificate of a ``kind``
+        value: ``check_certificate``'s over its committee, computed once per
+        certificate. A certificate of another kind is refused unchecked."""
+        return (isinstance(cert, Certificate) and type(cert.value) is kind
+                and check_certificate_once(self.committee, cert, self.verified))
 
     def _check_account(self, uid: AccountId, account) -> None:
         if not account.alg.is_valid(account.state):
@@ -145,7 +148,7 @@ class Authority:
 
     def _on_confirm(self, src, payload: ConfirmMsg, now):
         cert = payload.cert
-        if not (isinstance(cert.value, Request) and self.certified(cert)):
+        if not self.certified(cert, Request):
             raise err(errors.BAD_CERTIFICATE, "confirmation")
         self._accept_cert(cert, "request")
         effects = self.ledger.handle_confirmation(cert)

@@ -144,11 +144,12 @@ def is_safe_pre_commit(proposed, locked, p, disabled: frozenset = frozenset()) -
 
 
 class SwapService:
-    """One authority's instances; ``certified`` is its verdict on a certificate."""
+    """One authority's instances; ``certified(cert, kind)`` is its verdict on
+    a certificate of a ``kind`` value."""
 
     def __init__(
         self,
-        certified: Callable[[Certificate], bool],
+        certified: Callable[[Certificate, type], bool],
         schedule: RoundSchedule = RoundSchedule(),
         parity_leader: bool = False,
     ):
@@ -168,13 +169,10 @@ class SwapService:
     def _is_lock_cert(self, cert: Optional[Certificate], swid: AccountId, role: int) -> bool:
         """Whether `cert` is a valid lock certificate for this swid and role
         (False also for no certificate)."""
-        if not isinstance(cert, Certificate):
+        if not self.certified(cert, Request):
             return False
         request = cert.value
-        if not isinstance(request, Request) or request.kind != RequestKind.LOCK:
-            return False
-        op = request.op
-        return op.swid == swid and op.role == role and self.certified(cert)
+        return request.kind == RequestKind.LOCK and request.op.swid == swid and request.op.role == role
 
     def handle_proposal(
         self,
@@ -217,14 +215,12 @@ class SwapService:
         return PreCommitStatement(proposal)
 
     def handle_pre_commit(self, cert: Certificate) -> CommitStatement:
-        if not isinstance(cert.value, PreCommitStatement):
-            raise err(errors.BAD_CERTIFICATE, "not a pre-commit certificate")
+        if not self.certified(cert, PreCommitStatement):
+            raise err(errors.BAD_CERTIFICATE, "pre-commit certificate")
         proposal = cert.value.proposal
         instance = self.instances.get(proposal.swid)
         if instance is None:
             raise err(errors.UNKNOWN_INSTANCE, str(proposal.swid))
-        if not self.certified(cert):
-            raise err(errors.BAD_CERTIFICATE, "pre-commit vote check failed")
         if not is_safe_pre_commit(*instance.rule_view(), (proposal.round, proposal.decision)):
             raise err(errors.UNSAFE, f"pre-commit round {proposal.round}")
         instance.locked = cert
@@ -246,10 +242,8 @@ class SwapService:
         not the commit certificate, of which one decision may have several.
         Junk attachments never block a valid commit.
         """
-        if not isinstance(cert.value, CommitStatement):
-            raise err(errors.BAD_CERTIFICATE, "not a commit certificate")
-        if not self.certified(cert):
-            raise err(errors.BAD_CERTIFICATE, "commit vote check failed")
+        if not self.certified(cert, CommitStatement):
+            raise err(errors.BAD_CERTIFICATE, "commit certificate")
         proposal = cert.value.proposal
         swid = proposal.swid
         instance = self.instances.get(swid)

@@ -22,9 +22,12 @@ class CommitteeHarness:
         votes = [make_vote(i, self.signers[i], value) for i in indices]
         return aggregate_certificate(self.committee, value, votes)
 
-    def certified(self, cert):
-        """The certificate checker that a service or an asset check takes."""
-        return check_certificate(self.committee, cert)
+    def certified(self, cert, kind):
+        """The certificate checker that a service or an asset check takes: as a
+        fresh ``Authority.certified`` answers, true for a valid certificate of
+        a ``kind`` value only."""
+        return (isinstance(cert, Certificate) and type(cert.value) is kind
+                and check_certificate(self.committee, cert))
 
     def forge(self, value, how, other):
         """A certificate over ``value`` that no quorum signed: with ``how`` "few",

@@ -439,6 +439,20 @@ def test_forged_end_of_auction_settles_nothing(harness, tpke_system, forgery):
     assert AUCTION in authority.auctions.settled
 
 
+def test_settlement_with_a_value_per_bid_only(harness, tpke_system):
+    """An end-of-auction certificate must give one value per bid of the
+    certified set."""
+    authority, _seller_key = make_authority(harness)
+    bid = submit_bid(harness, tpke_system, authority)
+    eob_cert = harness.certify(EndOfBiddingStatement(AUCTION, (bid.value,)))
+    for values in ((), (7, 3)):
+        eoa_cert = harness.certify(EndOfAuctionStatement(AUCTION, values))
+        outputs, _notes = authority.handle("seller", SettleAuctionMsg(eoa_cert, eob_cert), 0)
+        assert [(dest, getattr(p, "code", None)) for dest, p in outputs] == [
+            ("seller", errors.BAD_CERTIFICATE)]
+    assert AUCTION in authority.auctions.auctions and AUCTION not in authority.auctions.settled
+
+
 def test_snapshot_of_a_live_auction(harness, tpke_system):
     """While bidding, after closing, and once settled."""
     authority, seller_key = make_authority(harness)

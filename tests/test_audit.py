@@ -240,7 +240,7 @@ def test_deferred_escrow_debit_counted_then_applied_once(harness):
     ledger.apply_credit(CreditEffect(target=seller, update=ScalarUpdate(6), cert=settlement))
     assert ledger.deferred_effects == {auction_id: [debit]}
     assert ledger.accounts[auction_id].balance == 0
-    assert audit.audit_conservation(sim, harness.committee, initial_total=10).passed
+    assert audit.audit_conservation(sim, initial_total=10).passed
 
     sim.run()  # delivers the deposit credit
     escrow = ledger.accounts[auction_id]
@@ -249,4 +249,4 @@ def test_deferred_escrow_debit_counted_then_applied_once(harness):
     ledger.apply_escrow_debit(debit)
     assert escrow.balance == 0 and not ledger.deferred_effects
     assert authority.total_money() == 10
-    assert audit.audit_conservation(sim, harness.committee, initial_total=10).passed
+    assert audit.audit_conservation(sim, initial_total=10).passed

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 import bftledger.committee as committee_module
 import bftledger.wire  # noqa: F401
-from bftledger import errors, keys, serialize
-from bftledger.accounts import AccountId, Transfer, execute_request
+from bftledger import errors, keys, serialize, tpke
+from bftledger.accounts import AccountId, LockInto, Transfer, execute_request, lock_request
+from bftledger.assets import AssetBinding, Spend, TransmuteRequest, spend_commitment
+from bftledger.auction import (BidStatement, CreateAuction, EndOfAuctionRequest,
+                               EndOfAuctionStatement, EndOfBiddingRequest, EndOfBiddingStatement,
+                               InitAuctionEffect, PriceRule, SubmitBidRequest, auction_aad)
 from bftledger.authority import Authority
 from bftledger.committee import (
     Authenticated,
@@ -26,7 +30,11 @@ from bftledger.committee import (
     value_digest,
 )
 from bftledger.errors import ProtocolError
-from bftledger.messages import ConfirmMsg
+from bftledger.messages import (CommitMsg, ConfirmMsg, EndOfAuctionMsg, EndOfBiddingMsg,
+                                ErrorReply, PreCommitMsg, ProposalMsg, SettleAuctionMsg,
+                                SharesQueryMsg, SubmitBidMsg, TransmuteMsg)
+from bftledger.swap import (CommitStatement, DecisionValue, InitInstanceEffect,
+                            PreCommitStatement, Proposal)
 
 
 @pytest.fixture
@@ -243,3 +251,100 @@ def test_each_authority_verifies_for_itself(harness, monkeypatch):
     for authority, total in zip(authorities * 2, (quorum, 2 * quorum, 2 * quorum, 2 * quorum)):
         _confirm(authority, cert)
         assert len(calls) == total, authority.name
+
+
+# -- every certificate path refuses a bad certificate -------------------------------
+
+ID1, ID2, BIDDER = AccountId(0), AccountId(1), AccountId(5)
+SWID = AccountId(2, (0,))
+SELLER, ITEM = AccountId(3), AccountId(4)
+AUCTION = SELLER.child(0)
+
+
+def _paths(harness, system):
+    """Each certificate path of ``Authority.handle``: name -> (the refusal's code,
+    two values of the kind it takes, a value of another kind, the message that
+    carries a certificate ``c`` there with every earlier check passing)."""
+    owner, bidder, seller = harness.keypair(), harness.keypair(), harness.keypair()
+    ciphertext = tpke.encrypt(system.public, 3, rng=random.Random(1), aad=auction_aad(AUCTION))
+    bid = BidStatement(AUCTION, BIDDER, bidder.public_key, ciphertext, 5, b"d" * 32)
+    request = execute_request(ID1, 0, Transfer(ID2, 1))
+    proposal = Proposal(SWID, 0, DecisionValue.ABORT)
+    asset = AssetBinding(ID1, 0, b"x")
+    eob = EndOfBiddingStatement(AUCTION, ())
+    eoa = EndOfAuctionStatement(AUCTION, ())
+    spend = execute_request(ID1, 0, Spend(spend_commitment(b"p")))
+    return {
+        "ConfirmMsg": (errors.BAD_CERTIFICATE, request, _value(1), asset, ConfirmMsg),
+        "PreCommitMsg": (errors.BAD_CERTIFICATE, PreCommitStatement(proposal),
+                         PreCommitStatement(Proposal(SWID, 1, DecisionValue.ABORT)),
+                         CommitStatement(proposal), PreCommitMsg),
+        "CommitMsg": (errors.BAD_CERTIFICATE, CommitStatement(proposal),
+                      CommitStatement(Proposal(SWID, 1, DecisionValue.ABORT)),
+                      PreCommitStatement(proposal), lambda c: CommitMsg(c, None, None)),
+        "ProposalMsg": (errors.BAD_LOCK_CERT, lock_request(ID1, 1, LockInto(SWID, 1, owner.public_key)),
+                        lock_request(ID1, 1, LockInto(SWID, 1, bidder.public_key)),
+                        PreCommitStatement(proposal),
+                        lambda c: ProposalMsg(authenticate(proposal, owner.public_key, owner), c, None)),
+        "SubmitBidMsg": (errors.BAD_EVIDENCE, execute_request(BIDDER, 0, Transfer(AUCTION, 5)),
+                         execute_request(BIDDER, 1, Transfer(AUCTION, 5)), asset,
+                         lambda c: SubmitBidMsg(authenticate(SubmitBidRequest(
+                             AUCTION, BIDDER, bidder.public_key, ciphertext, 5, c),
+                             bidder.public_key, bidder))),
+        "EndOfBiddingMsg": (errors.BAD_BID_CERT, bid, dataclasses.replace(bid, deposit=6), request,
+                            lambda c: EndOfBiddingMsg(authenticate(
+                                EndOfBiddingRequest(AUCTION, (c,)), seller.public_key, seller))),
+        "SharesQueryMsg": (errors.BAD_CERTIFICATE, eob, EndOfBiddingStatement(AUCTION, (bid,)), eoa,
+                           SharesQueryMsg),
+        "EndOfAuctionMsg": (errors.BAD_CERTIFICATE, eob, EndOfBiddingStatement(AUCTION, (bid,)), eoa,
+                            lambda c: EndOfAuctionMsg(authenticate(
+                                EndOfAuctionRequest(AUCTION, ()), seller.public_key, seller), c)),
+        "SettleAuctionMsg": (errors.BAD_CERTIFICATE, eoa, EndOfAuctionStatement(AUCTION, (0,)), eob,
+                             lambda c: SettleAuctionMsg(c, harness.certify(eob))),
+        "TransmuteMsg": (errors.BAD_CERTIFICATE, asset, AssetBinding(ID1, 0, b"y"), spend,
+                         lambda c: TransmuteMsg(TransmuteRequest(
+                             "identity", b"p", (authenticate(spend, owner.public_key, owner),),
+                             (c,), (ID1.child(0).child(0),)))),
+    }, seller
+
+
+PATHS = ("ConfirmMsg", "PreCommitMsg", "CommitMsg", "ProposalMsg", "SubmitBidMsg",
+         "EndOfBiddingMsg", "SharesQueryMsg", "EndOfAuctionMsg", "SettleAuctionMsg", "TransmuteMsg")
+BAD = ("another_kind", "too_few_signers", "votes_over_another_value")
+
+
+@pytest.fixture(scope="module")
+def tpke_system():
+    return tpke.setup(4, 2, rng=random.Random(99))
+
+
+@pytest.mark.parametrize("path,bad", [(path, bad) for path in PATHS for bad in BAD]
+                         + [(path, "of_another_auction") for path in ("EndOfBiddingMsg", "EndOfAuctionMsg")])
+def test_every_certificate_path_refuses_a_bad_certificate(harness, tpke_system, path, bad):
+    """A valid certificate of another kind, a forged one of the right kind, and
+    (for a bid or a closed bid set) a valid one of another auction are each
+    refused with the path's code, leaving the authority as it was; a genuine
+    one gets past that check."""
+    paths, seller = _paths(harness, tpke_system)
+    code, value, other, wrong, message = paths[path]
+    authority = Authority(0, harness.signers[0], harness.committee,
+                          tpke_public=tpke_system.public, tpke_share=tpke_system.shares[0])
+    creation = harness.certify(execute_request(SELLER, 0, CreateAuction(AUCTION, ITEM, PriceRule.SECOND_PRICE)))
+    for effect in (InitInstanceEffect(SWID, ID1, 1, ID2, 0, creation),
+                   InitAuctionEffect(AUCTION, SELLER, seller.public_key, ITEM, PriceRule.SECOND_PRICE, creation)):
+        authority.handle(authority.name, effect, 0)
+    snapshot, verified = authority.snapshot(), set(authority.verified)
+
+    if bad == "another_kind":
+        cert = harness.certify(wrong)
+    elif bad == "of_another_auction":
+        cert = harness.certify(dataclasses.replace(value, auction_id=SELLER.child(1)))
+        verified.add(value_digest(cert))  # valid, so it may be kept
+    else:
+        cert = harness.forge(value, "few" if bad == "too_few_signers" else "other", other)
+    outputs, _notes = authority.handle("client", message(cert), 0)
+    assert [(dest, type(reply), reply.code) for dest, reply in outputs] == [("client", ErrorReply, code)]
+    assert authority.snapshot() == snapshot
+    assert authority.verified <= verified
+    outputs, _notes = authority.handle("client", message(harness.certify(value)), 0)
+    assert getattr(outputs[-1][1], "code", None) != code
