@@ -375,6 +375,68 @@ CATALOGUE = (
         ("tests/test_auction.py::test_settlement_with_a_value_per_bid_only",),
     ),
     Entry(
+        "signed-ignores-kind",
+        "mutant",
+        (("src/bftledger/committee.py",
+          "isinstance(auth, Authenticated) and type(auth.payload) is kind\n",
+          "isinstance(auth, Authenticated)\n"),),
+        ("tests/test_committee.py::test_every_owner_signed_path_refuses_a_bad_signature",),
+    ),
+    Entry(
+        "signed-skips-signature",
+        "mutant",
+        (("src/bftledger/committee.py", "and check_authenticated(auth)):", "and True):"),),
+        ("tests/test_committee.py::test_every_owner_signed_path_refuses_a_bad_signature",),
+    ),
+    Entry(
+        "end-of-auction-seller-key-unchecked",
+        "mutant",
+        (("src/bftledger/auction.py",
+          "        if auth.pk != auction.seller_pk:\n"
+          "            raise err(errors.NOT_SELLER, str(req.auction_id))\n"
+          "        if len(req.openings)",
+          "        if len(req.openings)"),),
+        ("tests/test_committee.py::test_every_owner_signed_path_refuses_a_bad_signature"
+         "[EndOfAuctionMsg-another_key]",),
+    ),
+    Entry(
+        "end-of-bidding-second-bid-set-accepted",
+        "mutant",
+        (("src/bftledger/auction.py",
+          "        elif auction.included != statement.bids:\n"
+          "            raise err(errors.WRONG_PHASE, \"a different bid set was already closed\")\n",
+          ""),),
+        ("tests/test_committee.py::test_malformed_message_gets_its_refusal[second_bid_set]",),
+    ),
+    Entry(
+        "end-of-auction-openings-uncounted",
+        "mutant",
+        (("src/bftledger/auction.py",
+          "        if len(req.openings) != len(auction.included):\n"
+          "            raise err(errors.DECRYPTION_MISMATCH, \"every included bid must be opened\")\n",
+          ""),),
+        ("tests/test_committee.py::test_malformed_message_gets_its_refusal[fewer_openings_than_bids]",),
+    ),
+    Entry(
+        "confirmation-on-inactive-account",
+        "mutant",
+        (("src/bftledger/accounts.py",
+          "        if account.pk is None:\n"
+          "            raise err(errors.INACTIVE_ACCOUNT, str(request.id))\n",
+          ""),),
+        ("tests/test_committee.py::test_malformed_message_gets_its_refusal"
+         "[confirmation_on_a_receive_only_account]",),
+    ),
+    Entry(
+        "binding-at-any-sequence",
+        "mutant",
+        (("src/bftledger/assets.py",
+          "    if req.n != account.next_sequence:\n"
+          "        raise err(errors.SEQUENCE_MISMATCH, f\"expected {account.next_sequence}\")\n",
+          ""),),
+        ("tests/test_committee.py::test_malformed_message_gets_its_refusal[binding_at_another_sequence]",),
+    ),
+    Entry(
         "broker-counts-side-one",
         "mutant",
         (("src/bftledger/drivers.py", "+ (uid == broker_id)", "+ (uid == id1)"),),

@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 
 from . import algebra as algebra_mod
 from . import errors, serialize
-from .committee import Authenticated, Certificate, check_authenticated, value_digest
+from .committee import Authenticated, Certificate, signed, value_digest
 from .errors import err
 
 
@@ -251,13 +251,13 @@ class Ledger:
     # -- request path --
 
     def owned_account(self, auth: Authenticated, id: AccountId) -> AccountState:
-        """The active account ``id``, provided its owner signed ``auth``."""
+        """The active account ``id``, provided ``auth``, already ``signed``, names its owner key."""
         account = self.accounts.get(id)
         if account is None:
             raise err(errors.UNKNOWN_ACCOUNT, str(id))
         if account.pk is None:
             raise err(errors.INACTIVE_ACCOUNT, str(id))
-        if not check_authenticated(auth, expected_pk=account.pk):
+        if auth.pk != account.pk:
             raise err(errors.BAD_AUTH, str(id))
         return account
 
@@ -265,9 +265,7 @@ class Ledger:
         """The account that ``auth``'s request may lock: its owner signed it, at
         its next sequence number, with no other request pending, and the
         operation is valid now. A re-sent pending request is validated again."""
-        request = auth.payload
-        if not isinstance(request, Request):
-            raise err(errors.BAD_AUTH, "payload is not a request")
+        request = signed(auth, Request)
         account = self.owned_account(auth, request.id)
         if account.pending is not None and account.pending != request:
             raise err(errors.ACCOUNT_BUSY, str(request.id))

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from . import errors, serialize
 from .accounts import AccountId, AccountState, Ledger, Request, operation
-from .committee import Authenticated, Certificate, value_digest
+from .committee import Authenticated, Certificate, signed, value_digest
 from .errors import err
 from .keys import digest32
 
@@ -142,9 +142,7 @@ def handle_certify(ledger: Ledger, auth: Authenticated) -> AssetBinding:
     Binding does not consume a sequence number, but it pins the current one,
     so successive bindings on one account are totally ordered.
     """
-    req = auth.payload
-    if not isinstance(req, AssetCertifyRequest):
-        raise err(errors.BAD_AUTH, "payload is not a certify request")
+    req = signed(auth, AssetCertifyRequest)
     account = ledger.owned_account(auth, req.id)
     if req.n != account.next_sequence:
         raise err(errors.SEQUENCE_MISMATCH, f"expected {account.next_sequence}")
@@ -156,14 +154,15 @@ def handle_transmute(ledger: Ledger, certified: Callable[[Certificate, type], bo
     """Validate a transmutation, deactivate its inputs, and return the output
     bindings to vote on.
 
-    Each spend passes ``Ledger.check_request``, as a standalone request
-    would. All checks run before any deactivation, so a rejected request
-    leaves every input active. Replays against already-spent inputs re-vote
-    identically when the spend tombstones carry the same replay identity.
-    An account named twice would count its one asset twice, so it is refused
-    first.
+    Each spend is a signed request that passes ``Ledger.check_request``, as
+    a standalone request would. All checks run before any deactivation, so
+    a rejected request leaves every input active. Replays against
+    already-spent inputs re-vote identically when the spend tombstones carry
+    the same replay identity. An account named twice would count its one
+    asset twice, so it is refused first.
     """
-    ids = [auth.payload.id for auth in req.spends if isinstance(auth.payload, Request)]
+    spends = [signed(auth, Request) for auth in req.spends]
+    ids = [spend.id for spend in spends]
     if len(set(ids)) != len(ids):
         raise err(errors.BAD_VALUE, "an input account is named twice")
     fexec = REGISTRY.get(req.fexec)
@@ -176,9 +175,8 @@ def handle_transmute(ledger: Ledger, certified: Callable[[Certificate, type], bo
 
     commitment = spend_commitment(req.params)
     bindings: list[AssetBinding] = []
-    for role, (spend_auth, asset_cert) in enumerate(zip(req.spends, req.inputs)):
-        spend = spend_auth.payload
-        if not isinstance(spend, Request) or not isinstance(spend.op, Spend):
+    for role, (spend, asset_cert) in enumerate(zip(spends, req.inputs)):
+        if not isinstance(spend.op, Spend):
             raise err(errors.BAD_VALUE, f"input {role} is not a spend")
         if spend.op.commitment != commitment:
             raise err(errors.COMMITMENT_MISMATCH, f"input {role}")
@@ -192,8 +190,7 @@ def handle_transmute(ledger: Ledger, certified: Callable[[Certificate, type], bo
     replay_id = value_digest(core)
 
     to_deactivate: list[AccountId] = []
-    for spend_auth in req.spends:
-        uid = spend_auth.payload.id
+    for spend_auth, uid in zip(req.spends, ids):
         if uid not in ledger.accounts:
             if ledger.tombstones.get(uid) == replay_id:
                 continue  # replay of this exact transmutation
@@ -205,7 +202,7 @@ def handle_transmute(ledger: Ledger, certified: Callable[[Certificate, type], bo
     outputs = fexec.eval(req.params, xs)
     if outputs is None:
         raise err(errors.UNDEFINED_EXECUTION, f"{req.fexec} undefined on these inputs")
-    if derive_outputs(req.spends[0].payload, fexec.arity_out) != req.outputs:
+    if derive_outputs(spends[0], fexec.arity_out) != req.outputs:
         raise err(errors.BAD_DERIVED_ID, "output ids do not match the derivation rule")
 
     for acct_id in to_deactivate:

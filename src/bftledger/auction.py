@@ -33,7 +33,7 @@ from .accounts import (
     operation,
 )
 from .algebra import ScalarUpdate
-from .committee import Authenticated, Certificate, check_authenticated, value_digest
+from .committee import Authenticated, Certificate, signed, value_digest
 from .errors import err
 
 
@@ -193,13 +193,11 @@ class AuctionService:
     # -- bidding --
 
     def handle_submit_bid(self, auth: Authenticated) -> BidStatement:
-        req = auth.payload
-        if not isinstance(req, SubmitBidRequest):
-            raise err(errors.BAD_AUTH, "payload is not a bid submission")
+        req = signed(auth, SubmitBidRequest)
         auction = self._get(req.auction_id)
         if auction.included is not None:
             raise err(errors.WRONG_PHASE, "bidding is closed")
-        if not check_authenticated(auth, expected_pk=req.bidder_pk):
+        if auth.pk != req.bidder_pk:
             raise err(errors.BAD_AUTH, "bid signature")
         if req.deposit <= 0:
             raise err(errors.BAD_EVIDENCE, "deposit must be positive")
@@ -219,11 +217,9 @@ class AuctionService:
     # -- end of bidding --
 
     def handle_end_of_bidding(self, auth: Authenticated) -> EndOfBiddingStatement:
-        req = auth.payload
-        if not isinstance(req, EndOfBiddingRequest):
-            raise err(errors.BAD_AUTH, "payload is not an end-of-bidding request")
+        req = signed(auth, EndOfBiddingRequest)
         auction = self._get(req.auction_id)
-        if not check_authenticated(auth, expected_pk=auction.seller_pk):
+        if auth.pk != auction.seller_pk:
             raise err(errors.NOT_SELLER, str(req.auction_id))
         included: dict[bytes, BidStatement] = {}  # a repeated listing counts once
         for cert in req.bids:
@@ -272,14 +268,12 @@ class AuctionService:
     def handle_end_of_auction(
         self, auth: Authenticated, eob_cert: Certificate
     ) -> EndOfAuctionStatement:
-        req = auth.payload
-        if not isinstance(req, EndOfAuctionRequest):
-            raise err(errors.BAD_AUTH, "payload is not an end-of-auction request")
+        req = signed(auth, EndOfAuctionRequest)
         self.apply_end_of_bidding_cert(eob_cert)  # so the auction holds the certified set
         if eob_cert.value.auction_id != req.auction_id:
             raise err(errors.BAD_CERTIFICATE, "end-of-bidding set mismatch")
         auction = self._get(req.auction_id)
-        if not check_authenticated(auth, expected_pk=auction.seller_pk):
+        if auth.pk != auction.seller_pk:
             raise err(errors.NOT_SELLER, str(req.auction_id))
         if len(req.openings) != len(auction.included):
             raise err(errors.DECRYPTION_MISMATCH, "every included bid must be opened")

@@ -197,6 +197,8 @@ class Authority:
         return [(src, self._vote(assets.handle_certify(self.ledger, payload.auth)))]
 
     def _on_transmute(self, src, payload: TransmuteMsg, now):
+        if type(payload.request) is not assets.TransmuteRequest:
+            raise err(errors.BAD_VALUE, "not a transmute request")
         bindings = assets.handle_transmute(self.ledger, self.certified, payload.request)
         items = tuple((binding, self._vote(binding).vote) for binding in bindings)
         return [(src, TransmuteReply(items=items))]

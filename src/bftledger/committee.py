@@ -1,4 +1,4 @@
-"""Committee membership, votes, and quorum certificates.
+"""Committee membership, votes, quorum certificates, and owner signatures.
 
 A certificate is the universal proof-of-agreement object: a value plus
 signatures from at least 2f+1 distinct committee members over the value's
@@ -187,12 +187,21 @@ def authenticate(payload: Any, pk: bytes, signer: Signer) -> Authenticated:
     return Authenticated(payload=payload, pk=pk, sig=signer.sign(value_digest(payload)))
 
 
-def check_authenticated(auth: Authenticated, expected_pk: bytes | None = None) -> bool:
-    """Verify an owner signature; optionally pin the expected key."""
-    if expected_pk is not None and auth.pk != expected_pk:
-        return False
+def check_authenticated(auth: Authenticated) -> bool:
+    """Verify an owner signature under the key that ``auth`` names."""
     try:
         d = value_digest(auth.payload)
     except serialize.EncodingError:
         return False
     return verify(auth.pk, d, auth.sig)
+
+
+def signed(auth: Any, kind: type) -> Any:
+    """The payload of ``auth``, an ``Authenticated`` ``kind`` value whose
+    signature verifies under ``auth.pk``; anything else raises ``BadAuth``.
+    The one owner-signature check of every handler, which then compares
+    ``auth.pk`` with the key it expects."""
+    if not (isinstance(auth, Authenticated) and type(auth.payload) is kind
+            and check_authenticated(auth)):
+        raise err(errors.BAD_AUTH, f"not a signed {kind.__name__}")
+    return auth.payload

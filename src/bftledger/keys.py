@@ -108,7 +108,7 @@ class Ed25519Signer:
 
 
 def verify(public_key: bytes, digest: bytes, sig: bytes) -> bool:
-    """Check a signature over a 32-byte digest; never raises."""
+    """Check a signature over a 32-byte digest; with bytes arguments it never raises."""
     if len(digest) != DIGEST_LEN or not public_key:
         return False
     scheme, material = public_key[:1], public_key[1:]

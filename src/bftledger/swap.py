@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from . import errors
 from .accounts import AccountId, Request, RequestKind, UnlockEffect
-from .committee import Authenticated, Certificate, check_authenticated
+from .committee import Authenticated, Certificate, signed
 from .errors import err
 
 
@@ -181,14 +181,10 @@ class SwapService:
         lock2: Optional[Certificate],
         now: int,
     ) -> PreCommitStatement:
-        proposal = auth.payload
-        if not isinstance(proposal, Proposal):
-            raise err(errors.BAD_AUTH, "payload is not a proposal")
+        proposal = signed(auth, Proposal)
         instance = self.instances.get(proposal.swid)
         if instance is None:
             raise err(errors.UNKNOWN_INSTANCE, str(proposal.swid))
-        if not check_authenticated(auth):
-            raise err(errors.BAD_AUTH, "proposal signature")
         for role, lock in ((1, lock1), (2, lock2)):
             if lock is None:
                 continue
@@ -197,7 +193,7 @@ class SwapService:
             if (lock.value.id, lock.value.n) != instance.accounts[role]:
                 raise err(errors.BAD_LOCK_CERT, f"role {role} does not match instance")
             instance.locks[role] = lock
-        if auth.pk is None or auth.pk not in (instance.pk(1), instance.pk(2)):
+        if auth.pk not in (instance.pk(1), instance.pk(2)):
             raise err(errors.NOT_A_LOCKED_OWNER, str(proposal.swid))
         if proposal.decision == DecisionValue.CONFIRM and len(instance.locks) < 2:
             raise err(errors.INVALID_CONFIRM, "both accounts must be locked")

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import bftledger.committee as committee_module
 import bftledger.wire  # noqa: F401
 from bftledger import errors, keys, serialize, tpke
-from bftledger.accounts import AccountId, LockInto, Transfer, execute_request, lock_request
-from bftledger.assets import AssetBinding, Spend, TransmuteRequest, spend_commitment
+from bftledger.accounts import (AccountId, ChangeKey, InitAccountEffect, LockInto, Transfer,
+                                execute_request, lock_request)
+from bftledger.assets import (AssetBinding, AssetCertifyRequest, Spend, TransmuteRequest,
+                              derive_outputs, spend_commitment)
 from bftledger.auction import (BidStatement, CreateAuction, EndOfAuctionRequest,
                                EndOfAuctionStatement, EndOfBiddingRequest, EndOfBiddingStatement,
                                InitAuctionEffect, PriceRule, SubmitBidRequest, auction_aad)
@@ -30,9 +32,10 @@ from bftledger.committee import (
     value_digest,
 )
 from bftledger.errors import ProtocolError
-from bftledger.messages import (CommitMsg, ConfirmMsg, EndOfAuctionMsg, EndOfBiddingMsg,
-                                ErrorReply, PreCommitMsg, ProposalMsg, SettleAuctionMsg,
-                                SharesQueryMsg, SubmitBidMsg, TransmuteMsg)
+from bftledger.messages import (CertifyAssetMsg, CommitMsg, ConfirmMsg, EndOfAuctionMsg,
+                                EndOfBiddingMsg, ErrorReply, HandleRequestMsg, PreCommitMsg,
+                                ProposalMsg, SettleAuctionMsg, SharesQueryMsg, SubmitBidMsg,
+                                TransmuteMsg)
 from bftledger.swap import (CommitStatement, DecisionValue, InitInstanceEffect,
                             PreCommitStatement, Proposal)
 
@@ -151,14 +154,11 @@ def test_revote_is_identical(committee4):
     assert make_vote(2, signers[2], value) == make_vote(2, signers[2], value)
 
 
-def test_authenticated_roundtrip(committee4):
-    _, signers = committee4
+def test_authenticated_roundtrip():
     owner = keys.mac_keypair(random.Random(5))
     value = _value()
     auth = authenticate(value, owner.public_key, owner)
     assert check_authenticated(auth)
-    assert check_authenticated(auth, expected_pk=owner.public_key)
-    assert not check_authenticated(auth, expected_pk=signers[0].public_key)
     forged = Authenticated(payload=_value(1), pk=auth.pk, sig=auth.sig)
     assert not check_authenticated(forged)
 
@@ -348,3 +348,140 @@ def test_every_certificate_path_refuses_a_bad_certificate(harness, tpke_system, 
     assert authority.verified <= verified
     outputs, _notes = authority.handle("client", message(harness.certify(value)), 0)
     assert getattr(outputs[-1][1], "code", None) != code
+
+
+# -- every owner-signed path refuses a bad signature --------------------------------
+
+
+class OwnerSetup:
+    """An authority that holds ``owner``'s account ID1, the receive-only account
+    ID2, the swap instance SWID and ``seller``'s auction AUCTION, all through
+    ``Authority.handle``; and the values that reach each of its owner-signed
+    paths."""
+
+    def __init__(self, harness, system):
+        self.owner, self.bidder, self.seller = harness.keypair(), harness.keypair(), harness.keypair()
+        self.authority = Authority(0, harness.signers[0], harness.committee,
+                                   tpke_public=system.public, tpke_share=system.shares[0])
+        creation = harness.certify(execute_request(SELLER, 0, CreateAuction(AUCTION, ITEM, PriceRule.SECOND_PRICE)))
+        for effect in (InitAccountEffect(ID1, self.owner.public_key, creation),
+                       InitAccountEffect(ID2, None, creation),
+                       InitInstanceEffect(SWID, ID1, 1, ID2, 0, creation),
+                       InitAuctionEffect(AUCTION, SELLER, self.seller.public_key, ITEM,
+                                         PriceRule.SECOND_PRICE, creation)):
+            self.authority.handle(self.authority.name, effect, 0)
+        ciphertext = tpke.encrypt(system.public, 3, rng=random.Random(1), aad=auction_aad(AUCTION))
+        self.bid = harness.certify(BidStatement(AUCTION, BIDDER, self.bidder.public_key, ciphertext, 5, b"d" * 32))
+        self.submission = SubmitBidRequest(AUCTION, BIDDER, self.bidder.public_key, ciphertext, 5,
+                                           harness.certify(execute_request(BIDDER, 0, Transfer(AUCTION, 5))))
+        self.lock = harness.certify(lock_request(ID1, 1, LockInto(SWID, 1, self.owner.public_key)))
+        self.spend = execute_request(ID1, 0, Spend(spend_commitment(b"p")))
+        self.input = harness.certify(AssetBinding(ID1, 0, b"x"))
+
+    def sign(self, payload, keypair):
+        return authenticate(payload, keypair.public_key, keypair)
+
+    def handle(self, message):
+        """The one reply to ``message``."""
+        (_dest, reply), = [out for out in self.authority.handle("client", message, 0)[0]
+                          if out[0] == "client"]
+        return reply
+
+    def transmute(self, spend):
+        return TransmuteMsg(TransmuteRequest("identity", b"p", (spend,), (self.input,),
+                                             derive_outputs(self.spend, 1)))
+
+
+def _owner_paths(setup, harness):
+    """Each owner-signed path of ``Authority.handle``: name -> (the code that a
+    valid signature by another key gets, the key pair the path expects, the
+    payload it takes, a payload of another kind, the message that carries a
+    signed payload ``a`` there with every other check passing, and the
+    messages that prepare the authority for it)."""
+    owner, bidder, seller = setup.owner, setup.bidder, setup.seller
+    request = execute_request(ID1, 0, ChangeKey(bidder.public_key))
+    binding = AssetCertifyRequest(ID1, 0, b"x")
+    end_of_bidding, end_of_auction = EndOfBiddingRequest(AUCTION, ()), EndOfAuctionRequest(AUCTION, ())
+    eob = harness.certify(EndOfBiddingStatement(AUCTION, ()))
+    # A Confirm with one lock is refused after the lock is kept, so side 1 holds the owner key.
+    keep_lock = ProposalMsg(setup.sign(Proposal(SWID, 0, DecisionValue.CONFIRM), owner), setup.lock, None)
+    return {
+        "HandleRequestMsg": (errors.BAD_AUTH, owner, request, binding, HandleRequestMsg, ()),
+        "CertifyAssetMsg": (errors.BAD_AUTH, owner, binding, request, CertifyAssetMsg, ()),
+        "ProposalMsg": (errors.NOT_A_LOCKED_OWNER, owner, Proposal(SWID, 0, DecisionValue.ABORT), request,
+                        lambda a: ProposalMsg(a, None, None), (keep_lock,)),
+        "SubmitBidMsg": (errors.BAD_AUTH, bidder, setup.submission, end_of_bidding, SubmitBidMsg, ()),
+        "EndOfBiddingMsg": (errors.NOT_SELLER, seller, end_of_bidding, end_of_auction, EndOfBiddingMsg, ()),
+        "EndOfAuctionMsg": (errors.NOT_SELLER, seller, end_of_auction, end_of_bidding,
+                            lambda a: EndOfAuctionMsg(a, eob), (SharesQueryMsg(eob),)),
+        "TransmuteMsg": (errors.BAD_AUTH, owner, setup.spend, binding, setup.transmute, ()),
+    }
+
+
+OWNER_PATHS = ("HandleRequestMsg", "CertifyAssetMsg", "ProposalMsg", "SubmitBidMsg",
+               "EndOfBiddingMsg", "EndOfAuctionMsg", "TransmuteMsg")
+
+
+@pytest.mark.parametrize("path,bad", [(path, bad) for path in OWNER_PATHS
+                                      for bad in ("another_kind", "flipped_signature", "another_key")])
+def test_every_owner_signed_path_refuses_a_bad_signature(harness, tpke_system, path, bad):
+    """A payload of another kind signed by the expected key, the right payload
+    with one signature byte flipped, and the right payload validly signed by
+    another key are each refused, leaving the authority as it was; the genuine
+    message is then accepted."""
+    setup = OwnerSetup(harness, tpke_system)
+    other_key_code, keypair, payload, other, message, before = _owner_paths(setup, harness)[path]
+    for prepare in before:
+        setup.handle(prepare)
+    snapshot = setup.authority.snapshot()
+
+    if bad == "another_kind":
+        auth, code = setup.sign(other, keypair), errors.BAD_AUTH
+    elif bad == "flipped_signature":
+        auth = setup.sign(payload, keypair)
+        auth, code = dataclasses.replace(auth, sig=bytes([auth.sig[0] ^ 1]) + auth.sig[1:]), errors.BAD_AUTH
+    else:
+        auth, code = setup.sign(payload, harness.keypair()), other_key_code
+    reply = setup.handle(message(auth))
+    assert (type(reply), reply.code) == (ErrorReply, code)
+    assert setup.authority.snapshot() == snapshot
+    assert type(setup.handle(message(setup.sign(payload, keypair)))) is not ErrorReply
+
+
+# -- refusals that only a forged or malformed message reaches -----------------------
+
+
+def _named_refusals(setup, harness):
+    """name -> (code, the messages that prepare the authority, the message it refuses)."""
+    seller, owner = setup.seller, setup.owner
+    closed = harness.certify(EndOfBiddingStatement(AUCTION, (setup.bid.value,)))
+    close_empty = EndOfBiddingMsg(setup.sign(EndOfBiddingRequest(AUCTION, ()), seller))
+    return {
+        # An equivocating seller asks to close the auction on a second bid set.
+        "second_bid_set": (errors.WRONG_PHASE, (close_empty,), EndOfBiddingMsg(
+            setup.sign(EndOfBiddingRequest(AUCTION, (setup.bid,)), seller))),
+        "fewer_openings_than_bids": (errors.DECRYPTION_MISMATCH, (SharesQueryMsg(closed),), EndOfAuctionMsg(
+            setup.sign(EndOfAuctionRequest(AUCTION, ()), seller), closed)),
+        "confirmation_on_a_receive_only_account": (errors.INACTIVE_ACCOUNT, (), ConfirmMsg(
+            harness.certify(execute_request(ID2, 0, ChangeKey(b"k"))))),
+        "binding_at_another_sequence": (errors.SEQUENCE_MISMATCH, (), CertifyAssetMsg(
+            setup.sign(AssetCertifyRequest(ID1, 1, b"x"), owner))),
+        "transmute_of_another_request": (errors.BAD_VALUE, (), TransmuteMsg(setup.spend)),
+    }
+
+
+NAMED_REFUSALS = ("second_bid_set", "fewer_openings_than_bids", "confirmation_on_a_receive_only_account",
+                  "binding_at_another_sequence", "transmute_of_another_request")
+
+
+@pytest.mark.parametrize("case", NAMED_REFUSALS)
+def test_malformed_message_gets_its_refusal(harness, tpke_system, case):
+    """Each is refused with its code, leaving the authority as it was."""
+    setup = OwnerSetup(harness, tpke_system)
+    code, before, message = _named_refusals(setup, harness)[case]
+    for prepare in before:
+        assert type(setup.handle(prepare)) is not ErrorReply
+    snapshot = setup.authority.snapshot()
+    reply = setup.handle(message)
+    assert (type(reply), reply.code) == (ErrorReply, code)
+    assert setup.authority.snapshot() == snapshot
